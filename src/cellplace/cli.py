@@ -8,10 +8,10 @@ but infeasible, 2 usage error (bad flags, unreadable input, oversized grid),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-
-@dataclass
-class CommandOutcome:
-    exit_code: int
-    summary: str
-    report_path: str | None = None
 
 
 def _parse_numbers(text: str, count: int, what: str) -> np.ndarray:
@@ -73,15 +66,12 @@ def _print_pose(pose: Pose, out) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args, out) -> CommandOutcome:
+def cmd_solve(args, out) -> int:
     scene = _load_scene_checked(args.scene)
-    defaults = scene.solve_defaults()
-    settings = nlp.SolveSettings(
-        mode=args.mode or defaults.get("mode", "squared"),
-        multistart=args.multistart if args.multistart is not None
-        else int(defaults.get("multistart", 1)),
-        seed=args.seed if args.seed is not None else int(defaults.get("seed", 0)),
-        max_iterations=int(defaults.get("max_iterations", 500)),
+    flags = {name: getattr(args, name) for name in ("mode", "multistart", "seed")
+             if getattr(args, name) is not None}
+    settings = dataclasses.replace(
+        nlp.SolveSettings(**scene.solve_defaults()), **flags,
         early_stop_objective=1e-12)
     report = nlp.solve_placement(scene, settings)
 
@@ -98,11 +88,10 @@ def cmd_solve(args, out) -> CommandOutcome:
     if args.out:
         scene_mod.save_report(report, args.out)
         print(f"report written to {args.out}", file=out)
-    code = EXIT_OK if report.verdict == "feasible" else EXIT_INFEASIBLE
-    return CommandOutcome(code, f"verdict {report.verdict}", args.out)
+    return EXIT_OK if report.verdict == "feasible" else EXIT_INFEASIBLE
 
 
-def cmd_check(args, out) -> CommandOutcome:
+def cmd_check(args, out) -> int:
     scene = _load_scene_checked(args.scene)
     pose = _parse_pose_arg(args.placement)
     table = oracle.check_placement(scene, frame_from_pose(pose))
@@ -122,8 +111,7 @@ def cmd_check(args, out) -> CommandOutcome:
               file=out)
     verdict = "feasible" if table.feasible else "infeasible"
     print(f"verdict: {verdict}", file=out)
-    code = EXIT_OK if table.feasible else EXIT_INFEASIBLE
-    return CommandOutcome(code, f"verdict {verdict}")
+    return EXIT_OK if table.feasible else EXIT_INFEASIBLE
 
 
 def _parse_grid(text: str, scene) -> oracle.GridSpec:
@@ -161,7 +149,7 @@ def _parse_grid(text: str, scene) -> oracle.GridSpec:
     return oracle.GridSpec(tuple(resolved))
 
 
-def cmd_grid(args, out) -> CommandOutcome:
+def cmd_grid(args, out) -> int:
     scene = _load_scene_checked(args.scene)
     try:
         grid = _parse_grid(args.grid, scene)
@@ -184,10 +172,10 @@ def cmd_grid(args, out) -> CommandOutcome:
     for cell in cells[:5]:
         print(f"  score={cell.score:12.6g} feasible={int(cell.feasible)} "
               f"pose={np.round(cell.pose, 4)}", file=out)
-    return CommandOutcome(EXIT_OK, f"{len(cells)} cells", args.out)
+    return EXIT_OK
 
 
-def cmd_fk(args, out) -> CommandOutcome:
+def cmd_fk(args, out) -> int:
     robot = builtin_kr6r900()
     joints_deg = _parse_numbers(args.joints, 6, "joints")
     theta = np.radians(joints_deg)
@@ -196,10 +184,10 @@ def cmd_fk(args, out) -> CommandOutcome:
     print("tcp pose:", file=out)
     _print_pose(pose, out)
     print(f"configuration: {config} ({config_label(config)})", file=out)
-    return CommandOutcome(EXIT_OK, "fk done")
+    return EXIT_OK
 
 
-def cmd_ik(args, out) -> CommandOutcome:
+def cmd_ik(args, out) -> int:
     robot = builtin_kr6r900()
     pose = _parse_pose_arg(args.pose)
     target = frame_from_pose(pose)
@@ -207,7 +195,7 @@ def cmd_ik(args, out) -> CommandOutcome:
         q_all = backward7_all(robot, target)
     except CellplaceError as exc:
         print(f"degenerate target: {exc}", file=out)
-        return CommandOutcome(EXIT_INFEASIBLE, "degenerate target")
+        return EXIT_INFEASIBLE
     print(f"{'c':>2s} {'bits':>5s} {'v (mm)':>12s} {'in-limits':>9s}  joints (deg)",
           file=out)
     for c in range(8):
@@ -220,23 +208,22 @@ def cmd_ik(args, out) -> CommandOutcome:
         solution = backward6(robot, target, args.config)
         if solution is None:
             print(f"configuration {args.config}: unreachable", file=out)
-            return CommandOutcome(EXIT_INFEASIBLE,
-                                  f"config {args.config} unreachable")
+            return EXIT_INFEASIBLE
         print(f"configuration {args.config} joints (deg): "
               + " ".join(_fmt_deg(t) for t in solution), file=out)
-    return CommandOutcome(EXIT_OK, "ik done")
+    return EXIT_OK
 
 
-def cmd_plot(args, out) -> CommandOutcome:
+def cmd_plot(args, out) -> int:
     scene = _load_scene_checked(args.scene)
     pose = _parse_pose_arg(args.placement)
     try:
         plot.write_scene_svg(scene, pose, args.out)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=out)
-        return CommandOutcome(EXIT_RUNTIME, "write failed")
+        return EXIT_RUNTIME
     print(f"svg written to {args.out}", file=out)
-    return CommandOutcome(EXIT_OK, "plot done", args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +292,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outcome = _COMMANDS[args.command](args, out)
-        return outcome.exit_code
+        return _COMMANDS[args.command](args, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

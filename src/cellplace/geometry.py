@@ -62,12 +62,6 @@ def rot_z(angle: float) -> np.ndarray:
     ])
 
 
-def translate(x: float, y: float, z: float) -> np.ndarray:
-    frame = np.eye(4)
-    frame[:3, 3] = (x, y, z)
-    return frame
-
-
 def dh_transform(theta: float, d: float, a: float, alpha: float,
                  phi: float = 0.0) -> np.ndarray:
     """Joint transform Rz(theta+phi) . Tz(d) . Tx(a) . Rx(alpha), closed form."""

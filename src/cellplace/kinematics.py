@@ -159,6 +159,25 @@ def config_label(config: int) -> str:
     return f"B{config:03b}"
 
 
+def _wrist_plane(robot: RobotModel, theta: np.ndarray) -> tuple[float, float]:
+    """(radial, cross) of the wrist centre, the two arm branch predicates.
+
+    radial is the wrist centre's signed distance from the axis-1 line; cross
+    is a2 times its signed distance from the line through the axis-2 and
+    axis-3 origins. Both are in the azimuth plane of axis 1.
+    """
+    arm = robot._arm
+    psi = theta + arm["phi"]
+    # Wrist centre in the azimuth plane of axis 1: u radial, w along base z.
+    c3, s3 = math.cos(psi[2]), math.sin(psi[2])
+    ex = arm["a3"] * c3 + arm["d4"] * s3
+    ey = arm["a3"] * s3 - arm["d4"] * c3
+    c2, s2 = math.cos(psi[1]), math.sin(psi[1])
+    u = c2 * (arm["a2"] + ex) - s2 * ey
+    w = s2 * (arm["a2"] + ex) + c2 * ey
+    return u + arm["a1"], arm["a2"] * (c2 * w - s2 * u)
+
+
 def config_of(robot: RobotModel, theta, strict: bool = False) -> int:
     """Configuration code of a joint vector.
 
@@ -168,18 +187,8 @@ def config_of(robot: RobotModel, theta, strict: bool = False) -> int:
     branch boundary (wrist centre on the axis-1 line, or axis 5 at zero);
     otherwise ties resolve to the 0 bit.
     """
-    arm = robot._arm
     theta = np.asarray(theta, dtype=float)
-    psi = theta + arm["phi"]
-    # Wrist centre in the azimuth plane of axis 1: u radial, w along base z.
-    c3, s3 = math.cos(psi[2]), math.sin(psi[2])
-    ex = arm["a3"] * c3 + arm["d4"] * s3
-    ey = arm["a3"] * s3 - arm["d4"] * c3
-    c2, s2 = math.cos(psi[1]), math.sin(psi[1])
-    u = c2 * (arm["a2"] + ex) - s2 * ey
-    w = s2 * (arm["a2"] + ex) + c2 * ey
-    radial = u + arm["a1"]
-    cross = arm["a2"] * (c2 * w - s2 * u)
+    radial, cross = _wrist_plane(robot, theta)
     theta5 = wrap_angle(theta[4])
     if strict:
         if abs(radial) <= SINGULARITY_EPS:
@@ -335,15 +344,6 @@ def backward7(robot: RobotModel, target: np.ndarray, config: int) -> np.ndarray:
     return _backward7_subset(robot, target, (bit0,), (bit1,), (bit2,))[config]
 
 
-def _limit_representative(theta: float, lo: float, hi: float) -> float | None:
-    """In-limit 2pi-representative of theta, preferring the canonical one."""
-    for k in (0.0, -1.0, 1.0):
-        candidate = theta + k * _TWO_PI
-        if lo <= candidate <= hi:
-            return candidate
-    return None
-
-
 def backward6(robot: RobotModel, target: np.ndarray, config: int,
               ignore_limits: bool = False):
     """6R backward transform for one configuration.
@@ -351,7 +351,9 @@ def backward6(robot: RobotModel, target: np.ndarray, config: int,
     Returns the joint vector, or None when the target is unreachable with this
     configuration: either the wrist centre is outside the positional workspace
     (the virtual axis would have to stretch) or no 2pi-representative of some
-    joint fits its limit range. With ignore_limits=True only the workspace
+    joint fits its limit range. Each joint is the representative deepest
+    inside its range (see limit_margins), which is the canonical one for any
+    symmetric or sub-2pi range. With ignore_limits=True only the workspace
     test applies and joints come back canonically wrapped.
     """
     q = backward7(robot, target, config)
@@ -360,18 +362,16 @@ def backward6(robot: RobotModel, target: np.ndarray, config: int,
     theta = q[[0, 1, 2, 4, 5, 6]]
     if ignore_limits:
         return theta
-    lo, hi = robot.limits
-    out = np.empty(6)
-    for i in range(6):
-        rep = _limit_representative(theta[i], lo[i], hi[i])
-        if rep is None:
-            return None
-        out[i] = rep
-    return out
+    reps, margins = limit_margins(theta, *robot.limits)
+    return None if margins.min() < 0.0 else reps
 
 
 def axis_violation(theta: float, theta_min: float, theta_max: float) -> float:
-    """Distance (rad) from the nearest in-limit 2pi-representative of theta."""
+    """Distance (rad) from the nearest in-limit 2pi-representative of theta.
+
+    Scalar reference definition; limit_margins computes max(0, -margin) with
+    the same value bit for bit.
+    """
     best = math.inf
     for k in (-1.0, 0.0, 1.0):
         candidate = theta + k * _TWO_PI
@@ -380,8 +380,31 @@ def axis_violation(theta: float, theta_min: float, theta_max: float) -> float:
     return best
 
 
-def axis_violations(robot: RobotModel, theta) -> np.ndarray:
-    """Per-axis limit violations of a 6R joint vector."""
-    lo, hi = robot.limits
-    return np.array([axis_violation(float(t), lo[i], hi[i])
-                     for i, t in enumerate(theta)])
+# canonical first, so that the first maximum margin prefers it on ties
+_SHIFTS = np.array([0.0, -_TWO_PI, _TWO_PI])
+
+
+def limit_margins(theta, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """2pi-representative and signed limit margin of each joint angle.
+
+    theta broadcasts against lo and hi along its last axes. The margin of a
+    representative t is min(t - lo, hi - t): positive inside the range with
+    that much room, negative by how far it misses. The representative is the
+    one deepest inside the range (the canonical one on ties), so for any
+    symmetric or sub-2pi range it is the canonical angle whenever that fits.
+    limit_violation turns the margins into violations.
+    """
+    theta = np.asarray(theta, dtype=float)
+    cands = theta[..., None] + _SHIFTS
+    margins = np.minimum(cands - np.asarray(lo, dtype=float)[..., None],
+                         np.asarray(hi, dtype=float)[..., None] - cands)
+    return theta + _SHIFTS[margins.argmax(axis=-1)], margins.max(axis=-1)
+
+
+def limit_violation(margins) -> np.ndarray:
+    """Violation max(0, -margin) of limit_margins' margins, in rad.
+
+    Written so that an in-limit entry gives +0.0 (np.maximum may return -0.0
+    for a zero margin): the result equals axis_violation bit for bit.
+    """
+    return 0.0 - np.minimum(margins, 0.0)

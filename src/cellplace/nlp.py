@@ -1,22 +1,27 @@
 """Assembly of the placement problem as a smooth constrained program.
 
-Decision vector layout (free-configuration mode):
+The program is built over a configuration table ``configs`` of shape (S, C):
+row s lists the configurations admissible for segment s, and every point
+inherits the row of its segment. The free program admits all eight
+configurations (C = 8). A pinned program admits one fixed configuration per
+segment (C = 1); it is the subproblem the brute-force enumeration oracle
+solves. Below, (k, c) is point k's c-th admissible configuration.
+
+Decision vector layout:
 
     z = [ x (6)                workpiece pose: x, y, z, A, B, C
-          w (K*8)              per-point configuration weights, row-major (k, c)
-          m (S*8)              per-segment axis-violation slacks, (s, c)
-          v+ (K*8), v- (K*8)   absolute-value split, only in "abs" mode ]
+          w (K*C)              per-point configuration weights, row-major (k, c)
+          m (S*C)              per-segment axis-violation slacks, (s, c)
+          v+ (K*C), v- (K*C)   absolute-value split, only in "abs" mode ]
 
 The objective sums w[k,c] * (f[k,c] + m[seg(k),c]) where f is the squared
 virtual-axis excursion (mode "squared") or the split v+ + v- (mode "abs").
 Equality rows: one weight-simplex row per point, plus v+ - v- - v(x) = 0 per
-(k, c) in abs mode. Inequality rows (convention g <= 0): for every point,
-configuration and axis, theta_min - theta - m <= 0 and theta - theta_max - m
-<= 0, where theta is the 2pi-representative of minimal violation.
-
-A pinned variant (one fixed configuration per segment) drops the weights and
-keeps a single slack per segment; it is the subproblem the brute-force
-enumeration oracle solves.
+(k, c) in abs mode; with C = 1 the simplex rows fix every weight at 1.
+Inequality rows (convention g <= 0): one per point, configuration and axis,
+-margin - m <= 0, where margin is the signed limit margin of the axis angle's
+deepest 2pi-representative (kinematics.limit_margins). The opposite limit
+needs no row of its own: it lies the whole axis range away.
 
 Joint values and virtual excursions depend on z only through x, so their
 values and finite-difference Jacobians are cached per x and shared by the
@@ -37,19 +42,27 @@ import numpy as np
 from . import oracle, scene as scene_mod, solver
 from .errors import DegenerateTarget, InvalidScene
 from .geometry import Pose, frame_from_pose
-from .kinematics import backward7_all
+from .kinematics import backward7_all, limit_margins, limit_violation
 
 logger = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
+
+# relative central-difference step of the kinematic Jacobians
+FD_STEP = 1e-6
+# axis-limit rows deeper than this (rad) on the feasible side stay out of the
+# QP working set
+WORKING_SET_MARGIN = 0.5
+# when a solve ends a hair outside the strict-feasibility set (squared mode's
+# flat gradients stop just short of the zero plateau), it is re-solved once
+# with the axis ranges shrunk by this margin (rad), warm-started
+POLISH_MARGIN = 1e-5
 
 
 @dataclass
 class BuildOptions:
     mode: str = "squared"  # "squared" or "abs"
     pinned: tuple[int, ...] | None = None  # one configuration per segment
-    fd_step: float = 1e-6  # relative central-difference step
-    regularization: float = 0.0  # optional lambda * |x - x0|^2 pull-back term
     # shrink the axis ranges by this much (rad) inside the problem only; a
     # zero objective then certifies strict interior feasibility
     limit_margin: float = 0.0
@@ -81,37 +94,34 @@ class PlacementProblem:
         self.scene = scene
         self.robot = scene.robot
         self.mode = options.mode
-        self.fd_step = options.fd_step
-        self.regularization = options.regularization
         self.targets = scene.target_frames()
         self.K = scene.K
         self.n_segments, self.seg_of = scene.segment_map()
-        self.pinned = options.pinned
-        if self.pinned is not None:
-            if len(self.pinned) != self.n_segments:
-                raise InvalidScene("pinned assignment length != segment count")
-            if any(not 0 <= c <= 7 for c in self.pinned):
-                raise InvalidScene("pinned configurations must be in 0..7")
-            # configuration per point induced by its segment
-            self.pinned_of_k = np.array([self.pinned[s] for s in self.seg_of])
-
-        k, s = self.K, self.n_segments
-        self.abs_mode = self.mode == "abs"
-        if self.pinned is None:
-            self.off_w = 6
-            self.off_m = 6 + 8 * k
-            self.off_vp = self.off_m + 8 * s
-            self.off_vm = self.off_vp + 8 * k
-            self.n_vars = self.off_vp + (16 * k if self.abs_mode else 0)
-            self.n_eq = k + (8 * k if self.abs_mode else 0)
-            self.n_ineq = 96 * k
+        if options.pinned is None:
+            self.configs = np.tile(np.arange(8), (self.n_segments, 1))
         else:
-            self.off_m = 6
-            self.off_vp = 6 + s
-            self.off_vm = self.off_vp + k
-            self.n_vars = self.off_vp + (2 * k if self.abs_mode else 0)
-            self.n_eq = k if self.abs_mode else 0
-            self.n_ineq = 12 * k
+            if len(options.pinned) != self.n_segments:
+                raise InvalidScene("pinned assignment length != segment count")
+            if any(not 0 <= c <= 7 for c in options.pinned):
+                raise InvalidScene("pinned configurations must be in 0..7")
+            self.configs = np.array(options.pinned, dtype=int)[:, None]
+        self.C = self.configs.shape[1]
+        self.configs_of_k = self.configs[self.seg_of]  # (K, C)
+        # index of the admissible (k, c) entries in a (K, 8, ...) table
+        self._admissible = (np.arange(self.K)[:, None], self.configs_of_k)
+
+        k, s, c = self.K, self.n_segments, self.C
+        self.abs_mode = self.mode == "abs"
+        self.off_w = 6
+        self.off_m = 6 + k * c
+        self.off_vp = self.off_m + s * c
+        self.off_vm = self.off_vp + k * c
+        self.n_vars = self.off_vp + (2 * k * c if self.abs_mode else 0)
+        self.n_eq = k + (k * c if self.abs_mode else 0)
+        self.n_ineq = 6 * k * c
+        # slack column of every (k, c) and, repeated per axis, of every row
+        m_cols = (self.off_m + c * self.seg_of[:, None] + np.arange(c)).ravel()
+        self._row_m_cols = np.repeat(m_cols, 6)
 
         self.limits_lo, self.limits_hi = self.robot.limits
         if options.limit_margin:
@@ -120,7 +130,7 @@ class PlacementProblem:
         self.x0 = scene.initial.as_array() if scene.initial is not None else \
             0.5 * (lo + hi)
         self.degenerate_retries = 0
-        self._val_cache: tuple[bytes, np.ndarray, np.ndarray] | None = None
+        self._val_cache: tuple[bytes, np.ndarray, ...] | None = None
         self._jac_cache: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -135,7 +145,7 @@ class PlacementProblem:
             q = backward7_all(self.robot, placement @ target)
             theta[k] = q[:, [0, 1, 2, 4, 5, 6]]
             v[k] = q[:, 3]
-        return theta, v
+        return theta[self._admissible], v[self._admissible]
 
     def _kin_at(self, x: np.ndarray):
         try:
@@ -146,24 +156,30 @@ class PlacementProblem:
             return self._kin_raw(x + 1e-9)
 
     def kinematic_values(self, x: np.ndarray):
-        """Cached joint table (K,8,6) and virtual excursions (K,8) at x."""
+        """Cached joint table (K,C,6) and virtual excursions (K,C) at x."""
         key = np.asarray(x, float).tobytes()
         if self._val_cache is None or self._val_cache[0] != key:
             theta, v = self._kin_at(np.asarray(x, float))
-            self._val_cache = (key, theta, v)
+            self._val_cache = (key, theta, v, *limit_margins(
+                theta, self.limits_lo, self.limits_hi))
         return self._val_cache[1], self._val_cache[2]
 
-    def fd_kinematic_jacobians(self, x: np.ndarray, fd_step: float | None = None):
-        """Central-difference d(theta)/dx (K,8,6,6) and dv/dx (K,8,6).
+    def limit_values(self, x: np.ndarray):
+        """Cached deepest representatives and signed limit margins (K,C,6)."""
+        self.kinematic_values(x)
+        return self._val_cache[3], self._val_cache[4]
 
-        Angle differences are wrapped into (-pi, pi] before dividing so that a
-        canonical-wrap jump between the two probes does not pollute the
-        derivative.
+    def fd_kinematic_jacobians(self, x: np.ndarray, fd_step: float | None = None):
+        """Central-difference d(theta)/dx (K,C,6,6) and dv/dx (K,C,6).
+
+        The step is relative, FD_STEP unless given. Angle differences are
+        wrapped into (-pi, pi] before dividing so that a canonical-wrap jump
+        between the two probes does not pollute the derivative.
         """
         x = np.asarray(x, float)
-        step = self.fd_step if fd_step is None else fd_step
-        dtheta = np.empty((self.K, 8, 6, 6))
-        dv = np.empty((self.K, 8, 6))
+        step = FD_STEP if fd_step is None else fd_step
+        dtheta = np.empty((self.K, self.C, 6, 6))
+        dv = np.empty((self.K, self.C, 6))
         for j in range(6):
             h = step * max(1.0, abs(x[j]))
             xp, xm = x.copy(), x.copy()
@@ -184,16 +200,6 @@ class PlacementProblem:
             self._jac_cache = (key, dtheta, dv)
         return self._jac_cache[1], self._jac_cache[2]
 
-    def _wrap_representative(self, theta: np.ndarray) -> np.ndarray:
-        """Per-entry 2pi-representative of minimal axis-limit violation."""
-        shifts = np.array([-_TWO_PI, 0.0, _TWO_PI])
-        cands = theta[..., None] + shifts  # (..., 6, 3)
-        lo = self.limits_lo[:, None]
-        hi = self.limits_hi[:, None]
-        hinge = np.maximum(np.maximum(lo - cands, cands - hi), 0.0)
-        pick = np.argmin(hinge, axis=-1)
-        return np.take_along_axis(cands, pick[..., None], axis=-1)[..., 0]
-
     # ------------------------------------------------------------------
     # variable block views
     # ------------------------------------------------------------------
@@ -202,104 +208,56 @@ class PlacementProblem:
         return z[:6]
 
     def w_of(self, z):
-        return z[self.off_w:self.off_w + 8 * self.K].reshape(self.K, 8)
+        return z[self.off_w:self.off_m].reshape(self.K, self.C)
 
     def m_of(self, z):
-        if self.pinned is None:
-            return z[self.off_m:self.off_m + 8 * self.n_segments].reshape(
-                self.n_segments, 8)
-        return z[self.off_m:self.off_m + self.n_segments]
+        return z[self.off_m:self.off_vp].reshape(self.n_segments, self.C)
 
     def vplus_of(self, z):
-        count = self.K if self.pinned is not None else 8 * self.K
-        return z[self.off_vp:self.off_vp + count]
+        return z[self.off_vp:self.off_vm]
 
     def vminus_of(self, z):
-        count = self.K if self.pinned is not None else 8 * self.K
-        return z[self.off_vm:self.off_vm + count]
+        return z[self.off_vm:]
 
-    def _selected(self, table):
-        """Pinned mode: per-point slice of a (K, 8, ...) kinematic table."""
-        return table[np.arange(self.K), self.pinned_of_k]
+    def _f(self, z, v):
+        """Per-(k, c) excursion penalty: v^2, or the split v+ + v- in abs mode."""
+        if self.abs_mode:
+            return (self.vplus_of(z) + self.vminus_of(z)).reshape(self.K, self.C)
+        return v ** 2
 
     # ------------------------------------------------------------------
     # objective, constraints, derivatives
     # ------------------------------------------------------------------
 
     def eval_objective(self, z) -> float:
-        x = self.x_of(z)
-        theta, v = self.kinematic_values(x)
-        if self.pinned is not None:
-            if self.abs_mode:
-                f = self.vplus_of(z) + self.vminus_of(z)
-            else:
-                f = self._selected(v) ** 2
-            value = float(np.sum(f + self.m_of(z)[self.seg_of]))
-        else:
-            w = self.w_of(z)
-            if self.abs_mode:
-                f = (self.vplus_of(z) + self.vminus_of(z)).reshape(self.K, 8)
-            else:
-                f = v ** 2
-            value = float(np.sum(w * (f + self.m_of(z)[self.seg_of])))
-        if self.regularization:
-            value += self.regularization * float(np.sum((x - self.x0) ** 2))
-        return value
+        _, v = self.kinematic_values(self.x_of(z))
+        return float(np.sum(self.w_of(z) *
+                            (self._f(z, v) + self.m_of(z)[self.seg_of])))
 
     def eval_gradient(self, z) -> np.ndarray:
         x = self.x_of(z)
-        theta, v = self.kinematic_values(x)
+        _, v = self.kinematic_values(x)
+        w = self.w_of(z)
         grad = np.zeros(self.n_vars)
-        if self.pinned is not None:
-            if self.abs_mode:
-                grad[self.off_vp:self.off_vp + self.K] = 1.0
-                grad[self.off_vm:self.off_vm + self.K] = 1.0
-            else:
-                _, dv = self.kinematic_jacobians(x)
-                v_sel = self._selected(v)
-                dv_sel = self._selected(dv)
-                grad[:6] = 2.0 * v_sel @ dv_sel
-            np.add.at(grad, self.off_m + self.seg_of, 1.0)
+        if self.abs_mode:
+            grad[self.off_vp:self.off_vm] = w.ravel()
+            grad[self.off_vm:] = w.ravel()
         else:
-            w = self.w_of(z)
-            m_kc = self.m_of(z)[self.seg_of]
-            if self.abs_mode:
-                f = (self.vplus_of(z) + self.vminus_of(z)).reshape(self.K, 8)
-                grad[self.off_vp:self.off_vp + 8 * self.K] = w.ravel()
-                grad[self.off_vm:self.off_vm + 8 * self.K] = w.ravel()
-            else:
-                f = v ** 2
-                _, dv = self.kinematic_jacobians(x)
-                grad[:6] = np.einsum("kc,kc,kcj->j", w, 2.0 * v, dv)
-            grad[self.off_w:self.off_w + 8 * self.K] = (f + m_kc).ravel()
-            m_grad = np.zeros((self.n_segments, 8))
-            np.add.at(m_grad, self.seg_of, w)
-            grad[self.off_m:self.off_m + 8 * self.n_segments] = m_grad.ravel()
-        if self.regularization:
-            grad[:6] += 2.0 * self.regularization * (x - self.x0)
+            _, dv = self.kinematic_jacobians(x)
+            grad[:6] = np.einsum("kc,kc,kcj->j", w, 2.0 * v, dv)
+        grad[self.off_w:self.off_m] = \
+            (self._f(z, v) + self.m_of(z)[self.seg_of]).ravel()
+        m_grad = np.zeros((self.n_segments, self.C))
+        np.add.at(m_grad, self.seg_of, w)
+        grad[self.off_m:self.off_vp] = m_grad.ravel()
         return grad
 
     def eval_constraints(self, z):
         x = self.x_of(z)
-        theta, v = self.kinematic_values(x)
-        if self.pinned is not None:
-            t = self._wrap_representative(self._selected(theta))  # (K, 6)
-            m_k = self.m_of(z)[self.seg_of]  # (K,)
-            lo_rows = (self.limits_lo - t) - m_k[:, None]
-            hi_rows = (t - self.limits_hi) - m_k[:, None]
-            ineq = np.stack([lo_rows, hi_rows], axis=-1).ravel()
-            if self.abs_mode:
-                eq = self.vplus_of(z) - self.vminus_of(z) - self._selected(v)
-            else:
-                eq = np.zeros(0)
-            return eq, ineq
-        w = self.w_of(z)
-        t = self._wrap_representative(theta)  # (K, 8, 6)
-        m_kc = self.m_of(z)[self.seg_of]  # (K, 8)
-        lo_rows = (self.limits_lo - t) - m_kc[..., None]
-        hi_rows = (t - self.limits_hi) - m_kc[..., None]
-        ineq = np.stack([lo_rows, hi_rows], axis=-1).ravel()
-        eq = [w.sum(axis=1) - 1.0]
+        _, v = self.kinematic_values(x)
+        _, margins = self.limit_values(x)
+        ineq = (-margins - self.m_of(z)[self.seg_of][..., None]).ravel()
+        eq = [self.w_of(z).sum(axis=1) - 1.0]
         if self.abs_mode:
             eq.append(self.vplus_of(z) - self.vminus_of(z) - v.ravel())
         return np.concatenate(eq), ineq
@@ -307,46 +265,21 @@ class PlacementProblem:
     def eval_jacobians(self, z):
         x = self.x_of(z)
         dtheta, dv = self.kinematic_jacobians(x)
+        kc = np.arange(self.K * self.C)
         j_eq = np.zeros((self.n_eq, self.n_vars))
-        j_in = np.zeros((self.n_ineq, self.n_vars))
-        if self.pinned is not None:
-            dt_sel = self._selected(dtheta)  # (K, 6, 6)
-            row = 0
-            for k in range(self.K):
-                m_col = self.off_m + self.seg_of[k]
-                for i in range(6):
-                    j_in[row, :6] = -dt_sel[k, i]
-                    j_in[row, m_col] = -1.0
-                    j_in[row + 1, :6] = dt_sel[k, i]
-                    j_in[row + 1, m_col] = -1.0
-                    row += 2
-            if self.abs_mode:
-                dv_sel = self._selected(dv)
-                for k in range(self.K):
-                    j_eq[k, :6] = -dv_sel[k]
-                    j_eq[k, self.off_vp + k] = 1.0
-                    j_eq[k, self.off_vm + k] = -1.0
-            return j_eq, j_in
-
-        for k in range(self.K):
-            j_eq[k, self.off_w + 8 * k:self.off_w + 8 * (k + 1)] = 1.0
+        j_eq[kc // self.C, self.off_w + kc] = 1.0  # simplex rows
         if self.abs_mode:
-            for k in range(self.K):
-                for c in range(8):
-                    r = self.K + 8 * k + c
-                    j_eq[r, :6] = -dv[k, c]
-                    j_eq[r, self.off_vp + 8 * k + c] = 1.0
-                    j_eq[r, self.off_vm + 8 * k + c] = -1.0
-        row = 0
-        for k in range(self.K):
-            for c in range(8):
-                m_col = self.off_m + 8 * self.seg_of[k] + c
-                for i in range(6):
-                    j_in[row, :6] = -dtheta[k, c, i]
-                    j_in[row, m_col] = -1.0
-                    j_in[row + 1, :6] = dtheta[k, c, i]
-                    j_in[row + 1, m_col] = -1.0
-                    row += 2
+            rows = self.K + kc
+            j_eq[rows, :6] = -dv.reshape(-1, 6)
+            j_eq[rows, self.off_vp + kc] = 1.0
+            j_eq[rows, self.off_vm + kc] = -1.0
+        # -margin is lo - t on the lower-limit side and t - hi on the upper
+        reps, _ = self.limit_values(x)
+        lower_side = reps - self.limits_lo <= self.limits_hi - reps
+        j_in = np.zeros((self.n_ineq, self.n_vars))
+        j_in[:, :6] = np.where(lower_side[..., None], -dtheta, dtheta
+                               ).reshape(-1, 6)
+        j_in[np.arange(self.n_ineq), self._row_m_cols] = -1.0
         return j_eq, j_in
 
     # ------------------------------------------------------------------
@@ -354,18 +287,12 @@ class PlacementProblem:
     # ------------------------------------------------------------------
 
     def variable_bounds(self):
-        lower = np.full(self.n_vars, -np.inf)
+        """Placement box; weights in [0, 1]; slacks and v-splits nonnegative."""
+        lower = np.zeros(self.n_vars)
         upper = np.full(self.n_vars, np.inf)
         lower[:6] = self.scene.bounds.lower
         upper[:6] = self.scene.bounds.upper
-        if self.pinned is None:
-            lower[self.off_w:self.off_w + 8 * self.K] = 0.0
-            upper[self.off_w:self.off_w + 8 * self.K] = 1.0
-            lower[self.off_m:self.off_m + 8 * self.n_segments] = 0.0
-        else:
-            lower[self.off_m:self.off_m + self.n_segments] = 0.0
-        if self.abs_mode:
-            lower[self.off_vp:] = 0.0
+        upper[self.off_w:self.off_m] = 1.0
         return lower, upper
 
     def initial_point(self, strategy: str = "scene",
@@ -373,9 +300,9 @@ class PlacementProblem:
         """Feasible-by-construction start.
 
         x comes from the scene (or uniformly from the bounds), weights start
-        uniform, each slack starts at the largest violation it must absorb and
-        the v-split starts on the correct sign, so every inequality and every
-        abs-mode equality holds at the initial point.
+        uniform, and repair_slacks sets each slack to the largest violation it
+        must absorb and the v-split to the correct sign, so every inequality
+        and every equality holds at the initial point.
         """
         if strategy not in ("scene", "random"):
             raise ValueError(f"unknown start strategy {strategy!r}")
@@ -387,30 +314,8 @@ class PlacementProblem:
             x = self.x0.copy()
         z = np.zeros(self.n_vars)
         z[:6] = x
-        theta, v = self.kinematic_values(x)
-        if self.pinned is not None:
-            t = self._wrap_representative(self._selected(theta))
-            viol = np.maximum(np.maximum(self.limits_lo - t, t - self.limits_hi), 0.0)
-            worst = viol.max(axis=1)  # (K,)
-            m = np.zeros(self.n_segments)
-            np.maximum.at(m, self.seg_of, worst)
-            z[self.off_m:self.off_m + self.n_segments] = m
-            if self.abs_mode:
-                v_sel = self._selected(v)
-                z[self.off_vp:self.off_vp + self.K] = np.maximum(v_sel, 0.0)
-                z[self.off_vm:self.off_vm + self.K] = np.maximum(-v_sel, 0.0)
-            return z
-        z[self.off_w:self.off_w + 8 * self.K] = 1.0 / 8.0
-        t = self._wrap_representative(theta)
-        viol = np.maximum(np.maximum(self.limits_lo - t, t - self.limits_hi), 0.0)
-        worst = viol.max(axis=2)  # (K, 8)
-        m = np.zeros((self.n_segments, 8))
-        np.maximum.at(m, self.seg_of, worst)
-        z[self.off_m:self.off_m + 8 * self.n_segments] = m.ravel()
-        if self.abs_mode:
-            z[self.off_vp:self.off_vp + 8 * self.K] = np.maximum(v, 0.0).ravel()
-            z[self.off_vm:self.off_vm + 8 * self.K] = np.maximum(-v, 0.0).ravel()
-        return z
+        z[self.off_w:self.off_m] = 1.0 / self.C
+        return self.repair_slacks(z)
 
     def repair_slacks(self, z: np.ndarray) -> np.ndarray:
         """Snap m and the v-split to their closed-form optima for the given x.
@@ -421,35 +326,20 @@ class PlacementProblem:
         (guarded by the merit function), which removes second-order
         feasibility dust in rows that are linear in the auxiliaries.
         """
-        theta, v = self.kinematic_values(z[:6])
-        if self.pinned is not None:
-            t = self._wrap_representative(self._selected(theta))
-            viol = np.maximum(np.maximum(self.limits_lo - t,
-                                         t - self.limits_hi), 0.0)
-            m = np.zeros(self.n_segments)
-            np.maximum.at(m, self.seg_of, viol.max(axis=1))
-            z[self.off_m:self.off_m + self.n_segments] = m
-            if self.abs_mode:
-                v_sel = self._selected(v)
-                z[self.off_vp:self.off_vp + self.K] = np.maximum(v_sel, 0.0)
-                z[self.off_vm:self.off_vm + self.K] = np.maximum(-v_sel, 0.0)
-            return z
-        t = self._wrap_representative(theta)
-        viol = np.maximum(np.maximum(self.limits_lo - t, t - self.limits_hi),
-                          0.0)
-        m = np.zeros((self.n_segments, 8))
-        np.maximum.at(m, self.seg_of, viol.max(axis=2))
-        z[self.off_m:self.off_m + 8 * self.n_segments] = m.ravel()
+        _, v = self.kinematic_values(z[:6])
+        _, margins = self.limit_values(z[:6])
+        m = np.zeros((self.n_segments, self.C))
+        np.maximum.at(m, self.seg_of, limit_violation(margins).max(axis=2))
+        z[self.off_m:self.off_vp] = m.ravel()
         if self.abs_mode:
-            z[self.off_vp:self.off_vp + 8 * self.K] = np.maximum(v, 0.0).ravel()
-            z[self.off_vm:self.off_vm + 8 * self.K] = np.maximum(-v, 0.0).ravel()
+            z[self.off_vp:self.off_vm] = np.maximum(v, 0.0).ravel()
+            z[self.off_vm:] = np.maximum(-v, 0.0).ravel()
         # renormalize the weights: partial steps leave (1 - alpha)-sized
         # simplex residues; scaling each row back keeps it in the box
         w = self.w_of(z)
         sums = w.sum(axis=1)
         safe = sums > 0.5
         w[safe] = w[safe] / sums[safe, None]
-        z[self.off_w:self.off_w + 8 * self.K] = w.ravel()
         return z
 
     def snap_weights(self, z: np.ndarray) -> np.ndarray:
@@ -460,18 +350,13 @@ class PlacementProblem:
         minimin equivalence), so this is applied once at solver exit to shed
         residual weight dust. Ties resolve to the smallest configuration.
         """
-        if self.pinned is not None:
-            return z
-        theta, v = self.kinematic_values(z[:6])
-        if self.abs_mode:
-            f = np.abs(v)  # optimal split value for the current x
-        else:
-            f = v ** 2
-        cost = f + self.m_of(z)[self.seg_of]
-        best = np.argmin(cost, axis=1)
-        w = np.zeros((self.K, 8))
+        _, v = self.kinematic_values(z[:6])
+        # abs mode: |v| is the optimal split value for the current x
+        f = np.abs(v) if self.abs_mode else v ** 2
+        best = np.argmin(f + self.m_of(z)[self.seg_of], axis=1)
+        w = np.zeros((self.K, self.C))
         w[np.arange(self.K), best] = 1.0
-        z[self.off_w:self.off_w + 8 * self.K] = w.ravel()
+        z[self.off_w:self.off_m] = w.ravel()
         return z
 
     def finalize_point(self, z: np.ndarray) -> np.ndarray:
@@ -488,18 +373,14 @@ class PlacementProblem:
 
     def as_nlp_spec(self) -> solver.NlpSpec:
         lower, upper = self.variable_bounds()
-        linear_eq = None
-        if self.n_eq:
-            linear_eq = np.zeros(self.n_eq, dtype=bool)
-            if self.pinned is None:
-                linear_eq[:self.K] = True  # simplex rows
+        linear_eq = np.zeros(self.n_eq, dtype=bool)
+        linear_eq[:self.K] = True  # simplex rows
         return solver.NlpSpec(
             n=self.n_vars, objective=self.eval_objective,
             gradient=self.eval_gradient, constraints=self.eval_constraints,
             jacobians=self.eval_jacobians, lower=lower, upper=upper,
             linear_eq=linear_eq, repair=self.repair_slacks,
-            finalize=self.finalize_point,
-            objective_lower_bound=0.0 if self.regularization == 0.0 else None,
+            finalize=self.finalize_point, objective_lower_bound=0.0,
             scales=self.variable_scales())
 
     # ------------------------------------------------------------------
@@ -507,13 +388,12 @@ class PlacementProblem:
     # ------------------------------------------------------------------
 
     def chosen_configurations(self, z) -> np.ndarray:
-        if self.pinned is not None:
-            return self.pinned_of_k.copy()
         # argmax returns the first maximum, which is the smallest c on ties
-        return np.argmax(self.w_of(z), axis=1)
+        best = np.argmax(self.w_of(z), axis=1)
+        return self.configs_of_k[np.arange(self.K), best]
 
-    def extract_solution(self, z, result: solver.SolverResult | None = None,
-                         elapsed: float = 0.0) -> "scene_mod.SolutionReport":
+    def extract_solution(self, z, result: solver.SolverResult | None = None
+                         ) -> "scene_mod.SolutionReport":
         """Turn a solver iterate into a report, re-verified by the oracle."""
         z = np.asarray(z, float)
         pose = Pose.from_array(z[:6]).wrapped()
@@ -544,7 +424,7 @@ class PlacementProblem:
         return scene_mod.SolutionReport(
             placement=pose, points=points, objective=objective,
             mode=self.mode, verdict="feasible" if all_ok else "infeasible",
-            diagnostics=diagnostics, elapsed_s=elapsed)
+            diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -560,76 +440,70 @@ class SolveSettings:
     kkt_tolerance: float = 1e-6
     constraint_tolerance: float = 1e-8
     early_stop_objective: float | None = None
-    fd_step: float = 1e-6
-    regularization: float = 0.0
-    # axis-limit rows deeper than this (rad) on the feasible side stay out of
-    # the QP working set; None disables the filter
-    working_set_margin: float | None = 0.5
-    # when a solve ends a hair outside the strict-feasibility set (squared
-    # mode's flat gradients stop just short of the zero plateau), re-solve
-    # once with the axis ranges shrunk by this margin, warm-started
-    polish_margin: float = 1e-5
-    polish: bool = True
 
 
-def solve_placement(scene, settings: SolveSettings | None = None
-                    ) -> "scene_mod.SolutionReport":
-    """build -> multistart solve -> extract, the whole pipeline."""
-    settings = settings or SolveSettings(**scene.solve_defaults())
-    started = time.perf_counter()
-    problem = build_problem(scene, BuildOptions(
-        mode=settings.mode, fd_step=settings.fd_step,
-        regularization=settings.regularization))
-    spec = problem.as_nlp_spec()
-    options = solver.SolverOptions(
-        max_iterations=settings.max_iterations,
-        kkt_tolerance=settings.kkt_tolerance,
-        constraint_tolerance=settings.constraint_tolerance,
-        multistart=settings.multistart, seed=settings.seed,
-        working_set_margin=settings.working_set_margin,
-        early_stop_objective=settings.early_stop_objective)
-
+def _multistart(problem: PlacementProblem, options: solver.SolverOptions
+                ) -> solver.SolverResult:
+    """Start 0 from the scene's placement, later ones from random ones."""
     def sampler(index, rng):
         if index == 0:
             return problem.initial_point("scene")
         return problem.initial_point("random", rng)
 
-    result = solver.multistart(spec, options, sampler)
-    report = problem.extract_solution(result.z, result,
-                                      elapsed=time.perf_counter() - started)
-    if (settings.polish and report.verdict != "feasible"
-            and report.objective <= 1e-6):
-        polished = _polish(scene, settings, problem, result)
-        if polished is not None:
-            return polished
+    return solver.multistart(problem.as_nlp_spec(), options, sampler)
+
+
+def solve_placement(scene, settings: SolveSettings | None = None
+                    ) -> "scene_mod.SolutionReport":
+    """build -> multistart solve -> extract (-> polish), the whole pipeline.
+
+    The report's diagnostics describe the multistart result and count the
+    SQP iterations of the polish re-solve (0 when none ran); elapsed_s covers
+    the whole call.
+    """
+    started = time.perf_counter()
+    settings = settings or SolveSettings(**scene.solve_defaults())
+    problem = build_problem(scene, BuildOptions(mode=settings.mode))
+    result = _multistart(problem, solver.SolverOptions(
+        max_iterations=settings.max_iterations,
+        kkt_tolerance=settings.kkt_tolerance,
+        constraint_tolerance=settings.constraint_tolerance,
+        multistart=settings.multistart, seed=settings.seed,
+        working_set_margin=WORKING_SET_MARGIN,
+        early_stop_objective=settings.early_stop_objective))
+    report = problem.extract_solution(result.z, result)
+    polish_iterations = 0
+    if report.verdict != "feasible" and report.objective <= 1e-6:
+        polished = _polish(scene, settings, result)
+        polish_iterations = polished.iterations
+        # report against the true limits: snap slacks, then extract
+        candidate = problem.extract_solution(
+            problem.repair_slacks(polished.z.copy()), result)
+        if candidate.verdict == "feasible":
+            report = candidate
+    report.diagnostics["polish_iterations"] = polish_iterations
+    report.elapsed_s = time.perf_counter() - started
     return report
 
 
-def _polish(scene, settings, problem, result):
+def _polish(scene, settings, result) -> solver.SolverResult:
     """Push a near-feasible iterate strictly inside the axis ranges.
 
     Re-solves from the found point with the limit rows tightened by a small
     margin; a zero objective there implies real margins of at least that
-    size, so the strict oracle accepts. Returns None when polishing fails.
+    size, so the strict oracle accepts.
     """
     tightened = build_problem(scene, BuildOptions(
-        mode=settings.mode, fd_step=settings.fd_step,
-        regularization=settings.regularization,
-        limit_margin=settings.polish_margin))
+        mode=settings.mode, limit_margin=POLISH_MARGIN))
     options = solver.SolverOptions(
         max_iterations=100, kkt_tolerance=settings.kkt_tolerance,
         constraint_tolerance=settings.constraint_tolerance,
-        working_set_margin=settings.working_set_margin, seed=settings.seed)
-    started = time.perf_counter()
+        working_set_margin=WORKING_SET_MARGIN, seed=settings.seed)
     z0 = tightened.repair_slacks(result.z.copy())
     polished = solver.solve(tightened.as_nlp_spec(), options, z0)
     logger.debug("polish: %s objective %.3e", polished.status,
                  polished.objective)
-    # report against the true limits: snap slacks, then extract
-    z_final = problem.repair_slacks(polished.z.copy())
-    report = problem.extract_solution(z_final, polished,
-                                      elapsed=time.perf_counter() - started)
-    return report if report.verdict == "feasible" else None
+    return polished
 
 
 def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0,
@@ -642,18 +516,10 @@ def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0
     def solve_pinned(scene, assignment):
         problem = build_problem(scene, BuildOptions(mode=mode,
                                                     pinned=tuple(assignment)))
-        spec = problem.as_nlp_spec()
-        options = solver.SolverOptions(
+        result = _multistart(problem, solver.SolverOptions(
             max_iterations=max_iterations, multistart=multistart, seed=seed,
-            working_set_margin=0.5,
-            early_stop_objective=early_stop_objective)
-
-        def sampler(index, rng):
-            if index == 0:
-                return problem.initial_point("scene")
-            return problem.initial_point("random", rng)
-
-        result = solver.multistart(spec, options, sampler)
+            working_set_margin=WORKING_SET_MARGIN,
+            early_stop_objective=early_stop_objective))
         return result.objective, result
 
     return solve_pinned

@@ -15,14 +15,12 @@ import numpy as np
 
 from .errors import DegenerateTarget, GridTooLarge
 from .geometry import Pose, frame_from_pose
-from .kinematics import (RobotModel, axis_violation, backward7_all,
-                         _limit_representative)
+from .kinematics import (RobotModel, backward7_all, limit_margins,
+                         limit_violation)
 
 IN_LIMITS = "in_limits"
 OUT_OF_LIMITS = "out_of_limits"
 OUT_OF_WORKSPACE = "out_of_workspace"
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -42,26 +40,20 @@ class ReachabilityTable:
     def feasible(self) -> bool:
         return all(any(b.outcome == IN_LIMITS for b in row) for row in self.rows)
 
-    def best_config(self, k: int) -> int | None:
-        for c, branch in enumerate(self.rows[k]):
-            if branch.outcome == IN_LIMITS:
-                return c
-        return None
 
-
-def _classify_joint_row(robot: RobotModel, q: np.ndarray) -> BranchResult:
-    v = float(q[3])
-    theta = q[[0, 1, 2, 4, 5, 6]]
-    if v != 0.0:
-        return BranchResult(OUT_OF_WORKSPACE, None, v)
-    lo, hi = robot.limits
-    reps = np.empty(6)
-    for i in range(6):
-        rep = _limit_representative(float(theta[i]), lo[i], hi[i])
-        if rep is None:
-            return BranchResult(OUT_OF_LIMITS, None, 0.0)
-        reps[i] = rep
-    return BranchResult(IN_LIMITS, reps, 0.0)
+def _classify_joint_rows(robot: RobotModel, q: np.ndarray) -> list[BranchResult]:
+    """One BranchResult per virtual-robot solution row of q, shape (n, 7)."""
+    reps, margins = limit_margins(q[:, [0, 1, 2, 4, 5, 6]], *robot.limits)
+    in_limits = margins.min(axis=1) >= 0.0
+    branches = []
+    for v, joints, ok in zip(q[:, 3].tolist(), reps, in_limits):
+        if v != 0.0:
+            branches.append(BranchResult(OUT_OF_WORKSPACE, None, v))
+        elif ok:
+            branches.append(BranchResult(IN_LIMITS, joints, 0.0))
+        else:
+            branches.append(BranchResult(OUT_OF_LIMITS, None, 0.0))
+    return branches
 
 
 def classify_target(robot: RobotModel, target: np.ndarray, config: int):
@@ -70,7 +62,7 @@ def classify_target(robot: RobotModel, target: np.ndarray, config: int):
         q = backward7_all(robot, target)[config]
     except DegenerateTarget:
         return OUT_OF_WORKSPACE, None, math.inf
-    branch = _classify_joint_row(robot, q)
+    branch = _classify_joint_rows(robot, q[None])[0]
     return branch.outcome, branch.joints, branch.v
 
 
@@ -84,16 +76,7 @@ def axis_margins(robot: RobotModel, target: np.ndarray, config: int) -> list[flo
         q = backward7_all(robot, target)[config]
     except DegenerateTarget:
         return [-math.inf] * 6
-    theta = q[[0, 1, 2, 4, 5, 6]]
-    lo, hi = robot.limits
-    margins = []
-    for i in range(6):
-        best = -math.inf
-        for shift in (-_TWO_PI, 0.0, _TWO_PI):
-            t = float(theta[i]) + shift
-            best = max(best, min(t - lo[i], hi[i] - t))
-        margins.append(best)
-    return margins
+    return limit_margins(q[[0, 1, 2, 4, 5, 6]], *robot.limits)[1].tolist()
 
 
 def check_placement(scene, placement: np.ndarray) -> ReachabilityTable:
@@ -107,8 +90,7 @@ def check_placement(scene, placement: np.ndarray) -> ReachabilityTable:
             table.rows.append([BranchResult(OUT_OF_WORKSPACE, None, math.inf)
                                for _ in range(8)])
             continue
-        table.rows.append([_classify_joint_row(scene.robot, q_all[c])
-                           for c in range(8)])
+        table.rows.append(_classify_joint_rows(scene.robot, q_all))
     return table
 
 
@@ -160,15 +142,10 @@ def placement_score(scene, placement: np.ndarray) -> float:
         except DegenerateTarget:
             total += math.inf
             continue
-        lo, hi = scene.robot.limits
-        best = math.inf
-        for c in range(8):
-            v = float(q_all[c, 3])
-            theta = q_all[c, [0, 1, 2, 4, 5, 6]]
-            worst = max(axis_violation(float(theta[i]), lo[i], hi[i])
-                        for i in range(6))
-            best = min(best, v * v + worst * worst)
-        total += best
+        _, margins = limit_margins(q_all[:, [0, 1, 2, 4, 5, 6]],
+                                   *scene.robot.limits)
+        worst = limit_violation(margins).max(axis=1)
+        total += float(np.min(q_all[:, 3] ** 2 + worst ** 2))
     return total
 
 
@@ -238,10 +215,8 @@ def verify_solution(scene, report):
         violations = [0.0] * 6
         if outcome == OUT_OF_LIMITS:
             q = backward7_all(scene.robot, placement @ targets[k])[config]
-            theta = q[[0, 1, 2, 4, 5, 6]]
-            lo, hi = scene.robot.limits
-            violations = [axis_violation(float(theta[i]), lo[i], hi[i])
-                          for i in range(6)]
+            _, margins = limit_margins(q[[0, 1, 2, 4, 5, 6]], *scene.robot.limits)
+            violations = limit_violation(margins).tolist()
         diffs.append({
             "point": point_result.id, "config": config, "outcome": outcome,
             "v_mm": v, "axis_violations_rad": violations,

@@ -22,8 +22,9 @@ import numpy as np
 from . import oracle
 from .errors import ParseError, SynthesisFailed, ValidationError
 from .geometry import Pose, frame_from_pose, invert, pose_from_frame
-from .kinematics import (JointRow, RobotModel, backward7_all, builtin_kr6r900,
-                         config_label, forward6)
+from .kinematics import (JointRow, RobotModel, _wrist_plane, backward7_all,
+                         builtin_kr6r900, config_label, forward6,
+                         limit_margins)
 
 FORMAT_VERSION = 1
 
@@ -304,6 +305,16 @@ def scene_from_dict(raw: dict) -> Scene:
     _expect_keys(solve_options, "solve", set(), _SOLVE_KEYS, errors)
     if "mode" in solve_options and solve_options["mode"] not in ("squared", "abs"):
         errors.append("solve.mode: expected 'squared' or 'abs'")
+    # the values go to SolveSettings as they are
+    for key in ("multistart", "seed", "max_iterations"):
+        value = solve_options.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            errors.append(f"solve.{key}: expected an integer")
+    for key in ("kkt_tolerance", "constraint_tolerance"):
+        value = solve_options.get(key, 1.0)
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0):
+            errors.append(f"solve.{key}: expected a positive number")
 
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -447,24 +458,15 @@ def _sample_joints(robot: RobotModel, rng: np.random.Generator,
     lo, hi = robot.limits
     lo = np.maximum(lo + limit_margin, -math.pi + 1e-6)
     hi = np.minimum(hi - limit_margin, math.pi)
-    arm = robot._arm
     while True:
         theta = rng.uniform(lo, hi)
         if abs(theta[4]) < 0.2:
             continue
-        psi = theta + arm["phi"]
-        c3, s3 = math.cos(psi[2]), math.sin(psi[2])
-        ex = arm["a3"] * c3 + arm["d4"] * s3
-        ey = arm["a3"] * s3 - arm["d4"] * c3
-        c2, s2 = math.cos(psi[1]), math.sin(psi[1])
-        u = c2 * (arm["a2"] + ex) - s2 * ey
-        w = s2 * (arm["a2"] + ex) + c2 * ey
-        radial = u + arm["a1"]
+        radial, cross = _wrist_plane(robot, theta)
         if abs(radial) < 60.0:
             continue  # too close to the shoulder branch boundary
         # cross / a2 is the wrist centre's distance from the elbow line (mm)
-        cross = arm["a2"] * (c2 * w - s2 * u)
-        if abs(cross) < 20.0 * arm["a2"]:
+        if abs(cross) < 20.0 * robot._arm["a2"]:
             continue  # too close to the elbow branch boundary
         return theta
 
@@ -480,19 +482,11 @@ def _config_sets(scene_robot, targets, placement, margin_rad, margin_mm):
     for target in targets:
         world = placement @ target
         q_all = backward7_all(scene_robot, world)
+        _, margins = limit_margins(q_all[:, [0, 1, 2, 4, 5, 6]],
+                                   *scene_robot.limits)
         r_set, l_set = set(), set()
-        for c in range(8):
+        for c, worst in enumerate(margins.min(axis=1)):
             v = abs(float(q_all[c, 3]))
-            margins = []
-            theta = q_all[c, [0, 1, 2, 4, 5, 6]]
-            lo, hi = scene_robot.limits
-            for i in range(6):
-                best = -math.inf
-                for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-                    t = float(theta[i]) + shift
-                    best = max(best, min(t - lo[i], hi[i] - t))
-                margins.append(best)
-            worst = min(margins)
             if v == 0.0 and worst >= margin_rad:
                 r_set.add(c)
             if v <= margin_mm and worst >= -margin_rad:

@@ -59,6 +59,30 @@ class TestSolveCommand:
         assert "verdict=infeasible" in text
         assert "objective=" in text
 
+    def test_scene_solve_options_reach_the_solver(self, tmp_path, robot,
+                                                  monkeypatch):
+        # every key of the scene's "solve" object is honoured; flags override
+        from cellplace import nlp
+        scene = synthesize_scene(robot, count=2, seed=64)
+        scene.solve_options.update(kkt_tolerance=1e-5, max_iterations=40,
+                                   constraint_tolerance=1e-7, multistart=3)
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        seen = []
+        solve_placement = nlp.solve_placement
+
+        def spy(sc, settings=None):
+            seen.append(settings)
+            return solve_placement(sc, settings)
+
+        monkeypatch.setattr(nlp, "solve_placement", spy)
+        code, _ = run_cli("solve", str(path), "--seed", "5")
+        assert code == 0
+        assert seen == [nlp.SolveSettings(
+            mode="squared", multistart=3, seed=5, max_iterations=40,
+            kkt_tolerance=1e-5, constraint_tolerance=1e-7,
+            early_stop_objective=1e-12)]
+
     def test_missing_file_exit_two(self):
         code, _ = run_cli("solve", "/nonexistent/nowhere.json")
         assert code == 2

@@ -6,10 +6,10 @@ import pytest
 from cellplace.errors import DegenerateTarget, SingularConfiguration
 from cellplace.geometry import frame_is_valid, invert, rot_x
 from cellplace.kinematics import (JointRow, RobotModel, axis_violation,
-                                  axis_violations, backward6, backward7,
-                                  backward7_all, config_bits, config_from_bits,
-                                  config_label, config_of, forward6, forward7,
-                                  wrist_center)
+                                  backward6, backward7, backward7_all,
+                                  config_bits, config_from_bits, config_label,
+                                  config_of, forward6, forward7, limit_margins,
+                                  limit_violation, wrist_center)
 from conftest import sample_joints_canonical
 
 HOME = np.array([0.0, -math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
@@ -322,6 +322,74 @@ class TestAxisViolation:
 
     def test_vector_version(self, robot):
         theta = np.array([0.0, DEG(50), 0.0, 0.0, 0.0, 0.0])
-        violations = axis_violations(robot, theta)
+        _, margins = limit_margins(theta, *robot.limits)
+        violations = limit_violation(margins)
         assert violations[1] == pytest.approx(DEG(5), abs=1e-12)
         assert np.count_nonzero(violations) == 1
+
+
+def _three_shift_margin(theta, lo, hi):
+    """Signed margin of the best 2pi-representative, as a scalar loop."""
+    best = -math.inf
+    for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+        t = float(theta) + shift
+        best = max(best, min(t - lo, hi - t))
+    return best
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestLimitMargins:
+    @pytest.fixture(scope="class")
+    def angles(self, robot):
+        # random canonical angles, every limit and its 2pi images exactly,
+        # and the +-pi ties
+        lo, hi = robot.limits
+        rng = np.random.default_rng(2024)
+        rows = [rng.uniform(-math.pi, math.pi, size=6) for _ in range(400)]
+        rows += [rng.uniform(-3 * math.pi, 3 * math.pi, size=6)
+                 for _ in range(100)]
+        for edge in (lo, hi):
+            for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+                rows.append(edge + shift)
+        rows += [np.full(6, math.pi), np.full(6, -math.pi), np.zeros(6)]
+        return np.array(rows)
+
+    def test_violation_bit_equal_to_axis_violation(self, robot, angles):
+        lo, hi = robot.limits
+        _, margins = limit_margins(angles, lo, hi)
+        expected = [[axis_violation(float(t), lo[i], hi[i])
+                     for i, t in enumerate(row)] for row in angles]
+        assert np.array_equal(_bits(limit_violation(margins)),
+                              _bits(expected))
+
+    def test_margin_bit_equal_to_three_shift_loop(self, robot, angles):
+        lo, hi = robot.limits
+        _, margins = limit_margins(angles, lo, hi)
+        expected = [[_three_shift_margin(t, lo[i], hi[i])
+                     for i, t in enumerate(row)] for row in angles]
+        assert np.array_equal(_bits(margins), _bits(expected))
+
+    def test_representative_is_deepest_and_canonical_on_ties(self, robot,
+                                                             angles):
+        lo, hi = robot.limits
+        reps, margins = limit_margins(angles, lo, hi)
+        turns = (reps - angles) / (2.0 * math.pi)
+        assert np.all(np.isin(turns, (-1.0, 0.0, 1.0)))
+        assert np.array_equal(margins, np.minimum(reps - lo, hi - reps))
+        canonical = np.minimum(angles - lo, hi - angles)
+        assert np.all(reps[canonical == margins] == angles[canonical == margins])
+
+    def test_deepest_not_first_in_limit(self):
+        # axis 6 of the builtin robot spans +-350 deg: 20 deg has two
+        # in-limit representatives, and the canonical one is the deeper
+        reps, margins = limit_margins(np.array([DEG(20), DEG(-20)]),
+                                      DEG(-350), DEG(350))
+        assert np.array_equal(reps, [DEG(20), DEG(-20)])
+        assert margins == pytest.approx([DEG(330)] * 2, abs=1e-12)
+        # a range wider than 2pi off-centre: the shifted angle is deeper
+        rep, margin = limit_margins(DEG(170), DEG(-350), DEG(175))
+        assert rep == pytest.approx(DEG(-190), abs=1e-12)
+        assert margin == pytest.approx(DEG(160), abs=1e-12)

@@ -1,0 +1,31 @@
+"""Module dependency rules that keep the ground truth independent."""
+import ast
+from pathlib import Path
+
+import cellplace
+
+PACKAGE = Path(cellplace.__file__).resolve().parent
+
+
+def _package_imports(module: str) -> set[str]:
+    """Sibling modules that cellplace/<module>.py imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module:
+                    found.add(node.module.split(".")[0])
+                else:
+                    found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "cellplace":
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "cellplace")
+    return found
+
+
+def test_oracle_depends_on_kinematics_only():
+    # the oracle validates the optimizer, so it must never reach nlp or solver
+    assert _package_imports("oracle") <= {"errors", "geometry", "kinematics"}

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from cellplace.errors import InvalidScene
 from cellplace.geometry import Pose
+from cellplace.kinematics import limit_margins
 from cellplace.nlp import (BuildOptions, SolveSettings, build_problem,
                            make_pinned_solver, solve_placement)
 from cellplace.oracle import minimin_enumerate, verify_solution
@@ -33,7 +35,7 @@ class TestLayout:
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
         assert p.n_vars == 6 + 8 + 8 == 22
         assert p.n_eq == 1
-        assert p.n_ineq == 96
+        assert p.n_ineq == 48  # one row per (configuration, axis)
 
     def test_abs_mode_adds_split_variables(self, scene_k1):
         p = build_problem(scene_k1, BuildOptions(mode="abs"))
@@ -45,7 +47,7 @@ class TestLayout:
         # one declared segment for all three points: slack block is 8, not 24
         assert p.n_segments == 1
         assert p.n_vars == 6 + 24 + 8
-        assert p.n_ineq == 96 * 3
+        assert p.n_ineq == 48 * 3
 
     def test_every_point_gets_one_simplex_row(self, scene_k2):
         p = build_problem(scene_k2, BuildOptions(mode="squared"))
@@ -113,17 +115,23 @@ class TestConstraints:
     def test_hinge_value_for_axis2_at_50deg(self, scene_k1):
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
         z = p.initial_point("scene")
-        theta, _ = p.kinematic_values(z[:6])
-        # hand-build the expected row values for point 0, config 0, axis 2
-        t = p._wrap_representative(theta)[0, 0, 1]
+        theta, v = p.kinematic_values(z[:6])
+        # put point 0, config 0, axis 2 at 50 deg, 5 deg past its upper limit
+        theta = theta.copy()
+        theta[0, 0, 1] = DEG(50)
+        p._kin_at = lambda x: (theta, v)
+        p._val_cache = None
+        row = (0 * 8 + 0) * 6 + 1
         z[p.off_m:p.off_m + 8] = 0.0
         _, ineq = p.eval_constraints(z)
-        hi_row = ineq[(0 * 8 + 0) * 12 + 1 * 2 + 1]
-        assert hi_row == pytest.approx(t - DEG(45), abs=1e-12)
+        assert ineq[row] == pytest.approx(DEG(5), abs=1e-12)
         z[p.off_m + 0] = DEG(5)
         _, ineq = p.eval_constraints(z)
-        assert ineq[(0 * 8 + 0) * 12 + 1 * 2 + 1] == pytest.approx(
-            t - DEG(45) - DEG(5), abs=1e-12)
+        assert ineq[row] == pytest.approx(0.0, abs=1e-12)
+        # every row is -margin - m of the deepest representative
+        _, margins = limit_margins(theta, *scene_k1.robot.limits)
+        m = np.repeat(p.m_of(z), 6, axis=1)
+        assert np.array_equal(ineq, (-margins[0] - m[0].reshape(8, 6)).ravel())
 
     def test_initial_point_satisfies_all_inequalities(self, scene_k2):
         for mode in ("squared", "abs"):
@@ -252,8 +260,25 @@ class TestExtractSolution:
             mode="squared", multistart=4, seed=0, early_stop_objective=1e-12))
         assert report.objective <= 1e-8
         assert report.verdict == "feasible"
+        assert report.diagnostics["polish_iterations"] == 0
         ok, diffs = verify_solution(scene_k2, report)
         assert ok and diffs == []
+
+    def test_polished_report_keeps_multistart_diagnostics(self):
+        # this solve ends a hair outside the strict-feasibility set and is
+        # polished; the report must still describe the multistart result and
+        # time the whole pipeline, not only the polish
+        scene = synthesize_scene(count=6, seed=15)
+        started = time.perf_counter()
+        report = solve_placement(scene, SolveSettings(
+            mode="squared", multistart=4, seed=0, early_stop_objective=1e-12))
+        wall = time.perf_counter() - started
+        assert report.verdict == "feasible"
+        polish = report.diagnostics["polish_iterations"]
+        assert polish > 0
+        assert report.diagnostics["iterations"] > polish
+        assert report.diagnostics["status"] == "converged"
+        assert 0.5 * wall <= report.elapsed_s <= wall
 
 
 class TestLemmaEquivalenceSmall:
@@ -270,19 +295,42 @@ class TestLemmaEquivalenceSmall:
         assert best <= free.objective + 1e-6
 
     def test_pinned_layout(self, scene_k2):
+        # a one-column configuration table: one weight per point, fixed at 1
+        # by its simplex row, and one slack per segment
         p = build_problem(scene_k2, BuildOptions(mode="squared",
                                                  pinned=(2, 5)))
-        assert p.n_vars == 6 + 2
-        assert p.n_ineq == 24
-        assert p.n_eq == 0
+        assert p.n_vars == 6 + 2 + 2
+        assert p.n_ineq == 12
+        assert p.n_eq == 2
         z = p.initial_point("scene")
+        assert np.array_equal(p.w_of(z), np.ones((2, 1)))
         eq, ineq = p.eval_constraints(z)
         assert ineq.max() <= 1e-12
+        assert np.array_equal(eq, np.zeros(2))
+        assert list(p.chosen_configurations(z)) == [2, 5]
 
     def test_pinned_abs_layout(self, scene_k2):
         p = build_problem(scene_k2, BuildOptions(mode="abs", pinned=(2, 5)))
-        assert p.n_vars == 6 + 2 + 4
-        assert p.n_eq == 2
+        assert p.n_vars == 6 + 2 + 2 + 4
+        assert p.n_eq == 2 + 2
+
+    def test_pinned_rows_are_the_free_rows_of_its_configurations(self,
+                                                                 scene_k2):
+        for mode in ("squared", "abs"):
+            free = build_problem(scene_k2, BuildOptions(mode=mode))
+            pinned = build_problem(scene_k2, BuildOptions(mode=mode,
+                                                          pinned=(2, 5)))
+            z_free = free.initial_point("scene")
+            z_pin = pinned.initial_point("scene")
+            _, in_free = free.eval_constraints(z_free)
+            _, in_pin = pinned.eval_constraints(z_pin)
+            rows = in_free.reshape(2, 8, 6)[[0, 1], [2, 5]]
+            assert np.array_equal(in_pin, rows.ravel())
+            _, j_free = free.eval_jacobians(z_free)
+            _, j_pin = pinned.eval_jacobians(z_pin)
+            assert np.array_equal(j_pin[:, :6],
+                                  j_free[:, :6].reshape(2, 8, 6, 6)[
+                                      [0, 1], [2, 5]].reshape(12, 6))
 
 
 class TestSegmentSemantics:
@@ -315,17 +363,6 @@ class TestSegmentSemantics:
 
 
 class TestOptions:
-    def test_regularization_adds_pullback_term(self, scene_k1):
-        plain = build_problem(scene_k1, BuildOptions(mode="squared"))
-        pulled = build_problem(scene_k1, BuildOptions(mode="squared",
-                                                      regularization=2.0))
-        z = plain.initial_point("scene")
-        z[:3] += 5.0
-        delta = pulled.eval_objective(z) - plain.eval_objective(z)
-        assert delta == pytest.approx(2.0 * 3 * 25.0, rel=1e-12)
-        grad_delta = pulled.eval_gradient(z)[:6] - plain.eval_gradient(z)[:6]
-        assert grad_delta[:3] == pytest.approx([20.0] * 3, rel=1e-12)
-
     def test_degenerate_target_retried_with_shift(self, robot):
         # place a point whose wrist centre lands exactly on the axis-1 line
         # at the initial placement; the evaluator must log-and-retry with a

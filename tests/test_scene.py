@@ -71,6 +71,16 @@ class TestLoadScene:
             load_scene(write_scene(tmp_path, payload))
         assert any("multistrat" in m for m in info.value.messages)
 
+    def test_mistyped_solve_option_rejected(self, tmp_path):
+        payload = dict(MINIMAL)
+        payload["solve"] = {"multistart": 2.0, "seed": True,
+                            "kkt_tolerance": 0.0, "constraint_tolerance": "1e-8"}
+        with pytest.raises(ValidationError) as info:
+            load_scene(write_scene(tmp_path, payload))
+        for key in ("multistart", "seed", "kkt_tolerance",
+                    "constraint_tolerance"):
+            assert any(f"solve.{key}" in m for m in info.value.messages), key
+
     def test_angle_wrapped_on_load(self, tmp_path):
         payload = dict(MINIMAL)
         payload["points"] = [{"id": "p1", "pose": {"x": 1.0, "a": 190.0}}]
