@@ -5,7 +5,7 @@ package finds a workpiece placement together with a per-frame configuration
 (backward-transform branch) such that every frame is reachable within axis
 limits. Reachability is measured by the excursion of a virtual prismatic
 forearm axis, which turns the discrete branch choice into a smooth constrained
-program solved by a dense SQP method.
+program solved by an SQP method with a compact quasi-Newton Hessian.
 """
 
 from .errors import (CellplaceError, DegenerateTarget, EvaluatorFailure,

@@ -404,13 +404,14 @@ class PlacementProblem:
         for k, point in enumerate(self.scene.points):
             config = int(configs[k])
             target = placement @ self.targets[k]
-            outcome, joints, v = oracle.classify_target(self.robot, target, config)
+            outcome, joints, v, margins = oracle.classify_target(
+                self.robot, target, config)
             ok = outcome == oracle.IN_LIMITS
             all_ok = all_ok and ok
             points.append(scene_mod.PointResult(
                 id=point.id, config=config, v_mm=v,
                 joints=None if joints is None else joints.tolist(),
-                axis_margins=oracle.axis_margins(self.robot, target, config),
+                axis_margins=margins,
                 outcome=outcome))
         diagnostics = {}
         objective = self.eval_objective(z)

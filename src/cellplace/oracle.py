@@ -41,8 +41,10 @@ class ReachabilityTable:
         return all(any(b.outcome == IN_LIMITS for b in row) for row in self.rows)
 
 
-def _classify_joint_rows(robot: RobotModel, q: np.ndarray) -> list[BranchResult]:
-    """One BranchResult per virtual-robot solution row of q, shape (n, 7)."""
+def _classify_joint_rows(robot: RobotModel, q: np.ndarray
+                         ) -> tuple[list[BranchResult], np.ndarray]:
+    """One BranchResult per virtual-robot solution row of q, shape (n, 7),
+    and the rows' per-axis limit margins, shape (n, 6)."""
     reps, margins = limit_margins(q[:, [0, 1, 2, 4, 5, 6]], *robot.limits)
     in_limits = margins.min(axis=1) >= 0.0
     branches = []
@@ -53,30 +55,24 @@ def _classify_joint_rows(robot: RobotModel, q: np.ndarray) -> list[BranchResult]
             branches.append(BranchResult(IN_LIMITS, joints, 0.0))
         else:
             branches.append(BranchResult(OUT_OF_LIMITS, None, 0.0))
-    return branches
+    return branches, margins
 
 
 def classify_target(robot: RobotModel, target: np.ndarray, config: int):
-    """(outcome, joints-or-None, v) for one target frame and configuration."""
-    try:
-        q = backward7_all(robot, target)[config]
-    except DegenerateTarget:
-        return OUT_OF_WORKSPACE, None, math.inf
-    branch = _classify_joint_rows(robot, q[None])[0]
-    return branch.outcome, branch.joints, branch.v
+    """(outcome, joints-or-None, v, margins) for one target frame and
+    configuration, from one backward transform.
 
-
-def axis_margins(robot: RobotModel, target: np.ndarray, config: int) -> list[float]:
-    """Signed per-axis limit margins (rad) of the best 2pi-representative.
-
-    Positive means inside the range with that much room, negative is the
-    distance by which every representative misses the range.
+    ``margins`` are the signed per-axis limit margins (rad) of the best
+    2pi-representative: positive means inside the range with that much room,
+    negative is the distance by which every representative misses the range.
     """
     try:
         q = backward7_all(robot, target)[config]
     except DegenerateTarget:
-        return [-math.inf] * 6
-    return limit_margins(q[[0, 1, 2, 4, 5, 6]], *robot.limits)[1].tolist()
+        return OUT_OF_WORKSPACE, None, math.inf, [-math.inf] * 6
+    branches, margins = _classify_joint_rows(robot, q[None])
+    branch = branches[0]
+    return branch.outcome, branch.joints, branch.v, margins[0].tolist()
 
 
 def check_placement(scene, placement: np.ndarray) -> ReachabilityTable:
@@ -90,7 +86,7 @@ def check_placement(scene, placement: np.ndarray) -> ReachabilityTable:
             table.rows.append([BranchResult(OUT_OF_WORKSPACE, None, math.inf)
                                for _ in range(8)])
             continue
-        table.rows.append(_classify_joint_rows(scene.robot, q_all))
+        table.rows.append(_classify_joint_rows(scene.robot, q_all)[0])
     return table
 
 
@@ -208,15 +204,13 @@ def verify_solution(scene, report):
     diffs = []
     for k, point_result in enumerate(report.points):
         config = point_result.config
-        outcome, joints, v = classify_target(scene.robot, placement @ targets[k],
-                                             config)
+        outcome, _, v, margins = classify_target(
+            scene.robot, placement @ targets[k], config)
         if outcome == IN_LIMITS:
             continue
         violations = [0.0] * 6
         if outcome == OUT_OF_LIMITS:
-            q = backward7_all(scene.robot, placement @ targets[k])[config]
-            _, margins = limit_margins(q[[0, 1, 2, 4, 5, 6]], *scene.robot.limits)
-            violations = limit_violation(margins).tolist()
+            violations = limit_violation(np.array(margins)).tolist()
         diffs.append({
             "point": point_result.id, "config": config, "outcome": outcome,
             "v_mm": v, "axis_violations_rad": violations,

@@ -142,6 +142,9 @@ def _parse_pose_deg(obj, where: str, errors: list, wrap: bool = True) -> Pose | 
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             errors.append(f"{where}.{key}: expected a number")
             return None
+        if not math.isfinite(raw):
+            errors.append(f"{where}.{key}: expected a finite number")
+            return None
         values.append(float(raw))
     pose = Pose.from_degrees(*values)
     return pose.wrapped() if wrap else pose
@@ -213,15 +216,20 @@ def _parse_robot(obj, errors: list) -> tuple[RobotModel | None, str | None]:
             errors.append(f"{where}.type: expected 'R' or 'P'")
             return None, None
         try:
-            rows.append(JointRow(
+            row = JointRow(
                 "rot", d=float(raw.get("d", 0.0)), a=float(raw.get("a", 0.0)),
                 alpha=math.radians(float(raw.get("alpha", 0.0))),
                 phi=math.radians(float(raw.get("phi", 0.0))),
                 lo=math.radians(float(raw.get("theta_min", -180.0))),
-                hi=math.radians(float(raw.get("theta_max", 180.0)))))
+                hi=math.radians(float(raw.get("theta_max", 180.0))))
         except (TypeError, ValueError):
             errors.append(f"{where}: malformed numeric field")
             return None, None
+        if not all(map(math.isfinite,
+                       (row.d, row.a, row.alpha, row.phi, row.lo, row.hi))):
+            errors.append(f"{where}: expected finite numbers")
+            return None, None
+        rows.append(row)
     base_pose = _parse_pose_deg(obj.get("base", {}), "robot.base", errors)
     if base_pose is None:
         return None, None
@@ -388,7 +396,23 @@ def _pose_to_report_dict(pose: Pose) -> dict:
             "a_deg": a_deg, "b_deg": b_deg, "c_deg": c_deg}
 
 
+def _null_if_not_finite(value):
+    """Strict-JSON form: every non-finite float, however nested, is None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _null_if_not_finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_null_if_not_finite(item) for item in value]
+    return value
+
+
+def _null_as(value, default: float) -> float:
+    return default if value is None else value
+
+
 def save_report(report: SolutionReport, path) -> None:
+    """Write a report as strict JSON; non-finite numbers become null."""
     raw = {
         "format_version": FORMAT_VERSION,
         "verdict": report.verdict,
@@ -414,11 +438,12 @@ def save_report(report: SolutionReport, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(raw, handle, indent=2)
+        json.dump(_null_if_not_finite(raw), handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
 def load_report(path) -> SolutionReport:
+    """Read a report; a null v_mm or objective is +inf, a null margin -inf."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -426,18 +451,29 @@ def load_report(path) -> SolutionReport:
         raise ParseError(f"{path}: {exc}") from exc
     if raw.get("format_version") != FORMAT_VERSION:
         raise ValidationError([f"format_version: expected {FORMAT_VERSION}"])
+    try:
+        return _report_from_dict(raw)
+    except KeyError as exc:
+        raise ValidationError(
+            [f"{path}: missing field {exc.args[0]!r}"]) from exc
+
+
+def _report_from_dict(raw: dict) -> SolutionReport:
     placement_raw = raw["placement"]
     placement = Pose(placement_raw["x"], placement_raw["y"], placement_raw["z"],
                      placement_raw["a_rad"], placement_raw["b_rad"],
                      placement_raw["c_rad"])
     points = [
-        PointResult(id=p["id"], config=int(p["config"]), v_mm=p["v_mm"],
-                    joints=p["joints_rad"], axis_margins=p["axis_margins_rad"],
+        PointResult(id=p["id"], config=int(p["config"]),
+                    v_mm=_null_as(p["v_mm"], math.inf), joints=p["joints_rad"],
+                    axis_margins=[_null_as(m, -math.inf)
+                                  for m in p["axis_margins_rad"]],
                     outcome=p["outcome"])
         for p in raw["points"]
     ]
     return SolutionReport(placement=placement, points=points,
-                          objective=raw["objective"], mode=raw["mode"],
+                          objective=_null_as(raw["objective"], math.inf),
+                          mode=raw["mode"],
                           verdict=raw["verdict"],
                           diagnostics=raw.get("diagnostics", {}),
                           elapsed_s=raw.get("elapsed_s", 0.0))

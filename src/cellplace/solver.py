@@ -1,11 +1,14 @@
-"""Dense SQP solver for small constrained nonlinear programs.
+"""SQP solver for small constrained nonlinear programs.
 
 Layout: minimize f(z) subject to c_eq(z) = 0, c_in(z) <= 0 and box bounds.
 Each iteration builds a convex QP from a damped-BFGS Lagrangian Hessian and
 linearized constraints, solves it with a dual active-set method
 (Goldfarb-Idnani flavour: start at the unconstrained optimum, add violated
 constraints one at a time, drop blocking ones), and globalizes with an
-l1-merit backtracking line search. Infeasible subproblems are retried in an
+l1-merit backtracking line search. The Hessian is kept in the compact form of
+Byrd, Nocedal and Schnabel (1994): a diagonal plus the damped pairs of the
+accepted steps, so the QP applies its inverse in O(n r) for r pairs and never
+forms or factors an n x n matrix. Infeasible subproblems are retried in an
 elastic form where a scalar relaxation variable scales the constraint
 right-hand sides.
 
@@ -91,7 +94,7 @@ class SolverResult:
     kkt_residual: float
     constraint_violation: float
     iterations: int
-    status: str  # "converged" | "max_iterations" | "stalled"
+    status: str  # "converged" | "max_iterations" | "stalled" | "failed"
     start_index: int = 0
     message: str = ""
 
@@ -110,6 +113,79 @@ class QpResult:
 
 
 # ---------------------------------------------------------------------------
+# quasi-Newton Hessian
+# ---------------------------------------------------------------------------
+
+class DampedBfgs:
+    """Powell-damped BFGS matrix B in compact form, with B0 = diag(b0).
+
+    Every accepted pair (s, y) is kept; ``reset`` drops them all. ``times``
+    applies B through the rank-one terms of the updates,
+    B = B0 + sum_i (y_i y_i'/s_i'y_i - u_i u_i'/s_i'u_i) with u_i the
+    product of s_i and the matrix before update i. ``solve`` applies B^-1
+    through the inverse compact form of Byrd, Nocedal and Schnabel (1994),
+    H0 V + W (M (W' V)) with H0 = B0^-1 and W = [S, H0 Y], whose 2r x 2r
+    middle matrix M is rebuilt once per accepted pair.
+    """
+
+    def __init__(self, b0: np.ndarray):
+        self.b0 = np.asarray(b0, float)
+        self.h0 = 1.0 / self.b0
+        self.reset()
+
+    def reset(self) -> None:
+        self._s: list[np.ndarray] = []
+        self._y: list[np.ndarray] = []
+        self._u: list[np.ndarray] = []
+        self._sy: list[float] = []
+        self._su: list[float] = []
+        self._w = self._m = None
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """B v for one vector."""
+        out = self.b0 * v
+        for y, u, sy, su in zip(self._y, self._u, self._sy, self._su):
+            out += (y @ v / sy) * y - (u @ v / su) * u
+        return out
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 V for a vector or an (n, m) block."""
+        h0 = self.h0 if v.ndim == 1 else self.h0[:, None]
+        if self._w is None:
+            return h0 * v
+        return h0 * v + self._w @ (self._m @ (self._w.T @ v))
+
+    def update(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Add the pair (s, y), damped so that B stays positive definite."""
+        bs = self.times(s)
+        shs = float(s @ bs)
+        sy = float(s @ y)
+        if shs <= 1e-14:
+            return
+        if sy < 0.2 * shs:
+            theta = 0.8 * shs / (shs - sy)
+            y = theta * y + (1.0 - theta) * bs
+            sy = float(s @ y)
+        if sy <= 1e-14:
+            return
+        self._s.append(s)
+        self._y.append(y)
+        self._u.append(bs)
+        self._sy.append(sy)
+        self._su.append(shs)
+        big_s, big_y = np.column_stack(self._s), np.column_stack(self._y)
+        h0_y = self.h0[:, None] * big_y
+        r = len(self._s)
+        sty = big_s.T @ big_y
+        r_inv = scipy.linalg.solve_triangular(np.triu(sty), np.eye(r),
+                                              check_finite=False)
+        inner = np.diag(np.diag(sty)) + big_y.T @ h0_y
+        self._m = np.block([[r_inv.T @ inner @ r_inv, -r_inv.T],
+                            [-r_inv, np.zeros((r, r))]])
+        self._w = np.hstack([big_s, h0_y])
+
+
+# ---------------------------------------------------------------------------
 # dual active-set QP
 # ---------------------------------------------------------------------------
 
@@ -120,8 +196,8 @@ class _ActiveSet:
     place instead of reallocating the whole working matrices.
     """
 
-    def __init__(self, h_factor, n, capacity: int = 64):
-        self.h_factor = h_factor
+    def __init__(self, hinv, n, capacity: int = 64):
+        self.hinv = hinv
         self.n = n
         self.size = 0
         self._cap = capacity
@@ -173,7 +249,7 @@ class _ActiveSet:
         self._cap = cap
 
     def try_add(self, index, normal, is_eq, multiplier) -> bool:
-        y = scipy.linalg.cho_solve(self.h_factor, normal)
+        y = self.hinv(normal)
         q = self.size
         self._grow(q + 1)
         if q == 0:
@@ -183,7 +259,8 @@ class _ActiveSet:
             self._chol[0, 0] = math.sqrt(rho_sq)
         else:
             s_col = self.normals @ y
-            r = scipy.linalg.solve_triangular(self.chol, s_col, trans=1)
+            r = scipy.linalg.solve_triangular(self.chol, s_col, trans=1,
+                                           check_finite=False)
             rho_sq = float(normal @ y) - float(r @ r)
             if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
                 return False  # linearly dependent on the active set
@@ -220,7 +297,8 @@ class _ActiveSet:
         for _ in range(40):
             try:
                 self._chol[:self.size, :self.size] = scipy.linalg.cholesky(
-                    s + ridge * np.eye(s.shape[0]), lower=False)
+                    s + ridge * np.eye(s.shape[0]), lower=False,
+                    check_finite=False)
                 return
             except np.linalg.LinAlgError:
                 ridge = max(2.0 * ridge, 1e-14 * scale)
@@ -228,11 +306,12 @@ class _ActiveSet:
 
     def directions(self, normal):
         """Primal direction z and dual direction r for a candidate normal."""
-        y = scipy.linalg.cho_solve(self.h_factor, normal)
+        y = self.hinv(normal)
         if self.size == 0:
             return y, np.empty(0)
         s_col = self.normals @ y
-        r = scipy.linalg.cho_solve((self.chol, False), s_col)
+        r = scipy.linalg.cho_solve((self.chol, False), s_col,
+                                   check_finite=False)
         z = y - self.hinv_nt @ r
         return z, r
 
@@ -243,14 +322,15 @@ class _ActiveSet:
         when the rows are linearly dependent. Must be called on an empty set.
         """
         m = a_eq.shape[0]
-        b_block = scipy.linalg.cho_solve(self.h_factor, a_eq.T)
+        b_block = self.hinv(a_eq.T)
         s = a_eq @ b_block
         s = 0.5 * (s + s.T)
         try:
-            chol = scipy.linalg.cholesky(s, lower=False)
+            chol = scipy.linalg.cholesky(s, lower=False, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise InfeasibleSubproblem("dependent equality rows") from exc
-        lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d)
+        lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d,
+                                     check_finite=False)
         d = d + b_block @ lam
         self._grow(m)
         self._normals[:m] = a_eq
@@ -287,33 +367,16 @@ def _chol_delete(r: np.ndarray, j: int) -> np.ndarray | None:
     return out
 
 
-def _ensure_spd(h: np.ndarray, floor: float = 1e-10):
-    """Cholesky factor of H, ridging it up if needed; returns (factor, H_used)."""
-    h = 0.5 * (h + h.T)
-    ridge = 0.0
-    scale = max(float(np.max(np.abs(h))), 1.0)
-    for _ in range(60):
-        try:
-            factor = scipy.linalg.cho_factor(h + ridge * np.eye(h.shape[0]),
-                                             lower=False)
-            if ridge:
-                h = h + ridge * np.eye(h.shape[0])
-            return factor, h
-        except np.linalg.LinAlgError:
-            ridge = max(2.0 * ridge, floor, 1e-12 * scale)
-    raise np.linalg.LinAlgError("could not regularize Hessian")
-
-
-def solve_qp(h: np.ndarray, g: np.ndarray,
+def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
              a_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
              a_in: np.ndarray | None = None, b_in: np.ndarray | None = None,
              lower: np.ndarray | None = None, upper: np.ndarray | None = None,
              max_iterations: int | None = None) -> QpResult:
     """Minimize 0.5 d'Hd + g'd s.t. A_eq d = b_eq, A_in d <= b_in, lower <= d <= upper.
 
-    H must be positive definite (a tiny ridge is added when the factorization
-    says otherwise). Raises InfeasibleSubproblem when the constraints admit no
-    point.
+    H is positive definite and reached only through ``hinv``, which maps a
+    vector or an (n, m) block V to H^-1 V. Raises InfeasibleSubproblem when
+    the constraints admit no point.
     """
     n = g.shape[0]
     a_eq = np.empty((0, n)) if a_eq is None else np.atleast_2d(a_eq)
@@ -329,9 +392,8 @@ def solve_qp(h: np.ndarray, g: np.ndarray,
     lo_vec = np.full(n, -np.inf) if lower is None else np.asarray(lower, float)
     hi_vec = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
 
-    factor, _ = _ensure_spd(h)
-    d = -scipy.linalg.cho_solve(factor, g)
-    active = _ActiveSet(factor, n)
+    d = -hinv(g)
+    active = _ActiveSet(hinv, n)
 
     finite_b = [np.abs(b_eq[np.isfinite(b_eq)]), np.abs(ge_rhs),
                 np.abs(lo_vec[np.isfinite(lo_vec)]),
@@ -409,8 +471,8 @@ def solve_qp(h: np.ndarray, g: np.ndarray,
         try:
             d = active.batch_init_equalities(a_eq, b_eq, d)
         except InfeasibleSubproblem:
-            active = _ActiveSet(factor, n)
-            d = -scipy.linalg.cho_solve(factor, g)
+            active = _ActiveSet(hinv, n)
+            d = -hinv(g)
             for i in range(n_eq):
                 normal, rhs, sign = a_eq[i], float(b_eq[i]), 1.0
                 if float(normal @ d) > rhs:
@@ -518,17 +580,21 @@ def _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in, lower, upper):
     return max(stat, comp)
 
 
-def _elastic_qp(h, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
+def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
     """Relaxed QP: scale constraint right-hand sides by xi in [0, 1].
 
     Variable vector (d, xi); xi = 0 is always feasible, the penalty pushes xi
-    toward 1 (the original subproblem).
+    toward 1 (the original subproblem). Its Hessian is blockdiag(H, 2 rho).
     """
     n = g.shape[0]
     rho = 1e4 * max(1.0, float(np.max(np.abs(g))))
-    h_aug = np.zeros((n + 1, n + 1))
-    h_aug[:n, :n] = h
-    h_aug[n, n] = 2.0 * rho
+
+    def hinv_aug(v):
+        out = np.empty(v.shape)
+        out[:n] = hinv(v[:n])
+        out[n] = v[n] / (2.0 * rho)
+        return out
+
     g_aug = np.append(g, -2.0 * rho)  # from rho * (1 - xi)^2
     a_eq = np.hstack([j_eq, c_eq[:, None]]) if c_eq.size else None
     b_eq = np.zeros(c_eq.shape[0]) if c_eq.size else None
@@ -539,7 +605,7 @@ def _elastic_qp(h, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
     if lo is None or hi is None:
         lo = np.append(np.full(n, -np.inf), 0.0)
         hi = np.append(np.full(n, np.inf), 1.0)
-    result = solve_qp(h_aug, g_aug, a_eq, b_eq, a_in, b_in, lo, hi,
+    result = solve_qp(hinv_aug, g_aug, a_eq, b_eq, a_in, b_in, lo, hi,
                       max_iterations=qp_limit)
     return QpResult(result.step[:n], result.eq_multipliers,
                     result.in_multipliers, result.lower_multipliers[:n],
@@ -558,11 +624,8 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     f, c_eq, c_in = ev.value(z)
     g, j_eq, j_in = ev.derivatives(z)
     n = spec.n
-    if spec.scales is not None:
-        h0 = np.diag(np.asarray(spec.scales, float) ** -2.0)
-    else:
-        h0 = np.eye(n)
-    h = h0.copy()
+    h = DampedBfgs(np.asarray(spec.scales, float) ** -2.0
+                   if spec.scales is not None else np.ones(n))
     lam_eq = np.zeros(c_eq.shape[0])
     lam_in = np.zeros(c_in.shape[0])
     mu = 1.0
@@ -619,7 +682,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         fresh_hessian = False
         while True:  # at most two passes: current Hessian, then a reset one
             try:
-                qp = solve_qp(h, g, j_eq if c_eq.size else None,
+                qp = solve_qp(h.solve, g, j_eq if c_eq.size else None,
                               -c_eq if c_eq.size else None,
                               j_ws if c_ws.size else None,
                               -c_ws if c_ws.size else None,
@@ -627,7 +690,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
                 logger.debug("elastic fallback at iteration %d", iteration)
                 try:
-                    qp = _elastic_qp(h, g, j_eq, c_eq, j_ws, c_ws,
+                    qp = _elastic_qp(h.solve, g, j_eq, c_eq, j_ws, c_ws,
                                      lo_step, hi_step, qp_limit)
                 except (InfeasibleSubproblem, np.linalg.LinAlgError):
                     status = "stalled"
@@ -682,7 +745,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
             # Accumulated quasi-Newton curvature can poison the step long
             # before the iterates are optimal; retry once from scratch.
             logger.debug("hessian reset at iteration %d", iteration)
-            h = h0.copy()
+            h.reset()
             fresh_hessian = True
 
         if status in ("converged", "stalled"):
@@ -695,23 +758,11 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         g_new, j_eq_new, j_in_new = ev.derivatives(z_new)
 
         # Damped BFGS on the Lagrangian (Powell's modification keeps H SPD).
-        s = z_new - z
         grad_l_old = g + (j_eq.T @ lam_eq if lam_eq.size else 0.0) \
             + (j_in.T @ lam_in if lam_in.size else 0.0)
         grad_l_new = g_new + (j_eq_new.T @ lam_eq if lam_eq.size else 0.0) \
             + (j_in_new.T @ lam_in if lam_in.size else 0.0)
-        y = grad_l_new - grad_l_old
-        hs = h @ s
-        shs = float(s @ hs)
-        sy = float(s @ y)
-        if shs > 1e-14:
-            if sy < 0.2 * shs:
-                theta = 0.8 * shs / (shs - sy)
-                y = theta * y + (1.0 - theta) * hs
-                sy = float(s @ y)
-            if sy > 1e-14:
-                h = h - np.outer(hs, hs) / shs + np.outer(y, y) / sy
-                h = 0.5 * (h + h.T)
+        h.update(z_new - z, grad_l_new - grad_l_old)
 
         z, f, c_eq, c_in = z_new, f_new, c_eq_new, c_in_new
         g, j_eq, j_in = g_new, j_eq_new, j_in_new
@@ -760,13 +811,24 @@ def multistart(spec: NlpSpec, options: SolverOptions,
     non-converged ones, lower objective beats higher, ties go to the smaller
     start index. With ``early_stop_objective`` set, later starts are skipped
     once a converged result reaches that value (still deterministic because
-    starts run in index order).
+    starts run in index order). A start whose callbacks raise is recorded as
+    ``failed`` and never wins; the first failure is raised only when every
+    start failed.
     """
     rng = np.random.default_rng(options.seed)
     results: list[SolverResult] = []
+    failures: list[EvaluatorFailure] = []
     for index in range(options.multistart):
         z0 = sampler(index, rng)
-        result = solve(spec, options, z0)
+        try:
+            result = solve(spec, options, z0)
+        except EvaluatorFailure as exc:
+            logger.warning("start %d failed: %s", index, exc)
+            failures.append(exc)
+            result = SolverResult(z=np.asarray(z0, float), objective=math.inf,
+                                  kkt_residual=math.inf,
+                                  constraint_violation=math.inf, iterations=0,
+                                  status="failed", message=str(exc))
         result.start_index = index
         results.append(result)
         logger.debug("start %d: status=%s objective=%.6g", index,
@@ -776,7 +838,9 @@ def multistart(spec: NlpSpec, options: SolverOptions,
             break
 
     converged = [r for r in results if r.converged]
-    pool = converged if converged else results
+    pool = converged or [r for r in results if r.status != "failed"]
+    if not pool:
+        raise failures[0]
     if converged:
         return min(pool, key=lambda r: (r.objective, r.start_index))
     return min(pool, key=lambda r: (r.constraint_violation, r.objective,

@@ -87,6 +87,16 @@ class TestSolveCommand:
         code, _ = run_cli("solve", "/nonexistent/nowhere.json")
         assert code == 2
 
+    def test_non_finite_scene_exit_two(self, scene_path, tmp_path, capsys):
+        raw = json.loads(scene_path.read_text())
+        raw["points"][0]["pose"]["y"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(raw))
+        code, _ = run_cli("solve", str(path))
+        assert code == 2
+        assert "points[0].pose.y: expected a finite number" in \
+            capsys.readouterr().err
+
     def test_bad_flag_exit_two(self, scene_path):
         code, _ = run_cli("solve", str(scene_path), "--mode", "cubic")
         assert code == 2

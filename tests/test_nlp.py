@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
+from cellplace import solver
 from cellplace.errors import InvalidScene
 from cellplace.geometry import Pose
 from cellplace.kinematics import limit_margins
@@ -264,19 +266,47 @@ class TestExtractSolution:
         ok, diffs = verify_solution(scene_k2, report)
         assert ok and diffs == []
 
-    def test_polished_report_keeps_multistart_diagnostics(self):
-        # this solve ends a hair outside the strict-feasibility set and is
-        # polished; the report must still describe the multistart result and
-        # time the whole pipeline, not only the polish
-        scene = synthesize_scene(count=6, seed=15)
+    def test_polished_report_keeps_multistart_diagnostics(self, scene_k2,
+                                                           monkeypatch):
+        # the multistart result ends 1e-9 rad outside one axis range, so the
+        # pipeline polishes; the report must still describe the multistart
+        # result and time the whole pipeline, not only the polish
+        solved = []
+        real_multistart = solver.multistart
+
+        def record(*args):
+            solved.append(real_multistart(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(solver, "multistart", record)
+        first = solve_placement(scene_k2, SolveSettings(mode="squared"))
+        assert first.verdict == "feasible"
+        # shrink the tightest axis range until that joint sits 1e-9 outside
+        k, j = np.unravel_index(
+            np.argmin([p.axis_margins for p in first.points]), (2, 6))
+        joint = first.points[k].joints[j]
+        robot = scene_k2.robot
+        lo, hi = robot.limits[0][j], robot.limits[1][j]
+        edge = ({"lo": joint + 1e-9} if joint - lo < hi - joint
+                else {"hi": joint - 1e-9})
+        rows = list(robot.rows)
+        row_index = robot.rows.index(robot.rotational_rows[j])
+        rows[row_index] = dataclasses.replace(rows[row_index], **edge)
+        scene = dataclasses.replace(scene_k2, robot=dataclasses.replace(
+            robot, rows=tuple(rows)))
+        result = solved[0]
+        monkeypatch.setattr(solver, "multistart", lambda *args: result)
         started = time.perf_counter()
-        report = solve_placement(scene, SolveSettings(
-            mode="squared", multistart=4, seed=0, early_stop_objective=1e-12))
+        report = solve_placement(scene, SolveSettings(mode="squared"))
         wall = time.perf_counter() - started
         assert report.verdict == "feasible"
         polish = report.diagnostics["polish_iterations"]
         assert polish > 0
-        assert report.diagnostics["iterations"] > polish
+        assert report.diagnostics == {
+            "status": result.status, "iterations": result.iterations,
+            "kkt_residual": result.kkt_residual,
+            "constraint_violation": result.constraint_violation,
+            "start_index": result.start_index, "polish_iterations": polish}
         assert report.diagnostics["status"] == "converged"
         assert 0.5 * wall <= report.elapsed_s <= wall
 

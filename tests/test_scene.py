@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -15,6 +16,25 @@ MINIMAL = {
     "format_version": 1,
     "robot": "kr6r900",
     "points": [{"id": "p1", "pose": {"x": 100.0, "y": 0.0, "z": 50.0}}],
+}
+
+# the builtin kr6r900 written as an inline DH table
+INLINE_ROBOT = {
+    "name": "custom",
+    "base": {"c": 180.0},
+    "rows": [
+        {"type": "R", "d": -400, "a": 25, "alpha": 90,
+         "theta_min": -170, "theta_max": 170},
+        {"type": "R", "a": 455, "theta_min": -190, "theta_max": 45},
+        {"type": "R", "a": 35, "alpha": 90, "phi": -90,
+         "theta_min": -120, "theta_max": 156},
+        {"type": "P"},
+        {"type": "R", "d": -420, "alpha": -90,
+         "theta_min": -185, "theta_max": 185},
+        {"type": "R", "alpha": 90, "theta_min": -120, "theta_max": 120},
+        {"type": "R", "d": -80, "alpha": 180,
+         "theta_min": -350, "theta_max": 350},
+    ],
 }
 
 
@@ -81,6 +101,25 @@ class TestLoadScene:
                     "constraint_tolerance"):
             assert any(f"solve.{key}" in m for m in info.value.messages), key
 
+    def test_non_finite_pose_values_rejected(self, tmp_path):
+        payload = dict(MINIMAL)
+        payload["tool"] = {"z": math.inf}
+        payload["points"] = [{"id": "p1", "pose": {"x": math.nan}}]
+        payload["initial_placement"] = {"a": -math.inf}
+        with pytest.raises(ValidationError) as info:
+            load_scene(write_scene(tmp_path, payload))
+        for field in ("tool.z", "points[0].pose.x", "initial_placement.a"):
+            assert any(m.startswith(f"{field}: expected a finite number")
+                       for m in info.value.messages), field
+
+    def test_non_finite_robot_row_rejected(self, tmp_path):
+        payload = dict(MINIMAL)
+        payload["robot"] = copy.deepcopy(INLINE_ROBOT)
+        payload["robot"]["rows"][0]["theta_max"] = math.nan
+        with pytest.raises(ValidationError) as info:
+            load_scene(write_scene(tmp_path, payload))
+        assert "robot.rows[0]: expected finite numbers" in info.value.messages
+
     def test_angle_wrapped_on_load(self, tmp_path):
         payload = dict(MINIMAL)
         payload["points"] = [{"id": "p1", "pose": {"x": 1.0, "a": 190.0}}]
@@ -102,23 +141,7 @@ class TestLoadScene:
 
     def test_inline_robot_table(self, tmp_path):
         payload = dict(MINIMAL)
-        payload["robot"] = {
-            "name": "custom",
-            "base": {"c": 180.0},
-            "rows": [
-                {"type": "R", "d": -400, "a": 25, "alpha": 90,
-                 "theta_min": -170, "theta_max": 170},
-                {"type": "R", "a": 455, "theta_min": -190, "theta_max": 45},
-                {"type": "R", "a": 35, "alpha": 90, "phi": -90,
-                 "theta_min": -120, "theta_max": 156},
-                {"type": "P"},
-                {"type": "R", "d": -420, "alpha": -90,
-                 "theta_min": -185, "theta_max": 185},
-                {"type": "R", "alpha": 90, "theta_min": -120, "theta_max": 120},
-                {"type": "R", "d": -80, "alpha": 180,
-                 "theta_min": -350, "theta_max": 350},
-            ],
-        }
+        payload["robot"] = INLINE_ROBOT
         scene = load_scene(write_scene(tmp_path, payload))
         assert scene.robot.name == "custom"
         # matches the builtin geometry
@@ -195,6 +218,33 @@ class TestReportRoundTrip:
             assert a.outcome == b.outcome
         assert again.diagnostics == report.diagnostics
         assert again.verdict == report.verdict
+
+    def test_degenerate_point_round_trips_as_strict_json(self, tmp_path):
+        report = self.make_report()
+        report.points[1].v_mm = math.inf
+        report.points[1].axis_margins = [-math.inf] * 6
+        path = tmp_path / "report.json"
+        save_report(report, path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        raw = json.loads(path.read_text(), parse_constant=reject)
+        assert raw["points"][1]["v_mm"] is None
+        assert raw["points"][1]["axis_margins_rad"] == [None] * 6
+        assert raw["points"][1]["axis_margins_deg"] == [None] * 6
+        again = load_report(path)
+        assert again.points == report.points
+
+    def test_missing_field_is_validation_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_report(self.make_report(), path)
+        raw = json.loads(path.read_text())
+        del raw["points"][0]["v_mm"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as info:
+            load_report(path)
+        assert "v_mm" in info.value.messages[0]
 
     def test_config_bit_string(self, tmp_path):
         report = self.make_report()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cellplace.errors import EvaluatorFailure, InfeasibleSubproblem
-from cellplace.solver import (NlpSpec, SolverOptions, multistart, solve,
-                              solve_qp)
+from cellplace.solver import (DampedBfgs, NlpSpec, SolverOptions, multistart,
+                              solve, solve_qp)
 
 
 def _no_constraints(z):
@@ -22,9 +22,14 @@ def quadratic_bowl():
                    _no_constraints, _no_jacobians(2))
 
 
+def dense(h):
+    """The QP's H^-1 operator for a dense positive definite H."""
+    return lambda v: np.linalg.solve(h, v)
+
+
 class TestQp:
     def test_identity_hessian_step(self):
-        res = solve_qp(np.eye(2), np.array([-1.0, 0.0]))
+        res = solve_qp(dense(np.eye(2)), np.array([-1.0, 0.0]))
         assert np.allclose(res.step, [1.0, 0.0], atol=1e-12)
 
     def test_equality_only_matches_dense_kkt(self):
@@ -32,21 +37,21 @@ class TestQp:
         g = np.array([1.0, -2.0])
         a = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        res = solve_qp(h, g, a, b)
+        res = solve_qp(dense(h), g, a, b)
         kkt = np.linalg.solve(np.block([[h, a.T], [a, np.zeros((1, 1))]]),
                               np.concatenate([-g, b]))
         assert np.allclose(res.step, kkt[:2], atol=1e-10)
         assert res.eq_multipliers[0] == pytest.approx(kkt[2], abs=1e-10)
 
     def test_bound_clipping_with_multiplier(self):
-        res = solve_qp(np.eye(1), np.array([-5.0]),
+        res = solve_qp(dense(np.eye(1)), np.array([-5.0]),
                        lower=np.array([-1.0]), upper=np.array([2.0]))
         assert res.step[0] == pytest.approx(2.0, abs=1e-12)
         assert res.upper_multipliers[0] >= 0.0
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleSubproblem):
-            solve_qp(np.eye(1), np.zeros(1),
+            solve_qp(dense(np.eye(1)), np.zeros(1),
                      a_in=np.array([[1.0], [-1.0]]), b_in=np.array([-2.0, 1.0]))
 
     def test_random_qps_satisfy_kkt(self):
@@ -60,7 +65,7 @@ class TestQp:
             a = rng.normal(size=(m, n))
             # feasible by construction: b = A d0 + positive slack
             b = a @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
-            res = solve_qp(h, g, a_in=a, b_in=b)
+            res = solve_qp(dense(h), g, a_in=a, b_in=b)
             d, lam = res.step, res.in_multipliers
             assert np.max(np.abs(h @ d + g + a.T @ lam)) < 1e-8
             assert np.max(a @ d - b) < 1e-8
@@ -78,7 +83,8 @@ class TestQp:
             d0 = rng.uniform(-0.4, 0.4, size=n)
             b_eq = a_eq @ d0
             lower, upper = np.full(n, -1.0), np.full(n, 1.0)
-            res = solve_qp(h, g, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
+            res = solve_qp(dense(h), g, a_eq=a_eq, b_eq=b_eq, lower=lower,
+                           upper=upper)
             d = res.step
             assert np.max(np.abs(a_eq @ d - b_eq)) < 1e-8
             assert np.all(d >= lower - 1e-9) and np.all(d <= upper + 1e-9)
@@ -217,7 +223,7 @@ class TestHessianConditioning:
     def test_bfgs_hessian_stays_spd_on_nonconvex_problem(self):
         # Track the internal Hessian through a run on a nonconvex objective by
         # re-running the update recurrence via the public result: it suffices
-        # that the solve converges and never errors out of the Cholesky.
+        # that the solve converges, which the damping must allow.
         spec = NlpSpec(2,
                        lambda z: math.cos(z[0]) + 0.5 * z[1] ** 2 + 0.01 * z[0] ** 2,
                        lambda z: np.array([-math.sin(z[0]) + 0.02 * z[0], z[1]]),
@@ -226,12 +232,77 @@ class TestHessianConditioning:
                     np.array([2.0, 1.0]))
         assert res.converged
 
-    def test_ensure_spd_floor(self):
-        from cellplace.solver import _ensure_spd
-        h = np.diag([1.0, -3.0])
-        _, fixed = _ensure_spd(h)
-        eigvals = np.linalg.eigvalsh(fixed)
-        assert eigvals.min() >= 1e-10
+
+def dense_damped_bfgs(b0, pairs):
+    """Reference: the damped BFGS updates applied one at a time to diag(b0)."""
+    h = np.diag(b0)
+    for s, y in pairs:
+        hs = h @ s
+        shs = float(s @ hs)
+        sy = float(s @ y)
+        if shs > 1e-14:
+            if sy < 0.2 * shs:
+                theta = 0.8 * shs / (shs - sy)
+                y = theta * y + (1.0 - theta) * hs
+                sy = float(s @ y)
+            if sy > 1e-14:
+                h = h - np.outer(hs, hs) / shs + np.outer(y, y) / sy
+                h = 0.5 * (h + h.T)
+    return h
+
+
+class TestCompactHessian:
+    def random_pairs(self, rng, n, r):
+        """Secant pairs of a random SPD curvature, some of them nonconvex."""
+        root = rng.normal(size=(n, n))
+        curvature = root @ root.T / n + 0.1 * np.eye(n)
+        pairs = []
+        for _ in range(r):
+            s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 1)
+            y = curvature @ s + 0.1 * rng.normal(size=n) * np.linalg.norm(s)
+            if rng.uniform() < 0.2:
+                y = -y  # negative curvature: the update must damp it
+            pairs.append((s, y))
+        return pairs
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(2, 41))
+            r = int(rng.integers(1, 2 * n + 1))
+            b0 = 10.0 ** rng.uniform(-2, 2, size=n)
+            pairs = self.random_pairs(rng, n, r)
+            h = DampedBfgs(b0)
+            for s, y in pairs:
+                h.update(s, y)
+            dense_h = dense_damped_bfgs(b0, pairs)
+            block = rng.normal(size=(n, 3))
+            want = np.linalg.solve(dense_h, block)
+            got = h.solve(block)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            v = block[:, 0]
+            assert np.linalg.norm(h.solve(v) - want[:, 0]) <= \
+                1e-10 * np.linalg.norm(want[:, 0])
+            back = h.times(h.solve(v))
+            assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
+
+    def test_reset_returns_b0(self):
+        rng = np.random.default_rng(9)
+        b0 = 10.0 ** rng.uniform(-2, 2, size=6)
+        h = DampedBfgs(b0)
+        for s, y in self.random_pairs(rng, 6, 4):
+            h.update(s, y)
+        v = rng.normal(size=6)
+        assert not np.allclose(h.times(v), b0 * v)
+        h.reset()
+        assert np.array_equal(h.times(v), b0 * v)
+        assert np.array_equal(h.solve(v), v / b0)
+
+    def test_tiny_step_is_skipped(self):
+        h = DampedBfgs(np.ones(3))
+        h.update(np.full(3, 1e-9), np.ones(3))
+        v = np.array([1.0, -2.0, 3.0])
+        assert np.array_equal(h.solve(v), v)
 
 
 class TestMultistart:
@@ -270,3 +341,31 @@ class TestMultistart:
         assert first.z[0] == second.z[0]
         assert first.objective == second.objective
         assert first.start_index == second.start_index
+
+    def test_failed_start_stays_local(self):
+        # the objective raises at start 1's point only; starts 0 and 2 solve
+        spec = self.two_basin_spec()
+        objective = spec.objective
+
+        def fragile(z):
+            if z[0] == 1.75:
+                raise RuntimeError("boom")
+            return objective(z)
+
+        spec.objective = fragile
+        starts = [-1.5, 1.75, 1.25]
+        opts = SolverOptions(multistart=3, seed=0)
+        res = multistart(spec, opts, lambda i, rng: np.array([starts[i]]))
+        assert res.converged
+        assert res.start_index == 2
+        assert res.z[0] == pytest.approx(1.0, abs=0.02)
+
+    def test_every_start_failed_raises_the_first_failure(self):
+        def bad_objective(z):
+            raise RuntimeError(f"boom at {z[0]}")
+
+        spec = NlpSpec(1, bad_objective, lambda z: np.zeros(1),
+                       _no_constraints, _no_jacobians(1))
+        opts = SolverOptions(multistart=3, seed=0)
+        with pytest.raises(EvaluatorFailure, match="boom at 0.0"):
+            multistart(spec, opts, lambda i, rng: np.array([float(i)]))
