@@ -25,13 +25,6 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
-def wrap_angles(theta) -> np.ndarray:
-    """Vectorized wrap_angle."""
-    theta = np.asarray(theta, dtype=float)
-    wrapped = theta - _TWO_PI * np.ceil((theta - math.pi) / _TWO_PI)
-    return np.where(wrapped <= -math.pi, wrapped + _TWO_PI, wrapped)
-
-
 def rot_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([

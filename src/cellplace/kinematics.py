@@ -84,10 +84,6 @@ class RobotModel:
         if rot_rows[1].a <= 0.0:
             raise ValueError("upper-arm length a2 must be positive")
 
-    @property
-    def virtual_axis_index(self) -> int:
-        return 3
-
     @cached_property
     def rotational_rows(self) -> tuple[JointRow, ...]:
         return tuple(r for r in self.rows if r.kind == "rot")
@@ -259,15 +255,8 @@ def backward7_all(robot: RobotModel, target: np.ndarray) -> np.ndarray:
     planar triangle. Axis limits are deliberately not applied here.
 
     Raises DegenerateTarget when the wrist centre lies on the axis-1 line (both
-    shoulder branches undefined) or collapses onto the shoulder point.
-    """
-    return _backward7_subset(robot, target, (0, 1), (0, 1), (0, 1))
-
-
-def _backward7_subset(robot, target, bits0, bits1, bits2) -> np.ndarray:
-    """Shared branch machinery; only the requested bit combinations are solved.
-
-    Returns the full (8, 7) array with unsolved rows left unset.
+    shoulder branches undefined) or collapses onto the shoulder point of
+    either shoulder branch.
     """
     arm = robot._arm
     flange = arm["base_inv"] @ target @ arm["tool_inv"]
@@ -283,7 +272,7 @@ def _backward7_subset(robot, target, bits0, bits1, bits2) -> np.ndarray:
     phi = arm["phi"]
     out = np.empty((8, 7))
 
-    for bit0 in bits0:
+    for bit0 in (0, 1):
         psi1 = azimuth if bit0 == 0 else wrap_angle(azimuth + math.pi)
         theta1 = wrap_angle(psi1 - phi[0])
         u = (rho if bit0 == 0 else -rho) - a1
@@ -309,7 +298,7 @@ def _backward7_subset(robot, target, bits0, bits1, bits2) -> np.ndarray:
         delta = math.atan2(a3, g)
         azim_uw = math.atan2(w, u)
 
-        for bit1 in bits1:
+        for bit1 in (0, 1):
             cos_elbow = cos_mag if bit1 == 1 else -cos_mag
             psi3 = wrap_angle(math.atan2(sin_elbow, cos_elbow) - delta)
             theta3 = wrap_angle(psi3 - phi[2])
@@ -330,7 +319,7 @@ def _backward7_subset(robot, target, bits0, bits1, bits2) -> np.ndarray:
                 [s23, 0.0, -c23],
             ])
             n = r3.T @ rot_f @ rot_x(-robot.rotational_rows[5].alpha)[:3, :3]
-            for bit2 in bits2:
+            for bit2 in (0, 1):
                 theta4, theta5, theta6 = _wrist_zyz(
                     n, 1.0 if bit2 == 0 else -1.0, phi[3], phi[5])
                 out[config_from_bits(bit0, bit1, bit2)] = (
@@ -339,9 +328,11 @@ def _backward7_subset(robot, target, bits0, bits1, bits2) -> np.ndarray:
 
 
 def backward7(robot: RobotModel, target: np.ndarray, config: int) -> np.ndarray:
-    """Virtual-robot solution for one configuration; see backward7_all."""
-    bit0, bit1, bit2 = config_bits(config)
-    return _backward7_subset(robot, target, (bit0,), (bit1,), (bit2,))[config]
+    """Row ``config`` of backward7_all, so it raises DegenerateTarget also
+    when only the other shoulder branch is degenerate."""
+    if not 0 <= config <= 7:
+        raise ValueError(f"configuration {config} outside 0..7")
+    return backward7_all(robot, target)[config]
 
 
 def backward6(robot: RobotModel, target: np.ndarray, config: int,
@@ -354,7 +345,9 @@ def backward6(robot: RobotModel, target: np.ndarray, config: int,
     joint fits its limit range. Each joint is the representative deepest
     inside its range (see limit_margins), which is the canonical one for any
     symmetric or sub-2pi range. With ignore_limits=True only the workspace
-    test applies and joints come back canonically wrapped.
+    test applies and joints come back canonically wrapped. Like backward7 and
+    oracle.classify_target it raises DegenerateTarget also when only the
+    other shoulder branch is degenerate.
     """
     q = backward7(robot, target, config)
     if q[3] != 0.0:

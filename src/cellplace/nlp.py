@@ -373,13 +373,11 @@ class PlacementProblem:
 
     def as_nlp_spec(self) -> solver.NlpSpec:
         lower, upper = self.variable_bounds()
-        linear_eq = np.zeros(self.n_eq, dtype=bool)
-        linear_eq[:self.K] = True  # simplex rows
         return solver.NlpSpec(
             n=self.n_vars, objective=self.eval_objective,
             gradient=self.eval_gradient, constraints=self.eval_constraints,
             jacobians=self.eval_jacobians, lower=lower, upper=upper,
-            linear_eq=linear_eq, repair=self.repair_slacks,
+            repair=self.repair_slacks,
             finalize=self.finalize_point, objective_lower_bound=0.0,
             scales=self.variable_scales())
 

@@ -35,6 +35,9 @@ _DEFAULT_BOUNDS = {
     "x": (-1500.0, 1500.0), "y": (-1500.0, 1500.0), "z": (-1500.0, 1500.0),
     "a": (-180.0, 180.0), "b": (-180.0, 180.0), "c": (-180.0, 180.0),
 }
+# DH fields of a rotational row (mm and degrees) and their defaults
+_ROW_DEFAULTS = {"d": 0.0, "a": 0.0, "alpha": 0.0, "phi": 0.0,
+                 "theta_min": -180.0, "theta_max": 180.0}
 _SOLVE_KEYS = {"mode", "multistart", "seed", "max_iterations",
                "kkt_tolerance", "constraint_tolerance"}
 
@@ -131,6 +134,22 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set, errors: li
         errors.append(f"{where}: missing field {key!r}")
 
 
+def _number(raw, where: str, errors: list) -> float | None:
+    """raw as a float, or None with an error naming ``where`` unless raw is a
+    finite JSON number (bools and numeric strings are not numbers)."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        errors.append(f"{where}: expected a number")
+        return None
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        errors.append(f"{where}: expected a finite number")
+        return None
+    return value
+
+
 def _parse_pose_deg(obj, where: str, errors: list, wrap: bool = True) -> Pose | None:
     if not isinstance(obj, dict):
         errors.append(f"{where}: pose must be an object with keys x..c")
@@ -138,14 +157,10 @@ def _parse_pose_deg(obj, where: str, errors: list, wrap: bool = True) -> Pose | 
     _expect_keys(obj, where, set(), set(_POSE_KEYS), errors)
     values = []
     for key in _POSE_KEYS:
-        raw = obj.get(key, 0.0)
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            errors.append(f"{where}.{key}: expected a number")
+        value = _number(obj.get(key, 0.0), f"{where}.{key}", errors)
+        if value is None:
             return None
-        if not math.isfinite(raw):
-            errors.append(f"{where}.{key}: expected a finite number")
-            return None
-        values.append(float(raw))
+        values.append(value)
     pose = Pose.from_degrees(*values)
     return pose.wrapped() if wrap else pose
 
@@ -165,19 +180,18 @@ def _parse_bounds(obj, errors: list) -> PlacementBounds:
     _expect_keys(obj, "placement_bounds", set(), set(_POSE_KEYS), errors)
     for i, key in enumerate(_POSE_KEYS):
         raw = obj.get(key, list(_DEFAULT_BOUNDS[key]))
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            lo = hi = float(raw)
-        elif (isinstance(raw, list) and len(raw) == 2
-              and all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                      for r in raw)):
-            lo, hi = float(raw[0]), float(raw[1])
-        else:
+        if isinstance(raw, list) and len(raw) == 2:
+            lo = _number(raw[0], f"placement_bounds.{key}[0]", errors)
+            hi = _number(raw[1], f"placement_bounds.{key}[1]", errors)
+        elif isinstance(raw, list):
             errors.append(f"placement_bounds.{key}: expected number or [lo, hi]")
+            continue
+        else:
+            lo = hi = _number(raw, f"placement_bounds.{key}", errors)
+        if lo is None or hi is None:
             continue
         if lo > hi:
             errors.append(f"placement_bounds.{key}: lo {lo} exceeds hi {hi}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            errors.append(f"placement_bounds.{key}: bounds must be finite")
         if i >= 3:  # angular components arrive in degrees
             lo, hi = math.radians(lo), math.radians(hi)
         lower[i], upper[i] = lo, hi
@@ -201,13 +215,12 @@ def _parse_robot(obj, errors: list) -> tuple[RobotModel | None, str | None]:
         errors.append("robot.rows: expected 7 rows (6 rotational + virtual axis)")
         return None, None
     rows = []
-    row_keys = {"type", "d", "a", "alpha", "phi", "theta_min", "theta_max"}
     for i, raw in enumerate(rows_raw):
         where = f"robot.rows[{i}]"
         if not isinstance(raw, dict):
             errors.append(f"{where}: expected an object")
             return None, None
-        _expect_keys(raw, where, {"type"}, row_keys - {"type"}, errors)
+        _expect_keys(raw, where, {"type"}, set(_ROW_DEFAULTS), errors)
         kind = raw.get("type")
         if kind == "P":
             rows.append(JointRow("prism"))
@@ -215,21 +228,15 @@ def _parse_robot(obj, errors: list) -> tuple[RobotModel | None, str | None]:
         if kind != "R":
             errors.append(f"{where}.type: expected 'R' or 'P'")
             return None, None
-        try:
-            row = JointRow(
-                "rot", d=float(raw.get("d", 0.0)), a=float(raw.get("a", 0.0)),
-                alpha=math.radians(float(raw.get("alpha", 0.0))),
-                phi=math.radians(float(raw.get("phi", 0.0))),
-                lo=math.radians(float(raw.get("theta_min", -180.0))),
-                hi=math.radians(float(raw.get("theta_max", 180.0))))
-        except (TypeError, ValueError):
-            errors.append(f"{where}: malformed numeric field")
-            return None, None
-        if not all(map(math.isfinite,
-                       (row.d, row.a, row.alpha, row.phi, row.lo, row.hi))):
+        d, a, alpha, phi, lo, hi = (
+            _number(raw.get(key, default), f"{where}.{key}", errors)
+            for key, default in _ROW_DEFAULTS.items())
+        if None in (d, a, alpha, phi, lo, hi):
             errors.append(f"{where}: expected finite numbers")
             return None, None
-        rows.append(row)
+        rows.append(JointRow("rot", d=d, a=a, alpha=math.radians(alpha),
+                             phi=math.radians(phi), lo=math.radians(lo),
+                             hi=math.radians(hi)))
     base_pose = _parse_pose_deg(obj.get("base", {}), "robot.base", errors)
     if base_pose is None:
         return None, None
@@ -319,9 +326,8 @@ def scene_from_dict(raw: dict) -> Scene:
         if not isinstance(value, int) or isinstance(value, bool):
             errors.append(f"solve.{key}: expected an integer")
     for key in ("kkt_tolerance", "constraint_tolerance"):
-        value = solve_options.get(key, 1.0)
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value) and value > 0):
+        value = _number(solve_options.get(key, 1.0), f"solve.{key}", errors)
+        if value is not None and value <= 0:
             errors.append(f"solve.{key}: expected a positive number")
 
     metadata = raw.get("metadata", {})

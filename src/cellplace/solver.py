@@ -13,7 +13,7 @@ elastic form where a scalar relaxation variable scales the constraint
 right-hand sides.
 
 All randomness (multistart sampling) flows through one seeded generator, so
-results are reproducible bit for bit.
+results are reproducible bit for bit for a fixed BLAS thread count.
 """
 from __future__ import annotations
 
@@ -35,8 +35,7 @@ class NlpSpec:
     """Problem description handed to the solver.
 
     Constraint convention: equalities c_eq(z) = 0, inequalities c_in(z) <= 0.
-    ``linear_eq`` / ``linear_in`` flag rows whose Jacobians are constant; the
-    solver evaluates those rows' derivatives once and reuses them.
+    Jacobians have one row per constraint, so (0, n) when there are none.
     """
 
     n: int
@@ -46,8 +45,6 @@ class NlpSpec:
     jacobians: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    linear_eq: np.ndarray | None = None
-    linear_in: np.ndarray | None = None
     # Optional closed-form block minimizer (e.g. exact slack values); applied
     # after each accepted step and kept only when it does not worsen the merit.
     repair: Callable[[np.ndarray], np.ndarray] | None = None
@@ -71,7 +68,6 @@ class SolverOptions:
     constraint_tolerance: float = 1e-8
     multistart: int = 1
     seed: int = 0
-    qp_iteration_factor: int = 20
     # Inequality rows with values below -working_set_margin are left out of
     # the QP for that iteration (their multipliers are zero anyway); None
     # passes every row. Feasibility and KKT checks always use all rows.
@@ -238,8 +234,6 @@ class _ActiveSet:
             old = getattr(self, name)
             if name == "_b":
                 fresh[:, :self.size] = old[:, :self.size]
-            elif name == "_mult":
-                fresh[:self.size] = old[:self.size]
             else:
                 fresh[:self.size] = old[:self.size]
             setattr(self, name, fresh)
@@ -277,32 +271,13 @@ class _ActiveSet:
 
     def drop(self, position):
         q = self.size
-        reduced = _chol_delete(self.chol.copy(), position)
+        self._chol[:q - 1, :q - 1] = _chol_delete(self.chol.copy(), position)
         self._normals[position:q - 1] = self._normals[position + 1:q]
         self._b[:, position:q - 1] = self._b[:, position + 1:q]
         self._mult[position:q - 1] = self._mult[position + 1:q]
         del self.indices[position]
         del self.is_eq[position]
         self.size = q - 1
-        if not self.size:
-            return
-        if reduced is not None:
-            self._chol[:self.size, :self.size] = reduced
-            return
-        # fall back to a fresh factorization, ridged if necessary
-        s = self.normals @ self.hinv_nt
-        s = 0.5 * (s + s.T)
-        ridge = 0.0
-        scale = max(float(np.trace(s)) / s.shape[0], 1.0)
-        for _ in range(40):
-            try:
-                self._chol[:self.size, :self.size] = scipy.linalg.cholesky(
-                    s + ridge * np.eye(s.shape[0]), lower=False,
-                    check_finite=False)
-                return
-            except np.linalg.LinAlgError:
-                ridge = max(2.0 * ridge, 1e-14 * scale)
-        raise InfeasibleSubproblem("active set lost positive definiteness")
 
     def directions(self, normal):
         """Primal direction z and dual direction r for a candidate normal."""
@@ -343,28 +318,24 @@ class _ActiveSet:
         return d
 
 
-def _chol_delete(r: np.ndarray, j: int) -> np.ndarray | None:
+def _chol_delete(r: np.ndarray, j: int) -> np.ndarray:
     """Upper Cholesky factor of S with row/column j removed, via Givens.
 
-    O(q^2) instead of refactorizing; returns None when the reduced factor is
-    numerically rank deficient (caller refactorizes with a ridge).
+    O(q^2) instead of refactorizing. The diagonal stays positive (Goldfarb
+    and Idnani, 1983): rotation k zeroes r[k + 1, k], which after the column
+    shift is the untouched original diagonal entry R[k + 1, k + 1] > 0, and
+    leaves rad = hypot(r[k, k], r[k + 1, k]) >= R[k + 1, k + 1] on the
+    diagonal.
     """
     r = np.delete(r, j, axis=1)
     q = r.shape[1]
     for k in range(j, q):
         a, b = r[k, k], r[k + 1, k]
         rad = math.hypot(a, b)
-        if rad <= 0.0:
-            return None
         c, s = a / rad, b / rad
         block = np.array([[c, s], [-s, c]]) @ r[k:k + 2, k:]
         r[k:k + 2, k:] = block
-        if r[k, k] < 0.0:  # keep a positive diagonal
-            r[k, k:] = -r[k, k:]
-    out = r[:q, :]
-    if q and np.min(np.diag(out)) <= 1e-150:
-        return None
-    return out
+    return r[:q, :]
 
 
 def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
@@ -529,11 +500,10 @@ def _violation(c_eq, c_in):
 
 
 class _Evaluator:
-    """Wraps the user callbacks: failure capture plus linear-row reuse."""
+    """Wraps the user callbacks so that a failure raises EvaluatorFailure."""
 
     def __init__(self, spec: NlpSpec):
         self.spec = spec
-        self._jac_linear = None
 
     def _call(self, fn, z, what):
         try:
@@ -551,16 +521,7 @@ class _Evaluator:
     def derivatives(self, z):
         g = np.asarray(self._call(self.spec.gradient, z, "gradient"), float)
         j_eq, j_in = self._call(self.spec.jacobians, z, "jacobians")
-        j_eq = np.asarray(j_eq, float)
-        j_in = np.asarray(j_in, float)
-        if self._jac_linear is None:
-            self._jac_linear = (j_eq.copy(), j_in.copy())
-        else:
-            if self.spec.linear_eq is not None and j_eq.size:
-                j_eq[self.spec.linear_eq] = self._jac_linear[0][self.spec.linear_eq]
-            if self.spec.linear_in is not None and j_in.size:
-                j_in[self.spec.linear_in] = self._jac_linear[1][self.spec.linear_in]
-        return g, j_eq, j_in
+        return g, np.asarray(j_eq, float), np.asarray(j_in, float)
 
 
 def _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in, lower, upper):
@@ -570,11 +531,7 @@ def _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in, lower, upper):
     if lam_in.size:
         grad_l += j_in.T @ lam_in
     # Projected-gradient stationarity absorbs the bound multipliers.
-    projected = z - grad_l
-    if lower is not None:
-        projected = np.maximum(projected, lower)
-    if upper is not None:
-        projected = np.minimum(projected, upper)
+    projected = np.clip(z - grad_l, lower, upper)
     stat = float(np.max(np.abs(projected - z))) if z.size else 0.0
     comp = float(np.max(np.abs(lam_in * c_in))) if c_in.size else 0.0
     return max(stat, comp)
@@ -596,17 +553,11 @@ def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
         return out
 
     g_aug = np.append(g, -2.0 * rho)  # from rho * (1 - xi)^2
-    a_eq = np.hstack([j_eq, c_eq[:, None]]) if c_eq.size else None
-    b_eq = np.zeros(c_eq.shape[0]) if c_eq.size else None
-    a_in = np.hstack([j_in, np.maximum(c_in, 0.0)[:, None]]) if c_in.size else None
-    b_in = -np.minimum(c_in, 0.0) if c_in.size else None
-    lo = np.append(lo_step, 0.0) if lo_step is not None else None
-    hi = np.append(hi_step, 1.0) if hi_step is not None else None
-    if lo is None or hi is None:
-        lo = np.append(np.full(n, -np.inf), 0.0)
-        hi = np.append(np.full(n, np.inf), 1.0)
-    result = solve_qp(hinv_aug, g_aug, a_eq, b_eq, a_in, b_in, lo, hi,
-                      max_iterations=qp_limit)
+    a_eq = np.hstack([j_eq, c_eq[:, None]])
+    a_in = np.hstack([j_in, np.maximum(c_in, 0.0)[:, None]])
+    result = solve_qp(hinv_aug, g_aug, a_eq, np.zeros(c_eq.shape[0]), a_in,
+                      -np.minimum(c_in, 0.0), np.append(lo_step, 0.0),
+                      np.append(hi_step, 1.0), max_iterations=qp_limit)
     return QpResult(result.step[:n], result.eq_multipliers,
                     result.in_multipliers, result.lower_multipliers[:n],
                     result.upper_multipliers[:n])
@@ -615,32 +566,22 @@ def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
 def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     """Run the SQP iteration from z0 (projected into the bounds first)."""
     ev = _Evaluator(spec)
-    z = np.asarray(z0, float).copy()
-    if spec.lower is not None:
-        z = np.maximum(z, spec.lower)
-    if spec.upper is not None:
-        z = np.minimum(z, spec.upper)
+    n = spec.n
+    lower = np.full(n, -np.inf) if spec.lower is None else spec.lower
+    upper = np.full(n, np.inf) if spec.upper is None else spec.upper
+    z = np.clip(np.asarray(z0, float), lower, upper)
 
     f, c_eq, c_in = ev.value(z)
     g, j_eq, j_in = ev.derivatives(z)
-    n = spec.n
     h = DampedBfgs(np.asarray(spec.scales, float) ** -2.0
                    if spec.scales is not None else np.ones(n))
     lam_eq = np.zeros(c_eq.shape[0])
     lam_in = np.zeros(c_in.shape[0])
     mu = 1.0
-    qp_limit = max(200, options.qp_iteration_factor *
-                   (n + c_eq.shape[0] + c_in.shape[0] // 4 + 1))
+    qp_limit = max(200, 20 * (n + c_eq.shape[0] + c_in.shape[0] // 4 + 1))
     status = "max_iterations"
     message = ""
     iteration = 0
-
-    def clip_into_bounds(vec):
-        if spec.lower is not None:
-            vec = np.maximum(vec, spec.lower)
-        if spec.upper is not None:
-            vec = np.minimum(vec, spec.upper)
-        return vec
 
     def certified_optimal(value, c_eq_val, c_in_val):
         return (spec.objective_lower_bound is not None
@@ -651,7 +592,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     for iteration in range(1, options.max_iterations + 1):
         violation = _violation(c_eq, c_in)
         kkt = _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in,
-                            spec.lower, spec.upper)
+                            lower, upper)
         if kkt <= options.kkt_tolerance and violation <= options.constraint_tolerance:
             status = "converged"
             break
@@ -660,7 +601,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
             break
         if spec.finalize is not None and spec.objective_lower_bound is not None:
             # A feasible finalized candidate at the lower bound ends the run.
-            z_fin = clip_into_bounds(spec.finalize(z.copy()))
+            z_fin = np.clip(spec.finalize(z.copy()), lower, upper)
             f_fin, c_eq_fin, c_in_fin = ev.value(z_fin)
             if certified_optimal(f_fin, c_eq_fin, c_in_fin):
                 z, f, c_eq, c_in = z_fin, f_fin, c_eq_fin, c_in_fin
@@ -668,8 +609,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
                 status = "converged"
                 break
 
-        lo_step = spec.lower - z if spec.lower is not None else None
-        hi_step = spec.upper - z if spec.upper is not None else None
+        lo_step, hi_step = lower - z, upper - z
         # Working set: rows far on the feasible side contribute nothing to
         # the step; leaving them out keeps the active-set solve small.
         if options.working_set_margin is not None and c_in.size:
@@ -682,10 +622,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         fresh_hessian = False
         while True:  # at most two passes: current Hessian, then a reset one
             try:
-                qp = solve_qp(h.solve, g, j_eq if c_eq.size else None,
-                              -c_eq if c_eq.size else None,
-                              j_ws if c_ws.size else None,
-                              -c_ws if c_ws.size else None,
+                qp = solve_qp(h.solve, g, j_eq, -c_eq, j_ws, -c_ws,
                               lo_step, hi_step, max_iterations=qp_limit)
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
                 logger.debug("elastic fallback at iteration %d", iteration)
@@ -768,12 +705,12 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         g, j_eq, j_in = g_new, j_eq_new, j_in_new
 
     # The QP keeps bound residuals only to its own tolerance; snap exactly.
-    z_final = clip_into_bounds(z)
+    z_final = np.clip(z, lower, upper)
     changed = not np.array_equal(z_final, z)
     if changed:
         f, c_eq, c_in = ev.value(z_final)
     if spec.finalize is not None:
-        z_candidate = clip_into_bounds(spec.finalize(z_final.copy()))
+        z_candidate = np.clip(spec.finalize(z_final.copy()), lower, upper)
         f_cand, c_eq_cand, c_in_cand = ev.value(z_candidate)
         if (_violation(c_eq_cand, c_in_cand), f_cand) <= \
                 (_violation(c_eq, c_in), f):
@@ -787,10 +724,10 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     # Any multiplier vector certifies KKT; try the QP estimate and zero.
     kkt = min(
         _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in,
-                      spec.lower, spec.upper),
+                      lower, upper),
         _kkt_residual(z, g, j_eq, j_in, c_eq, c_in,
                       np.zeros(lam_eq.shape), np.zeros(lam_in.shape),
-                      spec.lower, spec.upper))
+                      lower, upper))
     if (kkt <= options.kkt_tolerance
             and violation <= options.constraint_tolerance) \
             or certified_optimal(f, c_eq, c_in):

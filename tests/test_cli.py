@@ -97,6 +97,23 @@ class TestSolveCommand:
         assert "points[0].pose.y: expected a finite number" in \
             capsys.readouterr().err
 
+    def test_mistyped_robot_row_exit_two(self, scene_path, tmp_path, capsys):
+        raw = json.loads(scene_path.read_text())
+        # a valid DH table but for the quoted d of axis 1
+        raw["robot"] = {"name": "custom", "rows": [
+            {"type": "R", "d": "-400", "a": 25, "alpha": 90},
+            {"type": "R", "a": 455},
+            {"type": "R", "a": 35, "alpha": 90, "phi": -90},
+            {"type": "P"},
+            {"type": "R", "d": -420, "alpha": -90},
+            {"type": "R", "alpha": 90},
+            {"type": "R", "d": -80, "alpha": 180}]}
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(raw))
+        code, _ = run_cli("solve", str(path))
+        assert code == 2
+        assert "robot.rows[0].d: expected a number" in capsys.readouterr().err
+
     def test_bad_flag_exit_two(self, scene_path):
         code, _ = run_cli("solve", str(scene_path), "--mode", "cubic")
         assert code == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cellplace.geometry import (Pose, compose, dh_transform, frame_from_pose,
                                 frame_is_valid, invert, pose_from_frame,
-                                rot_x, rot_y, rot_z, wrap_angle, wrap_angles)
+                                rot_x, rot_y, rot_z, wrap_angle)
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -40,11 +40,6 @@ class TestWrapAngle:
         w = wrap_angle(theta)
         assert -math.pi < w <= math.pi
         assert math.isclose(math.sin(w - theta), 0.0, abs_tol=1e-9)
-
-    def test_vectorized_matches_scalar(self):
-        values = np.linspace(-10, 10, 101)
-        assert np.allclose(wrap_angles(values),
-                           [wrap_angle(v) for v in values], atol=0)
 
 
 class TestDhTransform:

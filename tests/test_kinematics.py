@@ -64,7 +64,6 @@ class TestBuiltinModel:
         row = robot.rows[3]
         assert row.kind == "prism"
         assert (row.d, row.a, row.alpha, row.phi) == (0.0, 0.0, 0.0, 0.0)
-        assert robot.virtual_axis_index == 3
 
     def test_base_flip(self, robot):
         assert np.allclose(robot.base, rot_x(math.pi), atol=0)
@@ -269,6 +268,17 @@ class TestBackward:
         target = frame_with_wrist_center([0.0, 0.0, -400.0])
         with pytest.raises(DegenerateTarget):
             backward7_all(robot, target)
+
+    def test_one_degenerate_shoulder_branch_raises_for_every_config(self, robot):
+        # the wrist centre sits on the front shoulder point only; the back
+        # branches (odd configurations) are defined, yet every single-branch
+        # call raises, as backward7_all does
+        target = frame_with_wrist_center([25.0, 0.0, -400.0])
+        for config in (1, 3, 5, 7):
+            with pytest.raises(DegenerateTarget):
+                backward7(robot, target, config)
+        with pytest.raises(DegenerateTarget):
+            backward6(robot, target, 1)
 
     def test_elongation_value_at_planar_distance_1000(self, robot):
         # Wrist centre 1000 mm from the shoulder in the arm plane: the forearm

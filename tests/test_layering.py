@@ -29,3 +29,8 @@ def _package_imports(module: str) -> set[str]:
 def test_oracle_depends_on_kinematics_only():
     # the oracle validates the optimizer, so it must never reach nlp or solver
     assert _package_imports("oracle") <= {"errors", "geometry", "kinematics"}
+
+
+def test_solver_depends_on_errors_only():
+    # the SQP is generic: it must never reach the placement program
+    assert _package_imports("solver") <= {"errors"}

@@ -120,6 +120,20 @@ class TestLoadScene:
             load_scene(write_scene(tmp_path, payload))
         assert "robot.rows[0]: expected finite numbers" in info.value.messages
 
+    @pytest.mark.parametrize("row, key, value, message", [
+        (4, "d", "-420", "expected a number"),
+        (0, "theta_max", True, "expected a number"),
+        (2, "theta_min", 10 ** 400, "expected a finite number"),
+    ], ids=("string", "bool", "overflow"))
+    def test_mistyped_robot_row_rejected(self, tmp_path, row, key, value,
+                                         message):
+        payload = dict(MINIMAL)
+        payload["robot"] = copy.deepcopy(INLINE_ROBOT)
+        payload["robot"]["rows"][row][key] = value
+        with pytest.raises(ValidationError) as info:
+            load_scene(write_scene(tmp_path, payload))
+        assert f"robot.rows[{row}].{key}: {message}" in info.value.messages
+
     def test_angle_wrapped_on_load(self, tmp_path):
         payload = dict(MINIMAL)
         payload["points"] = [{"id": "p1", "pose": {"x": 1.0, "a": 190.0}}]

@@ -124,8 +124,7 @@ class TestSolve:
                        lambda v: (np.array([v[1] + v[2] - 1.0]), np.zeros(0)),
                        lambda v: (np.array([[0.0, 1.0, 1.0]]), np.zeros((0, 3))),
                        lower=np.array([-np.inf, 0.0, 0.0]),
-                       upper=np.array([np.inf, 1.0, 1.0]),
-                       linear_eq=np.array([True]))
+                       upper=np.array([np.inf, 1.0, 1.0]))
         res = solve(spec, SolverOptions(), np.array([0.3, 0.6, 0.4]))
         assert res.converged
         assert res.objective == pytest.approx(0.0, abs=1e-8)
@@ -141,6 +140,24 @@ class TestSolve:
             solve(spec, SolverOptions(), np.array([1.5]))
         assert info.value.iterate is not None
         assert info.value.iterate[0] == pytest.approx(1.5)
+
+    def test_elastic_step_keeps_lower_bound_without_upper(self):
+        # |z1| >= 1 linearizes to an infeasible row at z1 = 0, so the first
+        # step comes from the elastic QP; with no upper bounds given it must
+        # still keep z0 >= -0.5 in every point it tries
+        seen = []
+
+        def objective(z):
+            seen.append(z.copy())
+            return z[0]
+
+        spec = NlpSpec(2, objective, lambda z: np.array([1.0, 0.0]),
+                       lambda z: (np.zeros(0), np.array([1.0 - z[1] ** 2])),
+                       lambda z: (np.zeros((0, 2)),
+                                  np.array([[0.0, -2.0 * z[1]]])),
+                       lower=np.array([-0.5, -np.inf]))
+        solve(spec, SolverOptions(max_iterations=3), np.zeros(2))
+        assert min(z[0] for z in seen) >= -0.5 - 1e-9
 
     def test_converged_means_tolerances_met(self):
         res = solve(quadratic_bowl(), SolverOptions(), np.array([100.0, -70.0]))
@@ -163,8 +180,7 @@ class TestTextbookSuite:
         # min x^2 + y^2 st x + y = 1 -> (0.5, 0.5), lambda = -1
         spec = NlpSpec(2, lambda z: z[0] ** 2 + z[1] ** 2, lambda z: 2 * z,
                        lambda z: (np.array([z[0] + z[1] - 1.0]), np.zeros(0)),
-                       lambda z: (np.array([[1.0, 1.0]]), np.zeros((0, 2))),
-                       linear_eq=np.array([True]))
+                       lambda z: (np.array([[1.0, 1.0]]), np.zeros((0, 2))))
         self.check(spec, [3.0, -5.0], [0.5, 0.5], 0.5)
 
     def test_linear_objective_on_disc(self):
@@ -186,8 +202,7 @@ class TestTextbookSuite:
                        lambda z: np.array([2 * (z[0] - 1), 2 * (z[1] - 2.5)]),
                        lambda z: (np.zeros(0), a @ z - b),
                        lambda z: (np.zeros((0, 2)), a.copy()),
-                       lower=np.zeros(2), upper=np.full(2, np.inf),
-                       linear_in=np.array([True, True, True]))
+                       lower=np.zeros(2), upper=np.full(2, np.inf))
         self.check(spec, [2.0, 0.0], [1.4, 1.7], 0.8)
 
     def test_closest_point_on_ball(self):
@@ -214,8 +229,7 @@ class TestTextbookSuite:
                        lambda z: np.array([2.0, 5.0]),
                        lambda z: (np.array([z[0] + z[1] - 1.0]), np.zeros(0)),
                        lambda z: (np.array([[1.0, 1.0]]), np.zeros((0, 2))),
-                       lower=np.zeros(2), upper=np.ones(2),
-                       linear_eq=np.array([True]))
+                       lower=np.zeros(2), upper=np.ones(2))
         self.check(spec, [0.5, 0.5], [1.0, 0.0], 2.0)
 
 
