@@ -18,8 +18,8 @@ import numpy as np
 from . import nlp, oracle, plot, scene as scene_mod
 from .errors import (CellplaceError, GridTooLarge, ParseError, ValidationError)
 from .geometry import Pose, frame_from_pose, pose_from_frame
-from .kinematics import (backward6, backward7_all, builtin_kr6r900,
-                         config_label, forward6)
+from .kinematics import (backward7_all, builtin_kr6r900, config_label,
+                         forward6, limit_margins)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -196,21 +196,22 @@ def cmd_ik(args, out) -> int:
     except CellplaceError as exc:
         print(f"degenerate target: {exc}", file=out)
         return EXIT_INFEASIBLE
+    # every branch classified from the one transform, as backward6 would
+    reps, margins = limit_margins(q_all[:, [0, 1, 2, 4, 5, 6]], *robot.limits)
+    reachable = (q_all[:, 3] == 0.0) & (margins.min(axis=1) >= 0.0)
     print(f"{'c':>2s} {'bits':>5s} {'v (mm)':>12s} {'in-limits':>9s}  joints (deg)",
           file=out)
     for c in range(8):
-        solution = backward6(robot, target, c)
-        status = "yes" if solution is not None else "no"
+        status = "yes" if reachable[c] else "no"
         joints = " ".join(_fmt_deg(t) for t in q_all[c, [0, 1, 2, 4, 5, 6]])
         print(f"{c:>2d} {config_label(c):>5s} {q_all[c, 3]:>12.4f} {status:>9s}  "
               f"[{joints}]", file=out)
     if args.config is not None:
-        solution = backward6(robot, target, args.config)
-        if solution is None:
+        if not reachable[args.config]:
             print(f"configuration {args.config}: unreachable", file=out)
             return EXIT_INFEASIBLE
         print(f"configuration {args.config} joints (deg): "
-              + " ".join(_fmt_deg(t) for t in solution), file=out)
+              + " ".join(_fmt_deg(t) for t in reps[args.config]), file=out)
     return EXIT_OK
 
 

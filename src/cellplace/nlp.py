@@ -50,9 +50,6 @@ _TWO_PI = 2.0 * math.pi
 
 # relative central-difference step of the kinematic Jacobians
 FD_STEP = 1e-6
-# axis-limit rows deeper than this (rad) on the feasible side stay out of the
-# QP working set
-WORKING_SET_MARGIN = 0.5
 # when a solve ends a hair outside the strict-feasibility set (squared mode's
 # flat gradients stop just short of the zero plateau), it is re-solved once
 # with the axis ranges shrunk by this margin (rad), warm-started
@@ -468,7 +465,6 @@ def solve_placement(scene, settings: SolveSettings | None = None
         kkt_tolerance=settings.kkt_tolerance,
         constraint_tolerance=settings.constraint_tolerance,
         multistart=settings.multistart, seed=settings.seed,
-        working_set_margin=WORKING_SET_MARGIN,
         early_stop_objective=settings.early_stop_objective))
     report = problem.extract_solution(result.z, result)
     polish_iterations = 0
@@ -496,8 +492,7 @@ def _polish(scene, settings, result) -> solver.SolverResult:
         mode=settings.mode, limit_margin=POLISH_MARGIN))
     options = solver.SolverOptions(
         max_iterations=100, kkt_tolerance=settings.kkt_tolerance,
-        constraint_tolerance=settings.constraint_tolerance,
-        working_set_margin=WORKING_SET_MARGIN, seed=settings.seed)
+        constraint_tolerance=settings.constraint_tolerance, seed=settings.seed)
     z0 = tightened.repair_slacks(result.z.copy())
     polished = solver.solve(tightened.as_nlp_spec(), options, z0)
     logger.debug("polish: %s objective %.3e", polished.status,
@@ -517,7 +512,6 @@ def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0
                                                     pinned=tuple(assignment)))
         result = _multistart(problem, solver.SolverOptions(
             max_iterations=max_iterations, multistart=multistart, seed=seed,
-            working_set_margin=WORKING_SET_MARGIN,
             early_stop_objective=early_stop_objective))
         return result.objective, result
 

@@ -395,6 +395,10 @@ def save_scene(scene: Scene, path) -> None:
 # report serialization
 # ---------------------------------------------------------------------------
 
+_REPORT_PLACEMENT_KEYS = ("x", "y", "z", "a_rad", "b_rad", "c_rad")
+_OUTCOMES = (oracle.IN_LIMITS, oracle.OUT_OF_LIMITS, oracle.OUT_OF_WORKSPACE)
+
+
 def _pose_to_report_dict(pose: Pose) -> dict:
     a_deg, b_deg, c_deg = pose.angles_deg()
     return {"x": pose.x, "y": pose.y, "z": pose.z,
@@ -411,10 +415,6 @@ def _null_if_not_finite(value):
     if isinstance(value, list):
         return [_null_if_not_finite(item) for item in value]
     return value
-
-
-def _null_as(value, default: float) -> float:
-    return default if value is None else value
 
 
 def save_report(report: SolutionReport, path) -> None:
@@ -455,34 +455,89 @@ def load_report(path) -> SolutionReport:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return _report_from_dict(raw)
+
+
+def _six(raw, where: str, errors: list, null: float | None = None) -> list:
+    """Six finite numbers; with ``null`` given, a JSON null reads as it."""
+    if not isinstance(raw, list) or len(raw) != 6:
+        errors.append(f"{where}: expected a list of 6 numbers")
+        return []
+    return [null if value is None and null is not None
+            else _number(value, f"{where}[{j}]", errors)
+            for j, value in enumerate(raw)]
+
+
+def _report_from_dict(raw) -> SolutionReport:
+    """Strict report ingest; as for scenes, every problem is reported. The
+    ``*_deg`` fields and ``config_bits`` are known keys that loading ignores.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(["top level: expected a JSON object"])
+    errors: list[str] = []
+    _expect_keys(raw, "top level", {"format_version", "verdict", "mode",
+                                    "objective", "placement", "points"},
+                 {"elapsed_s", "diagnostics"}, errors)
     if raw.get("format_version") != FORMAT_VERSION:
-        raise ValidationError([f"format_version: expected {FORMAT_VERSION}"])
-    try:
-        return _report_from_dict(raw)
-    except KeyError as exc:
-        raise ValidationError(
-            [f"{path}: missing field {exc.args[0]!r}"]) from exc
+        errors.append(f"format_version: expected {FORMAT_VERSION}")
+    for key, allowed in (("verdict", ("feasible", "infeasible")),
+                         ("mode", ("squared", "abs"))):
+        if raw.get(key) not in allowed:
+            errors.append(f"{key}: expected one of {', '.join(allowed)}")
+    objective = math.inf if raw.get("objective") is None else \
+        _number(raw["objective"], "objective", errors)
+    elapsed_s = _number(raw.get("elapsed_s", 0.0), "elapsed_s", errors)
+    diagnostics = raw.get("diagnostics", {})
+    if not isinstance(diagnostics, dict):
+        errors.append("diagnostics: expected an object")
 
+    placement = raw.get("placement")
+    if not isinstance(placement, dict):
+        errors.append("placement: expected an object")
+        placement = {}
+    _expect_keys(placement, "placement", set(_REPORT_PLACEMENT_KEYS),
+                 {"a_deg", "b_deg", "c_deg"}, errors)
+    pose = [_number(placement.get(key, 0.0), f"placement.{key}", errors)
+            for key in _REPORT_PLACEMENT_KEYS]
 
-def _report_from_dict(raw: dict) -> SolutionReport:
-    placement_raw = raw["placement"]
-    placement = Pose(placement_raw["x"], placement_raw["y"], placement_raw["z"],
-                     placement_raw["a_rad"], placement_raw["b_rad"],
-                     placement_raw["c_rad"])
-    points = [
-        PointResult(id=p["id"], config=int(p["config"]),
-                    v_mm=_null_as(p["v_mm"], math.inf), joints=p["joints_rad"],
-                    axis_margins=[_null_as(m, -math.inf)
-                                  for m in p["axis_margins_rad"]],
-                    outcome=p["outcome"])
-        for p in raw["points"]
-    ]
-    return SolutionReport(placement=placement, points=points,
-                          objective=_null_as(raw["objective"], math.inf),
-                          mode=raw["mode"],
-                          verdict=raw["verdict"],
-                          diagnostics=raw.get("diagnostics", {}),
-                          elapsed_s=raw.get("elapsed_s", 0.0))
+    raw_points = raw.get("points")
+    if not isinstance(raw_points, list):
+        errors.append("points: expected a list")
+        raw_points = []
+    points = []
+    for i, p in enumerate(raw_points):
+        where = f"points[{i}]"
+        if not isinstance(p, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        _expect_keys(p, where, {"id", "config", "outcome", "v_mm", "joints_rad",
+                                "axis_margins_rad"},
+                     {"config_bits", "joints_deg", "axis_margins_deg"}, errors)
+        if not isinstance(p.get("id"), str) or not p["id"]:
+            errors.append(f"{where}.id: expected a non-empty string")
+        config = p.get("config")
+        if not isinstance(config, int) or isinstance(config, bool) \
+                or not 0 <= config <= 7:
+            errors.append(f"{where}.config: expected an integer in 0..7")
+        if p.get("outcome") not in _OUTCOMES:
+            errors.append(f"{where}.outcome: expected one of "
+                          f"{', '.join(_OUTCOMES)}")
+        v_mm = math.inf if p.get("v_mm") is None else \
+            _number(p["v_mm"], f"{where}.v_mm", errors)
+        joints = p.get("joints_rad")
+        if joints is not None:
+            joints = _six(joints, f"{where}.joints_rad", errors)
+        margins = _six(p.get("axis_margins_rad"), f"{where}.axis_margins_rad",
+                       errors, null=-math.inf)
+        points.append(PointResult(id=p.get("id"), config=config, v_mm=v_mm,
+                                  joints=joints, axis_margins=margins,
+                                  outcome=p.get("outcome")))
+    if errors:
+        raise ValidationError(errors)
+    return SolutionReport(placement=Pose(*pose), points=points,
+                          objective=objective, mode=raw["mode"],
+                          verdict=raw["verdict"], diagnostics=diagnostics,
+                          elapsed_s=elapsed_s)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ from .errors import EvaluatorFailure, InfeasibleSubproblem
 
 logger = logging.getLogger(__name__)
 
+# Inequality rows with values below -WORKING_SET_MARGIN are left out of an
+# iteration's QP (their multipliers are zero anyway). Feasibility and KKT
+# checks always use every row.
+WORKING_SET_MARGIN = 0.5
+
 
 @dataclass
 class NlpSpec:
@@ -68,10 +73,6 @@ class SolverOptions:
     constraint_tolerance: float = 1e-8
     multistart: int = 1
     seed: int = 0
-    # Inequality rows with values below -working_set_margin are left out of
-    # the QP for that iteration (their multipliers are zero anyway); None
-    # passes every row. Feasibility and KKT checks always use all rows.
-    working_set_margin: float | None = None
     # Optional shortcut for multistart: stop launching new starts once a
     # converged result reaches this objective value (None = run all starts).
     early_stop_objective: float | None = None
@@ -186,23 +187,23 @@ class DampedBfgs:
 # ---------------------------------------------------------------------------
 
 class _ActiveSet:
-    """Active constraint bookkeeping with incremental Cholesky of N H^-1 N^T.
+    """Active rows of the dual QP, with an incremental Cholesky of N H^-1 N^T.
 
-    Buffers are preallocated and grown geometrically; additions write in
-    place instead of reallocating the whole working matrices.
+    Each member is one row in the ">=" form, kept with its integer row id
+    (see ``solve_qp``). The first ``n_eq`` members are equality rows and are
+    never dropped. At most n rows in R^n are independent, so the buffers hold
+    n members and are allocated once.
     """
 
-    def __init__(self, hinv, n, capacity: int = 64):
+    def __init__(self, hinv, n):
         self.hinv = hinv
-        self.n = n
         self.size = 0
-        self._cap = capacity
-        self._normals = np.empty((capacity, n))  # active ">=" rows
-        self._b = np.empty((n, capacity))  # H^-1 N^T, one column per member
-        self._chol = np.zeros((capacity, capacity))  # upper factor of N H^-1 N^T
-        self._mult = np.empty(capacity)
-        self.indices: list = []
-        self.is_eq: list[bool] = []
+        self.n_eq = 0
+        self._normals = np.empty((n, n))  # active ">=" rows
+        self._b = np.empty((n, n))  # H^-1 N^T, one column per member
+        self._chol = np.zeros((n, n))  # upper factor of N H^-1 N^T
+        self._mult = np.empty(n)
+        self._ids = np.empty(n, dtype=np.intp)
 
     @property
     def normals(self):
@@ -220,52 +221,28 @@ class _ActiveSet:
     def multipliers(self):
         return self._mult[:self.size]
 
-    @multipliers.setter
-    def multipliers(self, values):
-        self._mult[:self.size] = values
+    @property
+    def ids(self):
+        return self._ids[:self.size]
 
-    def _grow(self, need):
-        if need <= self._cap:
-            return
-        cap = max(2 * self._cap, need)
-        for name, shape in (("_normals", (cap, self.n)), ("_b", (self.n, cap)),
-                            ("_mult", (cap,))):
-            fresh = np.empty(shape)
-            old = getattr(self, name)
-            if name == "_b":
-                fresh[:, :self.size] = old[:, :self.size]
-            else:
-                fresh[:self.size] = old[:self.size]
-            setattr(self, name, fresh)
-        fresh = np.zeros((cap, cap))
-        fresh[:self.size, :self.size] = self._chol[:self.size, :self.size]
-        self._chol = fresh
-        self._cap = cap
-
-    def try_add(self, index, normal, is_eq, multiplier) -> bool:
-        y = self.hinv(normal)
+    def try_add(self, row_id, normal, multiplier) -> bool:
+        """Append a row; False if it depends on the members (any does at n)."""
         q = self.size
-        self._grow(q + 1)
-        if q == 0:
-            rho_sq = float(normal @ y)
-            if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
-                return False
-            self._chol[0, 0] = math.sqrt(rho_sq)
-        else:
-            s_col = self.normals @ y
-            r = scipy.linalg.solve_triangular(self.chol, s_col, trans=1,
-                                           check_finite=False)
-            rho_sq = float(normal @ y) - float(r @ r)
-            if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
-                return False  # linearly dependent on the active set
-            self._chol[:q, q] = r
-            self._chol[q, :q] = 0.0
-            self._chol[q, q] = math.sqrt(rho_sq)
+        if q == self._mult.size:
+            return False
+        y = self.hinv(normal)
+        r = scipy.linalg.solve_triangular(self.chol, self.normals @ y, trans=1,
+                                          check_finite=False)
+        rho_sq = float(normal @ y) - float(r @ r)
+        if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
+            return False
+        self._chol[:q, q] = r
+        self._chol[q, :q] = 0.0
+        self._chol[q, q] = math.sqrt(rho_sq)
         self._normals[q] = normal
         self._b[:, q] = y
         self._mult[q] = multiplier
-        self.indices.append(index)
-        self.is_eq.append(is_eq)
+        self._ids[q] = row_id
         self.size = q + 1
         return True
 
@@ -275,20 +252,15 @@ class _ActiveSet:
         self._normals[position:q - 1] = self._normals[position + 1:q]
         self._b[:, position:q - 1] = self._b[:, position + 1:q]
         self._mult[position:q - 1] = self._mult[position + 1:q]
-        del self.indices[position]
-        del self.is_eq[position]
+        self._ids[position:q - 1] = self._ids[position + 1:q]
         self.size = q - 1
 
     def directions(self, normal):
         """Primal direction z and dual direction r for a candidate normal."""
         y = self.hinv(normal)
-        if self.size == 0:
-            return y, np.empty(0)
-        s_col = self.normals @ y
-        r = scipy.linalg.cho_solve((self.chol, False), s_col,
+        r = scipy.linalg.cho_solve((self.chol, False), self.normals @ y,
                                    check_finite=False)
-        z = y - self.hinv_nt @ r
-        return z, r
+        return y - self.hinv_nt @ r, r
 
     def batch_init_equalities(self, a_eq, b_eq, d):
         """Install all equality rows at once (one blocked solve each).
@@ -297,6 +269,8 @@ class _ActiveSet:
         when the rows are linearly dependent. Must be called on an empty set.
         """
         m = a_eq.shape[0]
+        if m > self._mult.size:  # more than n rows in R^n
+            raise InfeasibleSubproblem("dependent equality rows")
         b_block = self.hinv(a_eq.T)
         s = a_eq @ b_block
         s = 0.5 * (s + s.T)
@@ -307,14 +281,12 @@ class _ActiveSet:
         lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d,
                                      check_finite=False)
         d = d + b_block @ lam
-        self._grow(m)
         self._normals[:m] = a_eq
         self._b[:, :m] = b_block
         self._chol[:m, :m] = chol
         self._mult[:m] = lam
-        self.indices = [("eq", i, 1.0) for i in range(m)]
-        self.is_eq = [True] * m
-        self.size = m
+        self._ids[:m] = np.arange(m)
+        self.size = self.n_eq = m
         return d
 
 
@@ -348,6 +320,12 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     H is positive definite and reached only through ``hinv``, which maps a
     vector or an (n, m) block V to H^-1 V. Raises InfeasibleSubproblem when
     the constraints admit no point.
+
+    Every inequality is one row n_i'd >= rhs_i with an integer id i: the
+    general rows -A_in d >= -b_in take ids [0, n_in), the lower bounds
+    d >= lower [n_in, n_in + n) and the upper bounds -d >= -upper
+    [n_in + n, n_in + 2n). The equality rows, by their index in A_eq, form
+    a prefix of the active set that is never dropped.
     """
     n = g.shape[0]
     a_eq = np.empty((0, n)) if a_eq is None else np.atleast_2d(a_eq)
@@ -355,89 +333,68 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     a_in = np.empty((0, n)) if a_in is None else np.atleast_2d(a_in)
     b_in = np.empty(0) if b_in is None else np.atleast_1d(b_in)
 
-    # Unified ">=" convention: general inequalities become -A d >= -b; bound
-    # rows are kept implicit (their residuals are plain vector loads).
     ge_normals = -a_in
     ge_rhs = -b_in
     n_eq, n_in = a_eq.shape[0], a_in.shape[0]
     lo_vec = np.full(n, -np.inf) if lower is None else np.asarray(lower, float)
     hi_vec = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
+    rhs = np.concatenate([ge_rhs, lo_vec, -hi_vec])
 
     d = -hinv(g)
     active = _ActiveSet(hinv, n)
 
-    finite_b = [np.abs(b_eq[np.isfinite(b_eq)]), np.abs(ge_rhs),
-                np.abs(lo_vec[np.isfinite(lo_vec)]),
-                np.abs(hi_vec[np.isfinite(hi_vec)])]
-    scale = max([1.0] + [float(np.max(v)) for v in finite_b if v.size])
-    tol = 1e-10 * scale
+    b_all = np.abs(np.concatenate([b_eq, rhs]))
+    tol = 1e-10 * max(1.0, float(np.max(b_all[np.isfinite(b_all)], initial=0.0)))
     limit = max_iterations or max(200, 20 * (n + n_eq + 1))
     iterations = 0
 
-    def bound_normal(idx):
-        e = np.zeros(n)
-        e[idx % n] = 1.0 if idx < n else -1.0
-        return e
+    def normal_of(i):
+        if i < n_in:
+            return ge_normals[i]
+        normal = np.zeros(n)
+        normal[(i - n_in) % n] = 1.0 if i < n_in + n else -1.0
+        return normal
 
-    def most_violated():
-        """(violation, tag, normal, rhs) across general rows and bounds."""
-        best, entry = tol, None
-        if ge_rhs.size:
-            resid = ge_rhs - ge_normals @ d
-            j = int(np.argmax(resid))
-            if resid[j] > best:
-                best, entry = resid[j], (("in", j), ge_normals[j],
-                                         float(ge_rhs[j]))
-        lo_resid = lo_vec - d
-        j = int(np.argmax(lo_resid))
-        if lo_resid[j] > best:
-            best, entry = lo_resid[j], (("in", n_in + j), bound_normal(j),
-                                        float(lo_vec[j]))
-        hi_resid = d - hi_vec
-        j = int(np.argmax(hi_resid))
-        if hi_resid[j] > best:
-            best, entry = hi_resid[j], (("in", n_in + n + j),
-                                        bound_normal(n + j), float(-hi_vec[j]))
-        return entry
-
-    def step_to(index, normal, rhs, is_eq):
+    def step_to(row_id, normal, row_rhs):
         nonlocal d, iterations
         u_plus = 0.0  # multiplier of the incoming constraint, built up stepwise
         while True:
             iterations += 1
             if iterations > limit:
                 raise InfeasibleSubproblem("active-set iteration limit")
-            slack = rhs - float(normal @ d)
+            slack = row_rhs - float(normal @ d)
             if slack <= tol:
-                if u_plus > 0.0 and not active.try_add(index, normal, is_eq, u_plus):
+                if u_plus > 0.0 and not active.try_add(row_id, normal, u_plus):
                     raise InfeasibleSubproblem("degenerate active set")
                 return
             z, r = active.directions(normal)
             z_dot = float(normal @ z)
-            # Dual blocking test over inequality members only.
-            t1, block = math.inf, -1
-            for j in range(active.size):
-                if active.is_eq[j] or r[j] <= 1e-12:
-                    continue
-                ratio = active.multipliers[j] / r[j]
-                if ratio < t1:
-                    t1, block = ratio, j
+            # Dual blocking test over the inequality members: the first
+            # smallest ratio; the trailing inf stands for "none blocks".
+            r_in = r[active.n_eq:]
+            ratios = np.full(r_in.size + 1, math.inf)
+            np.divide(active.multipliers[active.n_eq:], r_in, out=ratios[:-1],
+                      where=r_in > 1e-12)
+            block = int(np.argmin(ratios))
+            t1 = float(ratios[block])
             t2 = slack / z_dot if z_dot > 1e-12 else math.inf
             t = min(t1, t2)
             if not math.isfinite(t):
                 raise InfeasibleSubproblem("no feasible point for QP constraints")
             d = d + t * z
             u_plus += t
-            if active.size:
-                active.multipliers = active.multipliers - t * r
+            active.multipliers[:] -= t * r
             if t2 <= t1:
-                if not active.try_add(index, normal, is_eq, u_plus):
+                if not active.try_add(row_id, normal, u_plus):
                     raise InfeasibleSubproblem("degenerate active set")
                 return
-            active.drop(block)
+            active.drop(active.n_eq + block)
 
     # Phase 0: install all equalities in one blocked solve; fall back to the
-    # sequential path if the rows turn out dependent.
+    # sequential path if the rows turn out dependent. There each row enters
+    # as a ">=" row, negated (eq_sign -1) when d lies above it; a row that d
+    # already meets joins too, unless it depends on the members.
+    eq_sign = np.ones(n_eq)
     if n_eq:
         try:
             d = active.batch_init_equalities(a_eq, b_eq, d)
@@ -445,41 +402,33 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
             active = _ActiveSet(hinv, n)
             d = -hinv(g)
             for i in range(n_eq):
-                normal, rhs, sign = a_eq[i], float(b_eq[i]), 1.0
-                if float(normal @ d) > rhs:
-                    normal, rhs, sign = -normal, -rhs, -1.0
-                step_to(("eq", i, sign), normal, rhs, True)
+                normal, row_rhs = a_eq[i], float(b_eq[i])
+                if float(normal @ d) > row_rhs:
+                    normal, row_rhs, eq_sign[i] = -normal, -row_rhs, -1.0
+                if row_rhs - float(normal @ d) <= tol:
+                    active.try_add(i, normal, 0.0)
+                else:
+                    step_to(i, normal, row_rhs)
+                active.n_eq = active.size
 
-    # Main loop: chase the most violated inequality or bound.
+    # Main loop: chase the most violated inequality; ties go to the lowest id.
     while True:
         iterations += 1
         if iterations > limit:
             raise InfeasibleSubproblem("active-set iteration limit")
-        entry = most_violated()
-        if entry is None:
+        resid = np.concatenate([ge_rhs - ge_normals @ d, lo_vec - d, d - hi_vec])
+        i = int(np.argmax(resid))
+        if not resid[i] > tol:
             break
-        tag, normal, rhs = entry
-        step_to(tag, normal, rhs, False)
+        step_to(i, normal_of(i), float(rhs[i]))
 
+    ids, mult, k = active.ids, active.multipliers, active.n_eq
     lam_eq = np.zeros(n_eq)
-    lam_in = np.zeros(n_in)
-    lam_lo = np.zeros(n)
-    lam_hi = np.zeros(n)
-    for j in range(active.size):
-        tag = active.indices[j]
-        mult = active.multipliers[j]
-        if tag[0] == "eq":
-            # Multiplier of A_eq d - b_eq = 0; undo the feasibility sign flip.
-            lam_eq[tag[1]] = -tag[2] * mult
-        else:
-            idx = tag[1]
-            if idx < n_in:
-                lam_in[idx] = mult
-            elif idx < n_in + n:
-                lam_lo[idx - n_in] = mult
-            else:
-                lam_hi[idx - n_in - n] = mult
-    return QpResult(d, lam_eq, lam_in, lam_lo, lam_hi)
+    # Multipliers of A_eq d - b_eq = 0; undo the sign flip.
+    lam_eq[ids[:k]] = -eq_sign[ids[:k]] * mult[:k]
+    lam = np.zeros(n_in + 2 * n)
+    lam[ids[k:]] = mult[k:]
+    return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:])
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +561,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         lo_step, hi_step = lower - z, upper - z
         # Working set: rows far on the feasible side contribute nothing to
         # the step; leaving them out keeps the active-set solve small.
-        if options.working_set_margin is not None and c_in.size:
-            ws = c_in >= -options.working_set_margin
-        else:
-            ws = slice(None)
+        ws = c_in >= -WORKING_SET_MARGIN
         c_ws, j_ws = c_in[ws], j_in[ws]
 
         accepted = False

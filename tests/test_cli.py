@@ -207,6 +207,22 @@ class TestFkIkCommands:
         body = [l for l in text.splitlines() if l.strip().startswith(tuple("01234567"))]
         assert all("no" in line for line in body)
 
+    def test_ik_runs_one_backward_transform(self, monkeypatch):
+        from cellplace import cli, kinematics
+        calls = []
+        real = kinematics.backward7_all
+
+        def counted(robot, target):
+            calls.append(1)
+            return real(robot, target)
+
+        monkeypatch.setattr(kinematics, "backward7_all", counted)
+        monkeypatch.setattr(cli, "backward7_all", counted)
+        code, text = run_cli("ik", "--pose", "525,0,890,180,-90,0",
+                             "--config", "0")
+        assert code == 0 and "configuration 0 joints" in text
+        assert len(calls) == 1
+
     def test_fk_malformed_joints_exit_two(self):
         code, _ = run_cli("fk", "--joints", "1,2,3")
         assert code == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 
@@ -309,6 +310,37 @@ class TestExtractSolution:
             "start_index": result.start_index, "polish_iterations": polish}
         assert report.diagnostics["status"] == "converged"
         assert 0.5 * wall <= report.elapsed_s <= wall
+
+
+def _without_elapsed(report):
+    raw = dataclasses.asdict(report)
+    raw.pop("elapsed_s")
+    return json.dumps(raw, sort_keys=True, default=float)
+
+
+class TestDeterminism:
+    def test_seeded_solve_repeats_bit_for_bit(self):
+        scene = synthesize_scene(count=5, seed=111)
+        for mode in ("squared", "abs"):
+            settings = SolveSettings(mode=mode, multistart=3, seed=7)
+            first = solve_placement(scene, settings)
+            again = solve_placement(scene, settings)
+            assert _without_elapsed(again) == _without_elapsed(first)
+
+    def test_point_order_keeps_feasible_verdict(self):
+        rng = np.random.default_rng(112)
+        for seed in (113, 114):
+            scene = synthesize_scene(count=6, seed=seed)
+            order = rng.permutation(scene.K)
+            shuffled = dataclasses.replace(
+                scene, points=tuple(scene.points[i] for i in order))
+            for sc in (scene, shuffled):
+                report = solve_placement(sc, SolveSettings(
+                    mode="squared", multistart=4, seed=0,
+                    early_stop_objective=1e-12))
+                assert report.verdict == "feasible"
+                assert [p.id for p in report.points] == \
+                    [p.id for p in sc.points]
 
 
 class TestLemmaEquivalenceSmall:

@@ -276,6 +276,50 @@ class TestReportRoundTrip:
             ("feasible", "infeasible")
 
 
+def _set(path, value):
+    """Mutation of a saved report dict: set the value at a key path."""
+    def mutate(raw):
+        obj = raw
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+class TestReportIngest:
+    """load_report rejects what the file format does not allow."""
+
+    @pytest.mark.parametrize("mutate, field", [
+        (_set(["colour"], "red"), "colour"),
+        (_set(["points", 0, "extra"], 1), "extra"),
+        (_set(["points", 0, "config"], "3"), "points[0].config"),
+        (_set(["points", 0, "config"], 9), "points[0].config"),
+        (_set(["verdict"], "maybe"), "verdict"),
+        (_set(["mode"], "cubic"), "mode"),
+        (_set(["points", 1, "outcome"], "reachable"), "points[1].outcome"),
+        (_set(["points", 0, "axis_margins_rad"], [0.5]),
+         "points[0].axis_margins_rad"),
+        (_set(["placement", "x"], "1"), "placement.x"),
+    ], ids=["unknown_key", "unknown_point_key", "config_string",
+            "config_out_of_range", "verdict_maybe", "mode_unknown",
+            "outcome_unknown", "short_margins", "x_string"])
+    def test_malformed_report_rejected(self, tmp_path, mutate, field):
+        path = tmp_path / "report.json"
+        save_report(TestReportRoundTrip().make_report(), path)
+        raw = json.loads(path.read_text())
+        mutate(raw)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as info:
+            load_report(path)
+        assert any(field in message for message in info.value.messages)
+
+    def test_json_list_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError):
+            load_report(path)
+
+
 class TestSynthesize:
     def test_k1_feasible_at_ground_truth(self, robot):
         scene = synthesize_scene(robot, count=1, seed=9)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cellplace import solver
 from cellplace.errors import EvaluatorFailure, InfeasibleSubproblem
 from cellplace.solver import (DampedBfgs, NlpSpec, SolverOptions, multistart,
                               solve, solve_qp)
@@ -91,6 +92,71 @@ class TestQp:
             grad = (h @ d + g + a_eq.T @ res.eq_multipliers
                     - res.lower_multipliers + res.upper_multipliers)
             assert np.max(np.abs(grad)) < 1e-7
+
+    def test_duplicated_consistent_equality_row(self, monkeypatch):
+        # the blocked install refuses the singular N H^-1 N^T, so the rows
+        # go in one at a time and the copy is left out as dependent
+        fallbacks = []
+        real_install = solver._ActiveSet.batch_init_equalities
+
+        def install(*args):
+            try:
+                return real_install(*args)
+            except InfeasibleSubproblem:
+                fallbacks.append(True)
+                raise
+
+        monkeypatch.setattr(solver._ActiveSet, "batch_init_equalities",
+                            install)
+        h = np.array([[4.0, 1.0], [1.0, 3.0]])
+        g = np.array([1.0, -2.0])
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        b = np.array([1.0, 2.0])
+        res = solve_qp(dense(h), g, a, b)
+        assert fallbacks
+        kkt = np.linalg.solve(np.block([[h, a[:1].T], [a[:1], np.zeros((1, 1))]]),
+                              np.concatenate([-g, b[:1]]))
+        assert np.allclose(res.step, kkt[:2], atol=1e-10)
+        assert np.max(np.abs(h @ res.step + g + a.T @ res.eq_multipliers)) < 1e-10
+
+    def test_dependent_inconsistent_equalities_raise(self):
+        h = np.array([[4.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(InfeasibleSubproblem):
+            solve_qp(dense(h), np.array([1.0, -2.0]),
+                     np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 3.0]))
+
+    def test_dependent_equalities_met_at_the_start_stay_active(self):
+        # d = -g already meets all three (dependent) equality rows; a later
+        # inequality step must move along them, not off them
+        a_eq = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b_eq = np.array([1.0, 2.0, 0.0])
+        a_in, b_in = np.array([[1.0, 1.0, 1.0]]), np.array([1.5])
+        g = np.array([-1.0, 0.0, -1.0])
+        res = solve_qp(dense(np.eye(3)), g, a_eq, b_eq, a_in, b_in)
+        assert np.allclose(res.step, [1.0, 0.0, 0.5], atol=1e-12)
+        grad = res.step + g + a_eq.T @ res.eq_multipliers \
+            + a_in.T @ res.in_multipliers
+        assert np.max(np.abs(grad)) < 1e-10
+
+    def test_three_rows_through_one_vertex(self):
+        # x <= 1, y <= 1 and x + y <= 2 all pass through (1, 1); a KKT point
+        # needs at most n = 2 of them in the active set
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        b = a @ np.ones(2)
+        rng = np.random.default_rng(5)
+        sizes = set()
+        for _ in range(200):
+            root = rng.normal(size=(2, 2))
+            h = root @ root.T + 0.1 * np.eye(2)
+            g = 3.0 * rng.normal(size=2)
+            res = solve_qp(dense(h), g, a_in=a, b_in=b)
+            d, lam = res.step, res.in_multipliers
+            assert np.max(np.abs(h @ d + g + a.T @ lam)) < 1e-8
+            assert np.max(a @ d - b) < 1e-8
+            assert np.min(lam) >= -1e-10
+            assert np.max(np.abs(lam * (a @ d - b))) < 1e-8
+            sizes.add(int(np.count_nonzero(lam)))
+        assert max(sizes) == 2  # the vertex itself is reached
 
 
 class TestSolve:
