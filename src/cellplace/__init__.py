@@ -15,9 +15,10 @@ from .errors import (CellplaceError, DegenerateTarget, EvaluatorFailure,
 from .geometry import (Pose, compose, dh_transform, frame_from_pose,
                        frame_is_valid, invert, pose_from_frame, wrap_angle)
 from .kinematics import (JointRow, RobotModel, axis_violation, backward6,
-                         backward7, backward7_all, builtin_kr6r900,
-                         config_bits, config_from_bits, config_label,
-                         config_of, forward6, forward7, wrist_center)
+                         backward7, backward7_all, backward7_batch,
+                         builtin_kr6r900, config_bits, config_from_bits,
+                         config_label, config_of, forward6, forward7,
+                         wrist_center)
 from .nlp import (BuildOptions, PlacementProblem, SolveSettings, build_problem,
                   make_pinned_solver, solve_placement)
 from .oracle import (GridSpec, ReachabilityTable, check_placement, grid_search,

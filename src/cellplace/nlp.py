@@ -25,10 +25,10 @@ needs no row of its own: it lies the whole axis range away.
 
 Joint values and virtual excursions depend on z only through x, so their
 values and finite-difference Jacobians are cached per x and shared by the
-objective, constraint and Jacobian callbacks. The per-point backward
-transforms are independent and could run concurrently; this implementation
-evaluates them sequentially (the single-slot cache is not thread safe), and
-the problem definition is immutable after build.
+objective, constraint and Jacobian callbacks. One batched backward transform
+(kinematics.backward7_batch) evaluates all K targets at a placement, and one
+more all 12 central-difference probes of a Jacobian. The single-slot caches
+are not thread safe; the problem definition is immutable after build.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import numpy as np
 from . import oracle, scene as scene_mod, solver
 from .errors import DegenerateTarget, InvalidScene
 from .geometry import Pose, frame_from_pose
-from .kinematics import backward7_all, limit_margins, limit_violation
+from .kinematics import backward7_batch, limit_margins, limit_violation
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +91,7 @@ class PlacementProblem:
         self.scene = scene
         self.robot = scene.robot
         self.mode = options.mode
-        self.targets = scene.target_frames()
+        self.targets = np.array(scene.target_frames())
         self.K = scene.K
         self.n_segments, self.seg_of = scene.segment_map()
         if options.pinned is None:
@@ -134,23 +134,33 @@ class PlacementProblem:
     # kinematic evaluation and cache
     # ------------------------------------------------------------------
 
-    def _kin_raw(self, x: np.ndarray):
-        theta = np.empty((self.K, 8, 6))
-        v = np.empty((self.K, 8))
-        placement = frame_from_pose(Pose.from_array(x))
-        for k, target in enumerate(self.targets):
-            q = backward7_all(self.robot, placement @ target)
-            theta[k] = q[:, [0, 1, 2, 4, 5, 6]]
-            v[k] = q[:, 3]
-        return theta[self._admissible], v[self._admissible]
+    def _kin_batch(self, xs: np.ndarray):
+        """Admissible joint tables (P,K,C,6), excursions (P,K,C) and a
+        per-placement degenerate flag (P,) at placements xs, shape (P, 6)."""
+        placements = np.array([frame_from_pose(Pose.from_array(x)) for x in xs])
+        q, degenerate = backward7_batch(self.robot,
+                                        placements[:, None] @ self.targets)
+        q = q[:, self._admissible[0], self._admissible[1]]
+        return q[..., [0, 1, 2, 4, 5, 6]], q[..., 3], degenerate.any(axis=1)
+
+    def _kin_all(self, xs: np.ndarray):
+        """_kin_batch without the flag: a placement with a degenerate target
+        is re-evaluated once at x + 1e-9 (counted in degenerate_retries), and
+        DegenerateTarget is raised if that still fails."""
+        theta, v, degenerate = self._kin_batch(xs)
+        for i in np.flatnonzero(degenerate):
+            self.degenerate_retries += 1
+            logger.warning("degenerate target at x=%s; retrying with 1e-9 shift",
+                           xs[i])
+            t_i, v_i, still = self._kin_batch(xs[i:i + 1] + 1e-9)
+            if still[0]:
+                raise DegenerateTarget(f"degenerate target at x={xs[i]}")
+            theta[i], v[i] = t_i[0], v_i[0]
+        return theta, v
 
     def _kin_at(self, x: np.ndarray):
-        try:
-            return self._kin_raw(x)
-        except DegenerateTarget:
-            self.degenerate_retries += 1
-            logger.warning("degenerate target at x=%s; retrying with 1e-9 shift", x)
-            return self._kin_raw(x + 1e-9)
+        theta, v = self._kin_all(x[None])
+        return theta[0], v[0]
 
     def kinematic_values(self, x: np.ndarray):
         """Cached joint table (K,C,6) and virtual excursions (K,C) at x."""
@@ -175,19 +185,16 @@ class PlacementProblem:
         """
         x = np.asarray(x, float)
         step = FD_STEP if fd_step is None else fd_step
-        dtheta = np.empty((self.K, self.C, 6, 6))
-        dv = np.empty((self.K, self.C, 6))
-        for j in range(6):
-            h = step * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            tp, vp = self._kin_at(xp)
-            tm, vm = self._kin_at(xm)
-            diff = tp - tm
-            diff = diff - _TWO_PI * np.round(diff / _TWO_PI)
-            dtheta[:, :, :, j] = diff / (2.0 * h)
-            dv[:, :, j] = (vp - vm) / (2.0 * h)
+        h = step * np.maximum(1.0, np.abs(x))
+        # probes x + h_j e_j (rows 0..5) and x - h_j e_j (rows 6..11)
+        probes = np.tile(x, (12, 1))
+        probes[np.arange(6), np.arange(6)] += h
+        probes[6 + np.arange(6), np.arange(6)] -= h
+        theta, v = self._kin_all(probes)
+        diff = theta[:6] - theta[6:]
+        diff = diff - _TWO_PI * np.round(diff / _TWO_PI)
+        dtheta = np.moveaxis(diff, 0, -1) / (2.0 * h)
+        dv = np.moveaxis(v[:6] - v[6:], 0, -1) / (2.0 * h)
         return dtheta, dv
 
     def kinematic_jacobians(self, x: np.ndarray):
@@ -394,13 +401,12 @@ class PlacementProblem:
         pose = Pose.from_array(z[:6]).wrapped()
         placement = frame_from_pose(pose)
         configs = self.chosen_configurations(z)
+        classified = oracle.classify_targets(self.robot,
+                                             placement @ self.targets, configs)
         points = []
         all_ok = True
-        for k, point in enumerate(self.scene.points):
-            config = int(configs[k])
-            target = placement @ self.targets[k]
-            outcome, joints, v, margins = oracle.classify_target(
-                self.robot, target, config)
+        for point, config, (outcome, joints, v, margins) in zip(
+                self.scene.points, configs.tolist(), classified):
             ok = outcome == oracle.IN_LIMITS
             all_ok = all_ok and ok
             points.append(scene_mod.PointResult(
@@ -453,9 +459,10 @@ def solve_placement(scene, settings: SolveSettings | None = None
                     ) -> "scene_mod.SolutionReport":
     """build -> multistart solve -> extract (-> polish), the whole pipeline.
 
-    The report's diagnostics describe the multistart result and count the
-    SQP iterations of the polish re-solve (0 when none ran); elapsed_s covers
-    the whole call.
+    The report's diagnostics describe the multistart result, count the SQP
+    iterations of the polish re-solve (0 when none ran) and the kinematic
+    evaluations retried past a degenerate target, polish included; elapsed_s
+    covers the whole call.
     """
     started = time.perf_counter()
     settings = settings or SolveSettings(**scene.solve_defaults())
@@ -467,9 +474,9 @@ def solve_placement(scene, settings: SolveSettings | None = None
         multistart=settings.multistart, seed=settings.seed,
         early_stop_objective=settings.early_stop_objective))
     report = problem.extract_solution(result.z, result)
-    polish_iterations = 0
+    polish_iterations = polish_retries = 0
     if report.verdict != "feasible" and report.objective <= 1e-6:
-        polished = _polish(scene, settings, result)
+        polished, polish_retries = _polish(scene, settings, result)
         polish_iterations = polished.iterations
         # report against the true limits: snap slacks, then extract
         candidate = problem.extract_solution(
@@ -477,16 +484,19 @@ def solve_placement(scene, settings: SolveSettings | None = None
         if candidate.verdict == "feasible":
             report = candidate
     report.diagnostics["polish_iterations"] = polish_iterations
+    report.diagnostics["degenerate_retries"] = (problem.degenerate_retries
+                                                + polish_retries)
     report.elapsed_s = time.perf_counter() - started
     return report
 
 
-def _polish(scene, settings, result) -> solver.SolverResult:
+def _polish(scene, settings, result) -> tuple[solver.SolverResult, int]:
     """Push a near-feasible iterate strictly inside the axis ranges.
 
     Re-solves from the found point with the limit rows tightened by a small
     margin; a zero objective there implies real margins of at least that
-    size, so the strict oracle accepts.
+    size, so the strict oracle accepts. Returns the re-solve's result and
+    its degenerate-target retries.
     """
     tightened = build_problem(scene, BuildOptions(
         mode=settings.mode, limit_margin=POLISH_MARGIN))
@@ -497,7 +507,7 @@ def _polish(scene, settings, result) -> solver.SolverResult:
     polished = solver.solve(tightened.as_nlp_spec(), options, z0)
     logger.debug("polish: %s objective %.3e", polished.status,
                  polished.objective)
-    return polished
+    return polished, tightened.degenerate_retries
 
 
 def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0,

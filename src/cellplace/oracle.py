@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTarget, GridTooLarge
+from .errors import GridTooLarge
 from .geometry import Pose, frame_from_pose
-from .kinematics import (RobotModel, backward7_all, limit_margins,
+from .kinematics import (RobotModel, backward7_batch, limit_margins,
                          limit_violation)
 
 IN_LIMITS = "in_limits"
@@ -58,35 +58,39 @@ def _classify_joint_rows(robot: RobotModel, q: np.ndarray
     return branches, margins
 
 
-def classify_target(robot: RobotModel, target: np.ndarray, config: int):
-    """(outcome, joints-or-None, v, margins) for one target frame and
-    configuration, from one backward transform.
+def _world_targets(scene, placements: np.ndarray) -> np.ndarray:
+    """Target frames at each placement: (..., 4, 4) -> (..., K, 4, 4)."""
+    return placements[..., None, :, :] @ np.array(scene.target_frames())
+
+
+def classify_targets(robot: RobotModel, targets: np.ndarray, configs) -> list:
+    """(outcome, joints-or-None, v, margins) of each target frame, shape
+    (K, 4, 4), in its configuration, from one batched backward transform.
 
     ``margins`` are the signed per-axis limit margins (rad) of the best
     2pi-representative: positive means inside the range with that much room,
     negative is the distance by which every representative misses the range.
+    A degenerate target (see backward7_all) is out of the workspace in every
+    configuration, with v = inf and margins -inf.
     """
-    try:
-        q = backward7_all(robot, target)[config]
-    except DegenerateTarget:
-        return OUT_OF_WORKSPACE, None, math.inf, [-math.inf] * 6
-    branches, margins = _classify_joint_rows(robot, q[None])
-    branch = branches[0]
-    return branch.outcome, branch.joints, branch.v, margins[0].tolist()
+    q_all, degenerate = backward7_batch(robot, targets)
+    q = q_all[np.arange(len(q_all)), np.asarray(configs, dtype=int)]
+    branches, margins = _classify_joint_rows(robot, q)
+    return [(OUT_OF_WORKSPACE, None, math.inf, [-math.inf] * 6) if bad else
+            (branch.outcome, branch.joints, branch.v, row)
+            for branch, row, bad in zip(branches, margins.tolist(), degenerate)]
 
 
 def check_placement(scene, placement: np.ndarray) -> ReachabilityTable:
     """Classify every (point, configuration) pair at a candidate placement."""
+    q_all, degenerate = backward7_batch(scene.robot,
+                                        _world_targets(scene, placement))
+    branches, _ = _classify_joint_rows(scene.robot, q_all.reshape(-1, 7))
     table = ReachabilityTable()
-    for target in scene.target_frames():
-        world = placement @ target
-        try:
-            q_all = backward7_all(scene.robot, world)
-        except DegenerateTarget:
-            table.rows.append([BranchResult(OUT_OF_WORKSPACE, None, math.inf)
-                               for _ in range(8)])
-            continue
-        table.rows.append(_classify_joint_rows(scene.robot, q_all)[0])
+    for k, bad in enumerate(degenerate):
+        table.rows.append([BranchResult(OUT_OF_WORKSPACE, None, math.inf)
+                           for _ in range(8)] if bad else
+                          branches[8 * k:8 * k + 8])
     return table
 
 
@@ -128,34 +132,47 @@ class GridCell:
     feasible: bool
 
 
+# targets per batched backward transform in grid_search; bounds its memory
+GRID_BATCH_TARGETS = 960
+
+
+def _placement_scores(scene, placements: np.ndarray) -> np.ndarray:
+    """placement_score of each of a stack of placements, shape (m, 4, 4)."""
+    q_all, degenerate = backward7_batch(scene.robot,
+                                        _world_targets(scene, placements))
+    _, margins = limit_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
+                               *scene.robot.limits)
+    worst = limit_violation(margins).max(axis=-1)
+    penalty = np.where(degenerate, math.inf,
+                       np.min(q_all[..., 3] ** 2 + worst ** 2, axis=-1))
+    # cumsum adds the points in order, as a running total would
+    return np.cumsum(penalty, axis=-1)[:, -1]
+
+
 def placement_score(scene, placement: np.ndarray) -> float:
     """Sum over points of the best-configuration penalty v^2 + violation^2."""
-    total = 0.0
-    for target in scene.target_frames():
-        world = placement @ target
-        try:
-            q_all = backward7_all(scene.robot, world)
-        except DegenerateTarget:
-            total += math.inf
-            continue
-        _, margins = limit_margins(q_all[:, [0, 1, 2, 4, 5, 6]],
-                                   *scene.robot.limits)
-        worst = limit_violation(margins).max(axis=1)
-        total += float(np.min(q_all[:, 3] ** 2 + worst ** 2))
-    return total
+    return float(_placement_scores(scene, placement[None])[0])
 
 
 def grid_search(scene, grid: GridSpec, cell_cap: int = 1_000_000
                 ) -> list[GridCell]:
-    """Exhaustive placement scan, sorted by ascending score (ties by order)."""
+    """Exhaustive placement scan, sorted by ascending score (ties by order).
+
+    Cells are scored in chunks of about GRID_BATCH_TARGETS targets.
+    """
     if grid.total_cells > cell_cap:
         raise GridTooLarge(
             f"{grid.total_cells} cells exceed the cap of {cell_cap}")
-    cells = []
-    for combo in itertools.product(*grid.component_values()):
-        pose = np.array(combo)
-        score = placement_score(scene, frame_from_pose(Pose.from_array(pose)))
-        cells.append(GridCell(pose=pose, score=score, feasible=score == 0.0))
+    poses = [np.array(combo)
+             for combo in itertools.product(*grid.component_values())]
+    chunk = max(1, GRID_BATCH_TARGETS // scene.K)
+    scores = []
+    for start in range(0, len(poses), chunk):
+        placements = np.array([frame_from_pose(Pose.from_array(pose))
+                               for pose in poses[start:start + chunk]])
+        scores.extend(_placement_scores(scene, placements).tolist())
+    cells = [GridCell(pose=pose, score=score, feasible=score == 0.0)
+             for pose, score in zip(poses, scores)]
     order = sorted(range(len(cells)), key=lambda i: (cells[i].score, i))
     return [cells[i] for i in order]
 
@@ -199,13 +216,13 @@ def verify_solution(scene, report):
     Returns (feasible, diffs); each diff names the point, its configuration
     and the per-axis violations (rad) or virtual excursion that disqualify it.
     """
-    placement = frame_from_pose(report.placement)
-    targets = scene.target_frames()
+    targets = _world_targets(scene, frame_from_pose(report.placement))
+    classified = classify_targets(scene.robot, targets[:len(report.points)],
+                                  [p.config for p in report.points])
     diffs = []
-    for k, point_result in enumerate(report.points):
+    for point_result, (outcome, _, v, margins) in zip(report.points,
+                                                      classified):
         config = point_result.config
-        outcome, _, v, margins = classify_target(
-            scene.robot, placement @ targets[k], config)
         if outcome == IN_LIMITS:
             continue
         violations = [0.0] * 6

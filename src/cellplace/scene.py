@@ -22,7 +22,7 @@ import numpy as np
 from . import oracle
 from .errors import ParseError, SynthesisFailed, ValidationError
 from .geometry import Pose, frame_from_pose, invert, pose_from_frame
-from .kinematics import (JointRow, RobotModel, _wrist_plane, backward7_all,
+from .kinematics import (JointRow, RobotModel, _wrist_plane, backward7_batch,
                          builtin_kr6r900, config_label, forward6,
                          limit_margins)
 
@@ -417,8 +417,8 @@ def _null_if_not_finite(value):
     return value
 
 
-def save_report(report: SolutionReport, path) -> None:
-    """Write a report as strict JSON; non-finite numbers become null."""
+def report_to_dict(report: SolutionReport) -> dict:
+    """The JSON document of a report; non-finite numbers become None."""
     raw = {
         "format_version": FORMAT_VERSION,
         "verdict": report.verdict,
@@ -443,8 +443,14 @@ def save_report(report: SolutionReport, path) -> None:
             for p in report.points
         ],
     }
+    return _null_if_not_finite(raw)
+
+
+def save_report(report: SolutionReport, path) -> None:
+    """Write a report as strict JSON; non-finite numbers become null."""
+    raw = report_to_dict(report)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_null_if_not_finite(raw), handle, indent=2, allow_nan=False)
+        json.dump(raw, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -573,24 +579,18 @@ def _config_sets(scene_robot, targets, placement, margin_rad, margin_mm):
 
     Returns (robust_in, loose_in): configurations whose worst margin clears
     +margin, and configurations not ruled out by at least the same margin.
-    Any configuration in loose_in \\ robust_in is borderline.
+    Any configuration in loose_in \\ robust_in is borderline. A degenerate
+    target has both sets empty.
     """
-    robust, loose = [], []
-    for target in targets:
-        world = placement @ target
-        q_all = backward7_all(scene_robot, world)
-        _, margins = limit_margins(q_all[:, [0, 1, 2, 4, 5, 6]],
-                                   *scene_robot.limits)
-        r_set, l_set = set(), set()
-        for c, worst in enumerate(margins.min(axis=1)):
-            v = abs(float(q_all[c, 3]))
-            if v == 0.0 and worst >= margin_rad:
-                r_set.add(c)
-            if v <= margin_mm and worst >= -margin_rad:
-                l_set.add(c)
-        robust.append(r_set)
-        loose.append(l_set)
-    return robust, loose
+    q_all, _ = backward7_batch(scene_robot, placement @ np.array(targets))
+    _, margins = limit_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
+                               *scene_robot.limits)
+    worst = margins.min(axis=-1)
+    v = np.abs(q_all[..., 3])
+    robust_in = (v == 0.0) & (worst >= margin_rad)
+    loose_in = (v <= margin_mm) & (worst >= -margin_rad)
+    return ([set(np.flatnonzero(row).tolist()) for row in robust_in],
+            [set(np.flatnonzero(row).tolist()) for row in loose_in])
 
 
 def synthesize_scene(robot: RobotModel | None = None, count: int = 1,

@@ -278,6 +278,12 @@ class _ActiveSet:
             chol = scipy.linalg.cholesky(s, lower=False, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise InfeasibleSubproblem("dependent equality rows") from exc
+        # chol[i, i]^2 is row i's pivot given the rows before it: try_add's
+        # test, so a row that rounding let through counts as dependent too
+        pivots = np.diag(chol) ** 2
+        if np.any(pivots <= 1e-13 * np.maximum(
+                1.0, np.einsum("ij,ij->i", a_eq, a_eq))):
+            raise InfeasibleSubproblem("dependent equality rows")
         lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d,
                                      check_finite=False)
         d = d + b_block @ lam

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from cellplace.errors import DegenerateTarget, SingularConfiguration
-from cellplace.geometry import frame_is_valid, invert, rot_x
+from cellplace.geometry import (Pose, frame_from_pose, frame_is_valid, invert,
+                                rot_x)
 from cellplace.kinematics import (JointRow, RobotModel, axis_violation,
                                   backward6, backward7, backward7_all,
-                                  config_bits, config_from_bits, config_label,
-                                  config_of, forward6, forward7, limit_margins,
+                                  backward7_batch, config_bits,
+                                  config_from_bits, config_label, config_of,
+                                  forward6, forward7, limit_margins,
                                   limit_violation, wrist_center)
+from cellplace.scene import synthesize_scene
 from conftest import sample_joints_canonical
 
 HOME = np.array([0.0, -math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
@@ -36,6 +39,17 @@ def oracle_fk(theta, v=0.0, tool=None):
     frame = frame @ mat(theta[4], 0.0, 0.0, math.pi / 2)
     frame = frame @ mat(theta[5], -80.0, 0.0, math.pi)
     return frame if tool is None else frame @ tool
+
+
+def random_rotation(rng):
+    """A rotation matrix from a random unit quaternion."""
+    q = rng.normal(size=4)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def frame_with_wrist_center(pw_root, rotation=None):
@@ -254,7 +268,8 @@ class TestBackward:
 
     def test_elongated_branches_collapse_in_elbow_pairs(self, robot):
         # Documented geometric fact: when a shoulder family needs elongation,
-        # its two elbow branches return the same stretched solution.
+        # its two elbow branches return the same stretched solution, in both
+        # kernels and without rounding noise between the pair.
         target = frame_with_wrist_center([1025.0, 0.0, -400.0])
         q_all = backward7_all(robot, target)
         assert q_all[0, 3] != 0.0
@@ -263,6 +278,23 @@ class TestBackward:
                 a = config_from_bits(bit0, 0, bit2)
                 b = config_from_bits(bit0, 1, bit2)
                 assert np.allclose(q_all[a], q_all[b], atol=1e-12)
+        rng = np.random.default_rng(43)
+        frames = [frame_with_wrist_center(rng.uniform([-1400, -1400, -1800],
+                                                      [1400, 1400, 1000]),
+                                          random_rotation(rng))
+                  for _ in range(400)]
+        stretched_pairs = 0
+        for q_all in (*(backward7_all(robot, f) for f in frames),
+                      *backward7_batch(robot, np.array(frames))[0]):
+            for bit0 in (0, 1):
+                if q_all[bit0, 3] == 0.0:
+                    continue
+                for bit2 in (0, 1):
+                    a = config_from_bits(bit0, 0, bit2)
+                    b = config_from_bits(bit0, 1, bit2)
+                    assert np.array_equal(q_all[a], q_all[b])
+                    stretched_pairs += 1
+        assert stretched_pairs > 200
 
     def test_degenerate_target_raises(self, robot):
         target = frame_with_wrist_center([0.0, 0.0, -400.0])
@@ -316,6 +348,81 @@ class TestBackward:
         q = backward7(robot, frame, 0)
         assert q[4] == 0.0 and q[5] == 0.0  # theta4 := 0 convention
         assert np.allclose(forward7(robot, q), frame, atol=1e-9)
+
+
+def _scalar_reference(robot, frames):
+    """backward7_all over a list of frames: rows (n, 8, 7), NaN where it
+    raises DegenerateTarget, and that mask."""
+    rows, mask = [], []
+    for frame in frames:
+        try:
+            rows.append(backward7_all(robot, frame))
+            mask.append(False)
+        except DegenerateTarget:
+            rows.append(np.full((8, 7), np.nan))
+            mask.append(True)
+    return np.array(rows), np.array(mask)
+
+
+def _assert_kernels_agree(robot, frames):
+    """Same rows bit for bit, NaN exactly where the scalar kernel raises."""
+    frames = np.asarray(frames)
+    expected, expected_mask = _scalar_reference(robot, frames)
+    q, mask = backward7_batch(robot, frames)
+    assert np.array_equal(mask, expected_mask)
+    assert np.array_equal(q, expected, equal_nan=True)
+
+
+class TestBatchKernel:
+    """backward7_batch against the scalar reference backward7_all: equal
+    bits imply the 1e-12 rad / 1e-9 mm agreement and the same v == 0
+    pattern."""
+
+    def test_round_trip_samples(self, robot):
+        # criterion 1's samples
+        rng = np.random.default_rng(1001)
+        _assert_kernels_agree(robot, [
+            forward6(robot, theta)[0]
+            for theta in sample_joints_canonical(robot, rng, 10_000)])
+
+    def test_grid_targets_of_the_k30_scenes(self, robot):
+        # the 10 x 10 x-y grid of the benchmark's grid scan, scenes 300-304
+        frames = []
+        for seed in range(300, 305):
+            scene = synthesize_scene(robot, count=30, seed=seed)
+            targets = np.array(scene.target_frames())
+            lo, hi = scene.bounds.lower, scene.bounds.upper
+            for x in np.linspace(lo[0], hi[0], 10):
+                for y in np.linspace(lo[1], hi[1], 10):
+                    pose = scene.bounds.midpoint()
+                    pose[:2] = x, y
+                    frames.extend(frame_from_pose(Pose.from_array(pose))
+                                  @ targets)
+        _assert_kernels_agree(robot, frames)
+
+    def test_wrist_singular_and_degenerate_targets(self, robot):
+        frames = [forward6(robot, HOME)[0],  # theta5 = 0
+                  frame_with_wrist_center([0.0, 0.0, -400.0]),  # axis-1 line
+                  frame_with_wrist_center([25.0, 0.0, -400.0]),  # shoulder
+                  frame_with_wrist_center([1025.0, 0.0, -400.0])]  # v != 0
+        _assert_kernels_agree(robot, frames)
+        _, mask = backward7_batch(robot, np.array(frames))
+        assert mask.tolist() == [False, True, True, False]
+
+    def test_input_shapes(self, robot):
+        rng = np.random.default_rng(7)
+        frames = np.array([forward6(robot, theta)[0] for theta in
+                           sample_joints_canonical(robot, rng, 6)])
+        frames[5] = frame_with_wrist_center([0.0, 0.0, -400.0])
+        flat, flat_mask = backward7_batch(robot, frames)
+        assert flat.shape == (6, 8, 7) and flat_mask.shape == (6,)
+        grid, grid_mask = backward7_batch(robot, frames.reshape(2, 3, 4, 4))
+        assert grid.shape == (2, 3, 8, 7) and grid_mask.shape == (2, 3)
+        assert np.array_equal(grid.reshape(6, 8, 7), flat, equal_nan=True)
+        assert np.array_equal(grid_mask.ravel(), flat_mask)
+        one, one_mask = backward7_batch(robot, frames[0])
+        assert one.shape == (8, 7) and one_mask.shape == ()
+        assert np.array_equal(one, flat[0]) and not one_mask
 
 
 class TestAxisViolation:

@@ -8,12 +8,13 @@ import pytest
 
 from cellplace import solver
 from cellplace.errors import InvalidScene
-from cellplace.geometry import Pose
+from cellplace.geometry import Pose, pose_from_frame, rot_x
 from cellplace.kinematics import limit_margins
 from cellplace.nlp import (BuildOptions, SolveSettings, build_problem,
                            make_pinned_solver, solve_placement)
 from cellplace.oracle import minimin_enumerate, verify_solution
-from cellplace.scene import PlacementBounds, Scene, synthesize_scene
+from cellplace.scene import (PlacementBounds, ProcessPoint, Scene,
+                             synthesize_scene)
 
 DEG = math.radians
 
@@ -307,7 +308,8 @@ class TestExtractSolution:
             "status": result.status, "iterations": result.iterations,
             "kkt_residual": result.kkt_residual,
             "constraint_violation": result.constraint_violation,
-            "start_index": result.start_index, "polish_iterations": polish}
+            "start_index": result.start_index, "polish_iterations": polish,
+            "degenerate_retries": 0}
         assert report.diagnostics["status"] == "converged"
         assert 0.5 * wall <= report.elapsed_s <= wall
 
@@ -426,20 +428,27 @@ class TestSegmentSemantics:
 
 class TestOptions:
     def test_degenerate_target_retried_with_shift(self, robot):
-        # place a point whose wrist centre lands exactly on the axis-1 line
-        # at the initial placement; the evaluator must log-and-retry with a
-        # 1e-9 shift instead of failing
-        from cellplace.geometry import pose_from_frame, rot_x
-        from cellplace.scene import PlacementBounds, ProcessPoint, Scene
-        target = np.eye(4)
-        target[:3, 3] = (0.0, 0.0, 80.0 - 400.0)  # wrist centre on the line
-        target = rot_x(math.pi) @ target
-        scene = Scene(robot=robot,
-                      points=(ProcessPoint("p1", pose_from_frame(target)),),
-                      bounds=PlacementBounds(np.full(6, -10.0),
-                                             np.full(6, 10.0)),
-                      initial=Pose())
-        p = build_problem(scene, BuildOptions(mode="squared"))
+        # the evaluator must log-and-retry with a 1e-9 shift instead of failing
+        p = build_problem(_axis1_line_scene(robot), BuildOptions(mode="squared"))
         theta, v = p.kinematic_values(np.zeros(6))
         assert p.degenerate_retries == 1
         assert np.all(np.isfinite(theta)) and np.all(np.isfinite(v))
+
+    def test_degenerate_retries_reach_the_report(self, robot, scene_k1):
+        report = solve_placement(_axis1_line_scene(robot),
+                                 SolveSettings(mode="squared"))
+        assert report.diagnostics["degenerate_retries"] >= 1
+        report = solve_placement(scene_k1, SolveSettings(mode="squared"))
+        assert report.diagnostics["degenerate_retries"] == 0
+
+
+def _axis1_line_scene(robot):
+    """One point whose wrist centre lands exactly on the axis-1 line at the
+    initial placement."""
+    target = np.eye(4)
+    target[:3, 3] = (0.0, 0.0, 80.0 - 400.0)  # wrist centre on the line
+    target = rot_x(math.pi) @ target
+    return Scene(robot=robot,
+                 points=(ProcessPoint("p1", pose_from_frame(target)),),
+                 bounds=PlacementBounds(np.full(6, -10.0), np.full(6, 10.0)),
+                 initial=Pose())

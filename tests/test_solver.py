@@ -119,6 +119,15 @@ class TestQp:
         assert np.allclose(res.step, kkt[:2], atol=1e-10)
         assert np.max(np.abs(h @ res.step + g + a.T @ res.eq_multipliers)) < 1e-10
 
+    def test_duplicated_inconsistent_equality_row_raises(self):
+        # x + y = 1 and x + y = 2: rounding leaves N H^-1 N^T a hair positive
+        # definite, so the blocked install must test its pivots, not only
+        # whether the Cholesky factorization succeeds
+        h = np.array([[4.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(InfeasibleSubproblem):
+            solve_qp(dense(h), np.array([1.0, -2.0]),
+                     np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+
     def test_dependent_inconsistent_equalities_raise(self):
         h = np.array([[4.0, 1.0], [1.0, 3.0]])
         with pytest.raises(InfeasibleSubproblem):
