@@ -31,11 +31,14 @@ def _parse_numbers(text: str, count: int, what: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != count:
         raise ValueError(f"{what}: expected {count} numbers, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    values = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what}: expected finite numbers, got {text!r}")
+    return values
 
 
-def _parse_pose_arg(text: str) -> Pose:
-    values = _parse_numbers(text, 6, "pose")
+def _parse_pose_arg(text: str, what: str) -> Pose:
+    values = _parse_numbers(text, 6, what)
     return Pose.from_degrees(*values)
 
 
@@ -93,7 +96,7 @@ def cmd_solve(args, out) -> int:
 
 def cmd_check(args, out) -> int:
     scene = _load_scene_checked(args.scene)
-    pose = _parse_pose_arg(args.placement)
+    pose = _parse_pose_arg(args.placement, "--placement")
     table = oracle.check_placement(scene, frame_from_pose(pose))
     print("placement:", file=out)
     _print_pose(pose, out)
@@ -134,6 +137,8 @@ def _parse_grid(text: str, scene) -> oracle.GridSpec:
             lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
         else:
             raise ValueError(f"grid spec {spec!r}: expected value or lo:hi:n")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"--grid {key}={spec}: expected finite numbers")
         axes[key] = (lo, hi, count)
     resolved = []
     for i, key in enumerate(("x", "y", "z", "a", "b", "c")):
@@ -177,7 +182,7 @@ def cmd_grid(args, out) -> int:
 
 def cmd_fk(args, out) -> int:
     robot = builtin_kr6r900()
-    joints_deg = _parse_numbers(args.joints, 6, "joints")
+    joints_deg = _parse_numbers(args.joints, 6, "--joints")
     theta = np.radians(joints_deg)
     frame, config = forward6(robot, theta)
     pose = pose_from_frame(frame)
@@ -189,7 +194,7 @@ def cmd_fk(args, out) -> int:
 
 def cmd_ik(args, out) -> int:
     robot = builtin_kr6r900()
-    pose = _parse_pose_arg(args.pose)
+    pose = _parse_pose_arg(args.pose, "--pose")
     target = frame_from_pose(pose)
     try:
         q_all = backward7_all(robot, target)
@@ -217,7 +222,7 @@ def cmd_ik(args, out) -> int:
 
 def cmd_plot(args, out) -> int:
     scene = _load_scene_checked(args.scene)
-    pose = _parse_pose_arg(args.placement)
+    pose = _parse_pose_arg(args.placement, "--placement")
     try:
         plot.write_scene_svg(scene, pose, args.out)
     except OSError as exc:

@@ -21,6 +21,7 @@ from .kinematics import (RobotModel, backward7_batch, limit_margins,
 IN_LIMITS = "in_limits"
 OUT_OF_LIMITS = "out_of_limits"
 OUT_OF_WORKSPACE = "out_of_workspace"
+POINTS_MISMATCH = "points_mismatch"
 
 
 @dataclass
@@ -113,6 +114,8 @@ class GridSpec:
         for lo, hi, count in self.axes:
             if count < 1:
                 raise ValueError("grid step count must be >= 1")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("grid range must be finite")
             if hi < lo:
                 raise ValueError("grid range must have hi >= lo")
 
@@ -215,9 +218,16 @@ def verify_solution(scene, report):
 
     Returns (feasible, diffs); each diff names the point, its configuration
     and the per-axis violations (rad) or virtual excursion that disqualify it.
+    A report whose point ids are not the scene's, in order, is rejected with
+    one diff of outcome POINTS_MISMATCH that lists both id sequences.
     """
+    scene_ids = [p.id for p in scene.points]
+    report_ids = [p.id for p in report.points]
+    if report_ids != scene_ids:
+        return False, [{"outcome": POINTS_MISMATCH, "scene_ids": scene_ids,
+                        "report_ids": report_ids}]
     targets = _world_targets(scene, frame_from_pose(report.placement))
-    classified = classify_targets(scene.robot, targets[:len(report.points)],
+    classified = classify_targets(scene.robot, targets,
                                   [p.config for p in report.points])
     diffs = []
     for point_result, (outcome, _, v, margins) in zip(report.points,

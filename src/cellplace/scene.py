@@ -320,11 +320,14 @@ def scene_from_dict(raw: dict) -> Scene:
     _expect_keys(solve_options, "solve", set(), _SOLVE_KEYS, errors)
     if "mode" in solve_options and solve_options["mode"] not in ("squared", "abs"):
         errors.append("solve.mode: expected 'squared' or 'abs'")
-    # the values go to SolveSettings as they are
-    for key in ("multistart", "seed", "max_iterations"):
-        value = solve_options.get(key, 0)
+    # the values go to SolveSettings as they are, so they must meet the
+    # limits the solver enforces
+    for key, least in (("multistart", 1), ("seed", 0), ("max_iterations", 0)):
+        value = solve_options.get(key, least)
         if not isinstance(value, int) or isinstance(value, bool):
             errors.append(f"solve.{key}: expected an integer")
+        elif value < least:
+            errors.append(f"solve.{key}: expected an integer >= {least}")
     for key in ("kkt_tolerance", "constraint_tolerance"):
         value = _number(solve_options.get(key, 1.0), f"solve.{key}", errors)
         if value is not None and value <= 0:

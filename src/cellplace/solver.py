@@ -225,13 +225,13 @@ class _ActiveSet:
     def ids(self):
         return self._ids[:self.size]
 
-    def try_add(self, row_id, normal, multiplier) -> bool:
-        """Append a row; False if it depends on the members (any does at n)."""
+    def try_add(self, row_id, normal, multiplier, y, ny) -> bool:
+        """Append a row, given y = H^-1 normal and ny = N y over the current
+        members; False if it depends on the members (any does at n)."""
         q = self.size
         if q == self._mult.size:
             return False
-        y = self.hinv(normal)
-        r = scipy.linalg.solve_triangular(self.chol, self.normals @ y, trans=1,
+        r = scipy.linalg.solve_triangular(self.chol, ny, trans=1,
                                           check_finite=False)
         rho_sq = float(normal @ y) - float(r @ r)
         if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
@@ -255,11 +255,10 @@ class _ActiveSet:
         self._ids[position:q - 1] = self._ids[position + 1:q]
         self.size = q - 1
 
-    def directions(self, normal):
-        """Primal direction z and dual direction r for a candidate normal."""
-        y = self.hinv(normal)
-        r = scipy.linalg.cho_solve((self.chol, False), self.normals @ y,
-                                   check_finite=False)
+    def directions(self, y, ny):
+        """Primal direction z and dual direction r for a candidate normal,
+        given y = H^-1 normal and ny = N y over the current members."""
+        r = scipy.linalg.cho_solve((self.chol, False), ny, check_finite=False)
         return y - self.hinv_nt @ r, r
 
     def batch_init_equalities(self, a_eq, b_eq, d):
@@ -319,8 +318,8 @@ def _chol_delete(r: np.ndarray, j: int) -> np.ndarray:
 def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
              a_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
              a_in: np.ndarray | None = None, b_in: np.ndarray | None = None,
-             lower: np.ndarray | None = None, upper: np.ndarray | None = None,
-             max_iterations: int | None = None) -> QpResult:
+             lower: np.ndarray | None = None, upper: np.ndarray | None = None
+             ) -> QpResult:
     """Minimize 0.5 d'Hd + g'd s.t. A_eq d = b_eq, A_in d <= b_in, lower <= d <= upper.
 
     H is positive definite and reached only through ``hinv``, which maps a
@@ -339,30 +338,31 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     a_in = np.empty((0, n)) if a_in is None else np.atleast_2d(a_in)
     b_in = np.empty(0) if b_in is None else np.atleast_1d(b_in)
 
-    ge_normals = -a_in
-    ge_rhs = -b_in
     n_eq, n_in = a_eq.shape[0], a_in.shape[0]
     lo_vec = np.full(n, -np.inf) if lower is None else np.asarray(lower, float)
     hi_vec = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
-    rhs = np.concatenate([ge_rhs, lo_vec, -hi_vec])
+    rhs = np.concatenate([-b_in, lo_vec, -hi_vec])
 
     d = -hinv(g)
     active = _ActiveSet(hinv, n)
 
     b_all = np.abs(np.concatenate([b_eq, rhs]))
     tol = 1e-10 * max(1.0, float(np.max(b_all[np.isfinite(b_all)], initial=0.0)))
-    limit = max_iterations or max(200, 20 * (n + n_eq + 1))
+    limit = max(200, 20 * (n + n_eq + 1))
     iterations = 0
 
     def normal_of(i):
         if i < n_in:
-            return ge_normals[i]
+            return -a_in[i]
         normal = np.zeros(n)
         normal[(i - n_in) % n] = 1.0 if i < n_in + n else -1.0
         return normal
 
     def step_to(row_id, normal, row_rhs):
         nonlocal d, iterations
+        # H^-1 normal and its products with the members, renewed on a drop
+        y = hinv(normal)
+        ny = active.normals @ y
         u_plus = 0.0  # multiplier of the incoming constraint, built up stepwise
         while True:
             iterations += 1
@@ -370,10 +370,11 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
                 raise InfeasibleSubproblem("active-set iteration limit")
             slack = row_rhs - float(normal @ d)
             if slack <= tol:
-                if u_plus > 0.0 and not active.try_add(row_id, normal, u_plus):
+                if u_plus > 0.0 and not active.try_add(row_id, normal, u_plus,
+                                                       y, ny):
                     raise InfeasibleSubproblem("degenerate active set")
                 return
-            z, r = active.directions(normal)
+            z, r = active.directions(y, ny)
             z_dot = float(normal @ z)
             # Dual blocking test over the inequality members: the first
             # smallest ratio; the trailing inf stands for "none blocks".
@@ -391,10 +392,11 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
             u_plus += t
             active.multipliers[:] -= t * r
             if t2 <= t1:
-                if not active.try_add(row_id, normal, u_plus):
+                if not active.try_add(row_id, normal, u_plus, y, ny):
                     raise InfeasibleSubproblem("degenerate active set")
                 return
             active.drop(active.n_eq + block)
+            ny = active.normals @ y
 
     # Phase 0: install all equalities in one blocked solve; fall back to the
     # sequential path if the rows turn out dependent. There each row enters
@@ -412,7 +414,8 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
                 if float(normal @ d) > row_rhs:
                     normal, row_rhs, eq_sign[i] = -normal, -row_rhs, -1.0
                 if row_rhs - float(normal @ d) <= tol:
-                    active.try_add(i, normal, 0.0)
+                    y = hinv(normal)
+                    active.try_add(i, normal, 0.0, y, active.normals @ y)
                 else:
                     step_to(i, normal, row_rhs)
                 active.n_eq = active.size
@@ -422,7 +425,7 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         iterations += 1
         if iterations > limit:
             raise InfeasibleSubproblem("active-set iteration limit")
-        resid = np.concatenate([ge_rhs - ge_normals @ d, lo_vec - d, d - hi_vec])
+        resid = np.concatenate([a_in @ d - b_in, lo_vec - d, d - hi_vec])
         i = int(np.argmax(resid))
         if not resid[i] > tol:
             break
@@ -479,12 +482,11 @@ class _Evaluator:
         return g, np.asarray(j_eq, float), np.asarray(j_in, float)
 
 
-def _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in, lower, upper):
-    grad_l = g.copy()
-    if lam_eq.size:
-        grad_l += j_eq.T @ lam_eq
-    if lam_in.size:
-        grad_l += j_in.T @ lam_in
+def _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in):
+    return g + j_eq.T @ lam_eq + j_in.T @ lam_in
+
+
+def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):
     # Projected-gradient stationarity absorbs the bound multipliers.
     projected = np.clip(z - grad_l, lower, upper)
     stat = float(np.max(np.abs(projected - z))) if z.size else 0.0
@@ -492,7 +494,7 @@ def _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in, lower, upper):
     return max(stat, comp)
 
 
-def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
+def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
     """Relaxed QP: scale constraint right-hand sides by xi in [0, 1].
 
     Variable vector (d, xi); xi = 0 is always feasible, the penalty pushes xi
@@ -512,7 +514,7 @@ def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step, qp_limit):
     a_in = np.hstack([j_in, np.maximum(c_in, 0.0)[:, None]])
     result = solve_qp(hinv_aug, g_aug, a_eq, np.zeros(c_eq.shape[0]), a_in,
                       -np.minimum(c_in, 0.0), np.append(lo_step, 0.0),
-                      np.append(hi_step, 1.0), max_iterations=qp_limit)
+                      np.append(hi_step, 1.0))
     return QpResult(result.step[:n], result.eq_multipliers,
                     result.in_multipliers, result.lower_multipliers[:n],
                     result.upper_multipliers[:n])
@@ -532,8 +534,8 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
                    if spec.scales is not None else np.ones(n))
     lam_eq = np.zeros(c_eq.shape[0])
     lam_in = np.zeros(c_in.shape[0])
+    grad_l = _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in)
     mu = 1.0
-    qp_limit = max(200, 20 * (n + c_eq.shape[0] + c_in.shape[0] // 4 + 1))
     status = "max_iterations"
     message = ""
     iteration = 0
@@ -546,8 +548,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
 
     for iteration in range(1, options.max_iterations + 1):
         violation = _violation(c_eq, c_in)
-        kkt = _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in,
-                            lower, upper)
+        kkt = _kkt_residual(z, grad_l, c_in, lam_in, lower, upper)
         if kkt <= options.kkt_tolerance and violation <= options.constraint_tolerance:
             status = "converged"
             break
@@ -575,12 +576,12 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         while True:  # at most two passes: current Hessian, then a reset one
             try:
                 qp = solve_qp(h.solve, g, j_eq, -c_eq, j_ws, -c_ws,
-                              lo_step, hi_step, max_iterations=qp_limit)
+                              lo_step, hi_step)
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
                 logger.debug("elastic fallback at iteration %d", iteration)
                 try:
                     qp = _elastic_qp(h.solve, g, j_eq, c_eq, j_ws, c_ws,
-                                     lo_step, hi_step, qp_limit)
+                                     lo_step, hi_step)
                 except (InfeasibleSubproblem, np.linalg.LinAlgError):
                     status = "stalled"
                     message = "QP subproblem failed even in elastic mode"
@@ -647,11 +648,10 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         g_new, j_eq_new, j_in_new = ev.derivatives(z_new)
 
         # Damped BFGS on the Lagrangian (Powell's modification keeps H SPD).
-        grad_l_old = g + (j_eq.T @ lam_eq if lam_eq.size else 0.0) \
-            + (j_in.T @ lam_in if lam_in.size else 0.0)
-        grad_l_new = g_new + (j_eq_new.T @ lam_eq if lam_eq.size else 0.0) \
-            + (j_in_new.T @ lam_in if lam_in.size else 0.0)
-        h.update(z_new - z, grad_l_new - grad_l_old)
+        # The new point's gradient is also the next iteration's KKT one.
+        grad_l_old = _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in)
+        grad_l = _lagrangian_gradient(g_new, j_eq_new, j_in_new, lam_eq, lam_in)
+        h.update(z_new - z, grad_l - grad_l_old)
 
         z, f, c_eq, c_in = z_new, f_new, c_eq_new, c_in_new
         g, j_eq, j_in = g_new, j_eq_new, j_in_new
@@ -675,11 +675,9 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     violation = _violation(c_eq, c_in)
     # Any multiplier vector certifies KKT; try the QP estimate and zero.
     kkt = min(
-        _kkt_residual(z, g, j_eq, j_in, c_eq, c_in, lam_eq, lam_in,
-                      lower, upper),
-        _kkt_residual(z, g, j_eq, j_in, c_eq, c_in,
-                      np.zeros(lam_eq.shape), np.zeros(lam_in.shape),
-                      lower, upper))
+        _kkt_residual(z, _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in),
+                      c_in, lam_in, lower, upper),
+        _kkt_residual(z, g, c_in, np.zeros(lam_in.shape), lower, upper))
     if (kkt <= options.kkt_tolerance
             and violation <= options.constraint_tolerance) \
             or certified_optimal(f, c_eq, c_in):

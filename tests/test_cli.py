@@ -133,6 +133,15 @@ class TestCheckCommand:
         assert "verdict: infeasible" in text
         assert "ok:" not in text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_placement_exit_two(self, scene_path, value, capsys):
+        # a NaN target used to read as "lim: 0.00" in every branch
+        code, text = run_cli("check", str(scene_path), "--placement",
+                             f"420,-80,{value},35,-8,-1")
+        assert code == 2
+        assert text == ""
+        assert "--placement" in capsys.readouterr().err
+
     def test_eight_columns_per_point(self, scene_path, scene_obj):
         code, text = run_cli("check", str(scene_path), "--placement",
                              gt_pose_text(scene_obj))
@@ -167,6 +176,15 @@ class TestGridCommand:
                           "--out", str(csv_path))
         assert code == 0
         assert len(csv_path.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("spec", ["x=300:nan:3", "x=-inf:300:3",
+                                      "y=nan", "z=inf"])
+    def test_non_finite_grid_exit_two(self, scene_path, spec, capsys):
+        # x=300:nan:3 used to exit 0 with NaN poses and scores
+        code, text = run_cli("grid", str(scene_path), "--grid", spec)
+        assert code == 2
+        assert text == ""
+        assert f"--grid {spec}" in capsys.readouterr().err
 
     def test_too_large_grid_exit_two(self, scene_path):
         code, _ = run_cli("grid", str(scene_path), "--grid",
@@ -227,6 +245,20 @@ class TestFkIkCommands:
         code, _ = run_cli("fk", "--joints", "1,2,3")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fk_non_finite_joints_exit_two(self, value, capsys):
+        code, text = run_cli("fk", "--joints", f"0,-90,{value},0,0,0")
+        assert code == 2
+        assert text == ""
+        assert "--joints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_ik_non_finite_pose_exit_two(self, value, capsys):
+        code, text = run_cli("ik", "--pose", f"525,0,890,{value},-90,0")
+        assert code == 2
+        assert text == ""
+        assert "--pose" in capsys.readouterr().err
+
 
 class TestPlotCommand:
     def test_deterministic_bytes(self, scene_path, scene_obj, tmp_path):
@@ -270,3 +302,11 @@ class TestPlotCommand:
                           gt_pose_text(scene_obj), "--out",
                           "/nonexistent-dir/x.svg")
         assert code == 3
+
+    def test_non_finite_placement_exit_two(self, scene_path, tmp_path, capsys):
+        svg = tmp_path / "nan.svg"
+        code, _ = run_cli("plot", str(scene_path), "--placement",
+                          "420,-80,180,nan,0,0", "--out", str(svg))
+        assert code == 2
+        assert not svg.exists()
+        assert "--placement" in capsys.readouterr().err

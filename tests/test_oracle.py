@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from cellplace.geometry import Pose, frame_from_pose, pose_from_frame
 from cellplace.kinematics import forward6
 from cellplace.nlp import SolveSettings, make_pinned_solver, solve_placement
 from cellplace.oracle import (GridSpec, IN_LIMITS, OUT_OF_LIMITS,
-                              OUT_OF_WORKSPACE, check_placement, grid_search,
+                              OUT_OF_WORKSPACE, POINTS_MISMATCH,
+                              check_placement, grid_search,
                               minimin_enumerate, placement_score,
                               verify_solution)
 from cellplace.scene import ProcessPoint, Scene, synthesize_scene
@@ -122,6 +124,13 @@ class TestGridSearch:
         with pytest.raises(GridTooLarge):
             grid_search(scene, GridSpec(axes), cell_cap=1_000_000)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0),
+                                        (-math.inf, 1.0), (0.0, math.inf)])
+    def test_non_finite_range_rejected(self, lo, hi):
+        # hi < lo is False for NaN, so a NaN range used to pass
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(((lo, hi, 3),) + ((0.0, 0.0, 1),) * 5)
+
     def test_deterministic(self, scene):
         gt = ground_truth_pose(scene).as_array()
         axes = tuple((gt[i] - 50.0, gt[i] + 50.0, 2) if i < 3
@@ -210,3 +219,48 @@ class TestVerifySolution:
         if not ok:  # direction of violation depends on the arm posture
             violations = diffs[0]["axis_violations_rad"]
             assert np.argmax(violations) == 1
+
+
+class TestVerifyPointsMatchScene:
+    """The report's points must be the scene's, by id and in order."""
+
+    @pytest.fixture(scope="class")
+    def shifted(self, robot):
+        # a report moved 5 m off the solution: no point is reachable
+        scene = synthesize_scene(robot, count=3, seed=402)
+        report = solve_placement(scene, SolveSettings(
+            multistart=4, seed=0, early_stop_objective=1e-12))
+        placement = dataclasses.replace(report.placement,
+                                        x=report.placement.x + 5000.0)
+        return scene, dataclasses.replace(report, placement=placement)
+
+    def test_full_report_is_rejected(self, shifted):
+        scene, report = shifted
+        ok, diffs = verify_solution(scene, report)
+        assert not ok
+        assert [d["point"] for d in diffs] == [p.id for p in scene.points]
+
+    def test_report_without_points_is_rejected(self, shifted):
+        scene, report = shifted
+        ok, diffs = verify_solution(scene, dataclasses.replace(report,
+                                                               points=[]))
+        assert not ok
+        assert diffs == [{"outcome": POINTS_MISMATCH,
+                          "scene_ids": [p.id for p in scene.points],
+                          "report_ids": []}]
+
+    def test_report_with_an_extra_point_is_rejected(self, shifted):
+        scene, report = shifted
+        extra = dataclasses.replace(report.points[0], id="extra")
+        ok, diffs = verify_solution(scene, dataclasses.replace(
+            report, points=list(report.points) + [extra]))
+        assert not ok
+        assert len(diffs) == 1 and diffs[0]["outcome"] == POINTS_MISMATCH
+        assert diffs[0]["report_ids"][-1] == "extra"
+
+    def test_reordered_points_are_rejected(self, shifted):
+        scene, report = shifted
+        ok, diffs = verify_solution(scene, dataclasses.replace(
+            report, points=list(reversed(report.points))))
+        assert not ok
+        assert len(diffs) == 1 and diffs[0]["outcome"] == POINTS_MISMATCH

@@ -101,6 +101,24 @@ class TestLoadScene:
                     "constraint_tolerance"):
             assert any(f"solve.{key}" in m for m in info.value.messages), key
 
+    @pytest.mark.parametrize("key, value", [
+        ("multistart", 0), ("multistart", -2), ("seed", -1),
+        ("max_iterations", -3)])
+    def test_out_of_range_solve_option_rejected(self, tmp_path, key, value):
+        # the solver would raise a bare ValueError at multistart 0 or a
+        # negative seed, and silently run a negative iteration count as 0
+        payload = dict(MINIMAL)
+        payload["solve"] = {key: value}
+        with pytest.raises(ValidationError) as info:
+            load_scene(write_scene(tmp_path, payload))
+        assert any(f"solve.{key}" in m for m in info.value.messages)
+
+    def test_smallest_solve_options_accepted(self, tmp_path):
+        payload = dict(MINIMAL)
+        payload["solve"] = {"multistart": 1, "seed": 0, "max_iterations": 0}
+        assert load_scene(write_scene(tmp_path, payload)).solve_options == \
+            payload["solve"]
+
     def test_non_finite_pose_values_rejected(self, tmp_path):
         payload = dict(MINIMAL)
         payload["tool"] = {"z": math.inf}

@@ -167,6 +167,29 @@ class TestQp:
             sizes.add(int(np.count_nonzero(lam)))
         assert max(sizes) == 2  # the vertex itself is reached
 
+    def test_each_step_projects_its_row_once(self):
+        # the unconstrained optimum (1, 1, 1, 1) violates three orthogonal
+        # rows (two general rows and an upper bound); each enters with one
+        # step and none is dropped, so H^-1 is applied to g and then once
+        # per row: the step's projection also serves the row's addition
+        h = np.diag([1.0, 2.0, 3.0, 4.0])
+        calls = []
+
+        def hinv(v):
+            calls.append(v.shape)
+            return np.linalg.solve(h, v)
+
+        a_in = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        g = -h @ np.ones(4)
+        upper = np.array([np.inf, np.inf, 0.5, np.inf])
+        res = solve_qp(hinv, g, a_in=a_in, b_in=np.array([0.5, 0.5]),
+                       upper=upper)
+        assert np.allclose(res.step, [0.5, 0.5, 0.5, 1.0], atol=1e-12)
+        assert np.all(res.in_multipliers > 0.0)
+        assert res.upper_multipliers[2] > 0.0
+        k = 3
+        assert len(calls) == 1 + k
+
 
 class TestSolve:
     def test_quadratic_bowl(self):
