@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsv
 
 from .errors import EvaluatorFailure, InfeasibleSubproblem
 
@@ -107,6 +108,8 @@ class QpResult:
     in_multipliers: np.ndarray
     lower_multipliers: np.ndarray
     upper_multipliers: np.ndarray
+    # active-set steps taken, counted as the QP's iteration limit counts them
+    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +196,13 @@ class _ActiveSet:
     (see ``solve_qp``). The first ``n_eq`` members are equality rows and are
     never dropped. At most n rows in R^n are independent, so the buffers hold
     n members and are allocated once.
+
+    The upper factor R of N H^-1 N^T over the q members lives in one n x n
+    Fortran-ordered buffer that is always blockdiag(R, I): the leading q x q
+    block is R with exact zeros below its diagonal, and everything outside
+    that block is exactly the identity. BLAS ``dtrsv`` then solves with R
+    on the whole buffer, in place, given a right-hand side padded with
+    zeros (the padding solves to zeros), so no step copies the factor.
     """
 
     def __init__(self, hinv, n):
@@ -201,7 +211,7 @@ class _ActiveSet:
         self.n_eq = 0
         self._normals = np.empty((n, n))  # active ">=" rows
         self._b = np.empty((n, n))  # H^-1 N^T, one column per member
-        self._chol = np.zeros((n, n))  # upper factor of N H^-1 N^T
+        self._chol = np.eye(n, order="F")  # blockdiag(R, I)
         self._mult = np.empty(n)
         self._ids = np.empty(n, dtype=np.intp)
 
@@ -214,10 +224,6 @@ class _ActiveSet:
         return self._b[:, :self.size]
 
     @property
-    def chol(self):
-        return self._chol[:self.size, :self.size]
-
-    @property
     def multipliers(self):
         return self._mult[:self.size]
 
@@ -225,19 +231,22 @@ class _ActiveSet:
     def ids(self):
         return self._ids[:self.size]
 
-    def try_add(self, row_id, normal, multiplier, y, ny) -> bool:
-        """Append a row, given y = H^-1 normal and ny = N y over the current
-        members; False if it depends on the members (any does at n)."""
+    def solve(self, v, trans=0):
+        """R^-1 v, or R^-T v with trans=1, for a vector over the members."""
+        x = np.zeros(self._mult.size)
+        x[:self.size] = v
+        return dtrsv(self._chol, x, trans=trans, overwrite_x=1)[:self.size]
+
+    def try_add(self, row_id, normal, multiplier, y, w) -> bool:
+        """Append a row, given y = H^-1 normal and w = R^-T (N y) over the
+        current members; False if it depends on the members (any does at n)."""
         q = self.size
         if q == self._mult.size:
             return False
-        r = scipy.linalg.solve_triangular(self.chol, ny, trans=1,
-                                          check_finite=False)
-        rho_sq = float(normal @ y) - float(r @ r)
+        rho_sq = float(normal @ y) - float(w @ w)
         if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
             return False
-        self._chol[:q, q] = r
-        self._chol[q, :q] = 0.0
+        self._chol[:q, q] = w
         self._chol[q, q] = math.sqrt(rho_sq)
         self._normals[q] = normal
         self._b[:, q] = y
@@ -247,8 +256,25 @@ class _ActiveSet:
         return True
 
     def drop(self, position):
-        q = self.size
-        self._chol[:q - 1, :q - 1] = _chol_delete(self.chol.copy(), position)
+        """Remove a member: shift the later columns of R left, then Givens
+        rotations clear the subdiagonal this leaves, in O(q^2) and in place.
+
+        The diagonal stays positive (Goldfarb and Idnani, 1983): rotation k
+        zeroes R[k + 1, k], the untouched original diagonal entry shifted
+        left, and leaves hypot(R[k, k], R[k + 1, k]) > 0 on the diagonal.
+        """
+        q, r = self.size, self._chol
+        r[:q, position:q - 1] = r[:q, position + 1:q]
+        for k in range(position, q - 1):
+            a, b = r[k, k], r[k + 1, k]
+            rad = math.hypot(a, b)
+            c, s = a / rad, b / rad
+            top, bottom = r[k, k + 1:q - 1], r[k + 1, k + 1:q - 1]
+            top, bottom = c * top + s * bottom, c * bottom - s * top
+            r[k, k + 1:q - 1], r[k + 1, k + 1:q - 1] = top, bottom
+            r[k, k], r[k + 1, k] = rad, 0.0
+        r[:q, q - 1] = 0.0
+        r[q - 1, q - 1] = 1.0
         self._normals[position:q - 1] = self._normals[position + 1:q]
         self._b[:, position:q - 1] = self._b[:, position + 1:q]
         self._mult[position:q - 1] = self._mult[position + 1:q]
@@ -257,9 +283,11 @@ class _ActiveSet:
 
     def directions(self, y, ny):
         """Primal direction z and dual direction r for a candidate normal,
-        given y = H^-1 normal and ny = N y over the current members."""
-        r = scipy.linalg.cho_solve((self.chol, False), ny, check_finite=False)
-        return y - self.hinv_nt @ r, r
+        given y = H^-1 normal and ny = N y over the current members, plus the
+        forward solve w = R^-T ny that ``try_add`` takes."""
+        w = self.solve(ny, trans=1)
+        r = self.solve(w)
+        return y - self.hinv_nt @ r, r, w
 
     def batch_init_equalities(self, a_eq, b_eq, d):
         """Install all equality rows at once (one blocked solve each).
@@ -283,36 +311,14 @@ class _ActiveSet:
         if np.any(pivots <= 1e-13 * np.maximum(
                 1.0, np.einsum("ij,ij->i", a_eq, a_eq))):
             raise InfeasibleSubproblem("dependent equality rows")
-        lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d,
-                                     check_finite=False)
-        d = d + b_block @ lam
         self._normals[:m] = a_eq
         self._b[:, :m] = b_block
         self._chol[:m, :m] = chol
-        self._mult[:m] = lam
         self._ids[:m] = np.arange(m)
         self.size = self.n_eq = m
-        return d
-
-
-def _chol_delete(r: np.ndarray, j: int) -> np.ndarray:
-    """Upper Cholesky factor of S with row/column j removed, via Givens.
-
-    O(q^2) instead of refactorizing. The diagonal stays positive (Goldfarb
-    and Idnani, 1983): rotation k zeroes r[k + 1, k], which after the column
-    shift is the untouched original diagonal entry R[k + 1, k + 1] > 0, and
-    leaves rad = hypot(r[k, k], r[k + 1, k]) >= R[k + 1, k + 1] on the
-    diagonal.
-    """
-    r = np.delete(r, j, axis=1)
-    q = r.shape[1]
-    for k in range(j, q):
-        a, b = r[k, k], r[k + 1, k]
-        rad = math.hypot(a, b)
-        c, s = a / rad, b / rad
-        block = np.array([[c, s], [-s, c]]) @ r[k:k + 2, k:]
-        r[k:k + 2, k:] = block
-    return r[:q, :]
+        lam = self.solve(self.solve(b_eq - a_eq @ d, trans=1))
+        self._mult[:m] = lam
+        return d + b_block @ lam
 
 
 def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
@@ -370,11 +376,12 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
                 raise InfeasibleSubproblem("active-set iteration limit")
             slack = row_rhs - float(normal @ d)
             if slack <= tol:
-                if u_plus > 0.0 and not active.try_add(row_id, normal, u_plus,
-                                                       y, ny):
+                # u_plus > 0 here only after a drop, so w is solved afresh
+                if u_plus > 0.0 and not active.try_add(
+                        row_id, normal, u_plus, y, active.solve(ny, trans=1)):
                     raise InfeasibleSubproblem("degenerate active set")
                 return
-            z, r = active.directions(y, ny)
+            z, r, w = active.directions(y, ny)
             z_dot = float(normal @ z)
             # Dual blocking test over the inequality members: the first
             # smallest ratio; the trailing inf stands for "none blocks".
@@ -392,7 +399,7 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
             u_plus += t
             active.multipliers[:] -= t * r
             if t2 <= t1:
-                if not active.try_add(row_id, normal, u_plus, y, ny):
+                if not active.try_add(row_id, normal, u_plus, y, w):
                     raise InfeasibleSubproblem("degenerate active set")
                 return
             active.drop(active.n_eq + block)
@@ -415,7 +422,8 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
                     normal, row_rhs, eq_sign[i] = -normal, -row_rhs, -1.0
                 if row_rhs - float(normal @ d) <= tol:
                     y = hinv(normal)
-                    active.try_add(i, normal, 0.0, y, active.normals @ y)
+                    active.try_add(i, normal, 0.0, y,
+                                   active.solve(active.normals @ y, trans=1))
                 else:
                     step_to(i, normal, row_rhs)
                 active.n_eq = active.size
@@ -437,7 +445,8 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     lam_eq[ids[:k]] = -eq_sign[ids[:k]] * mult[:k]
     lam = np.zeros(n_in + 2 * n)
     lam[ids[k:]] = mult[k:]
-    return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:])
+    return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:],
+                    iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +466,20 @@ def _violation(c_eq, c_in):
     return v
 
 
+def _require_finite(z, what, *arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        logger.error("non-finite %s at iterate %s", what, z)
+        raise EvaluatorFailure(f"non-finite {what}", iterate=z)
+
+
 class _Evaluator:
-    """Wraps the user callbacks so that a failure raises EvaluatorFailure."""
+    """Wraps the user callbacks so that a failure raises EvaluatorFailure.
+
+    Non-finite derivatives fail too, wherever they are evaluated (the start
+    and accepted points). ``solve`` checks the values at the start point
+    itself; a non-finite value at a line-search trial point only fails the
+    merit test.
+    """
 
     def __init__(self, spec: NlpSpec):
         self.spec = spec
@@ -479,7 +500,9 @@ class _Evaluator:
     def derivatives(self, z):
         g = np.asarray(self._call(self.spec.gradient, z, "gradient"), float)
         j_eq, j_in = self._call(self.spec.jacobians, z, "jacobians")
-        return g, np.asarray(j_eq, float), np.asarray(j_in, float)
+        j_eq, j_in = np.asarray(j_eq, float), np.asarray(j_in, float)
+        _require_finite(z, "gradient or jacobians", g, j_eq, j_in)
+        return g, j_eq, j_in
 
 
 def _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in):
@@ -517,7 +540,7 @@ def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
                       np.append(hi_step, 1.0))
     return QpResult(result.step[:n], result.eq_multipliers,
                     result.in_multipliers, result.lower_multipliers[:n],
-                    result.upper_multipliers[:n])
+                    result.upper_multipliers[:n], result.iterations)
 
 
 def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
@@ -529,6 +552,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     z = np.clip(np.asarray(z0, float), lower, upper)
 
     f, c_eq, c_in = ev.value(z)
+    _require_finite(z, "objective or constraints", f, c_eq, c_in)
     g, j_eq, j_in = ev.derivatives(z)
     h = DampedBfgs(np.asarray(spec.scales, float) ** -2.0
                    if spec.scales is not None else np.ones(n))

@@ -191,6 +191,140 @@ class TestQp:
         assert len(calls) == 1 + k
 
 
+class TestResidentFactor:
+    """The active set's factor against a dense reference, and its solves."""
+
+    def random_hinv(self, rng, n, compact):
+        """H^-1 as the active set applies it, and as a dense matrix."""
+        if not compact:
+            root = rng.normal(size=(n, n))
+            h = root @ root.T / n + np.eye(n)
+            return dense(h), np.linalg.inv(h)
+        b0 = 10.0 ** rng.uniform(-1, 1, size=n)
+        h = DampedBfgs(b0)
+        for s, y in TestCompactHessian().random_pairs(rng, n, n // 2):
+            h.update(s, y)
+        return h.solve, h.solve(np.eye(n))
+
+    def check(self, active, hinv_dense, rng):
+        buf = active._chol
+        q, n = active.size, buf.shape[0]
+        assert buf.flags.f_contiguous
+        r = buf[:q, :q]
+        assert np.array_equal(r, np.triu(r))
+        assert not buf[:q, q:].any() and not buf[q:, :q].any()
+        assert np.array_equal(buf[q:, q:], np.eye(n - q))
+        normals = active.normals
+        s = normals @ hinv_dense @ normals.T
+        assert np.linalg.norm(r.T @ r - s) <= 1e-12 * np.linalg.norm(s)
+        y = active.hinv(rng.normal(size=n))
+        ny = normals @ y
+        z, dual, w = active.directions(y, ny)
+        want = np.linalg.solve(s, ny)
+        assert np.linalg.norm(dual - want) <= 1e-10 * np.linalg.norm(want)
+        want_z = y - hinv_dense @ normals.T @ want
+        assert np.linalg.norm(z - want_z) <= 1e-10 * np.linalg.norm(y)
+        assert np.linalg.norm(r.T @ w - ny) <= 1e-12 * np.linalg.norm(ny)
+
+    def add(self, active, rng, row_id):
+        normal = rng.normal(size=active._chol.shape[0])
+        y = active.hinv(normal)
+        w = active.solve(active.normals @ y, trans=1)
+        assert active.try_add(row_id, normal, 1.0, y, w)
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_factor_matches_dense_reference(self, compact, blocked):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(8, 30))
+            m = int(rng.integers(1, 4))
+            hinv, hinv_dense = self.random_hinv(rng, n, compact)
+            active = solver._ActiveSet(hinv, n)
+            a_eq = rng.normal(size=(m, n))
+            if blocked:
+                active.batch_init_equalities(a_eq, rng.normal(size=m),
+                                             np.zeros(n))
+            else:
+                for i in range(m):
+                    y = hinv(a_eq[i])
+                    w = active.solve(active.normals @ y, trans=1)
+                    assert active.try_add(i, a_eq[i], 0.0, y, w)
+                active.n_eq = m
+            self.check(active, hinv_dense, rng)
+            row_id = 0
+            for _ in range(n - m - 2):
+                self.add(active, rng, row_id)
+                row_id += 1
+            self.check(active, hinv_dense, rng)
+            # first, a middle and the last inequality member, each followed
+            # by an addition that must extend the updated factor
+            for position in (m, (m + active.size) // 2, active.size - 1):
+                kept = np.delete(active.ids, position)
+                active.drop(position)
+                assert np.array_equal(active.ids, kept)
+                self.check(active, hinv_dense, rng)
+                self.add(active, rng, row_id)
+                row_id += 1
+                self.check(active, hinv_dense, rng)
+            while active.size > m:
+                active.drop(int(rng.integers(m, active.size)))
+            self.check(active, hinv_dense, rng)
+
+    def spy_on_dtrsv(self, monkeypatch):
+        calls = []
+        real = solver.dtrsv
+
+        def spy(a, x, **kwargs):
+            calls.append(a)
+            return real(a, x, **kwargs)
+
+        monkeypatch.setattr(solver, "dtrsv", spy)
+        return calls
+
+    def test_solves_run_in_place_on_the_resident_factor(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 12
+        hinv, _ = self.random_hinv(rng, n, compact=False)
+        active = solver._ActiveSet(hinv, n)
+        for row_id in range(5):
+            self.add(active, rng, row_id)
+        calls = self.spy_on_dtrsv(monkeypatch)
+        normal = rng.normal(size=n)
+        y = hinv(normal)
+        z, r, w = active.directions(y, active.normals @ y)
+        assert len(calls) == 2
+        assert active.try_add(5, normal, 1.0, y, w)
+        assert len(calls) == 2
+        active.drop(2)
+        y = hinv(rng.normal(size=n))
+        active.directions(y, active.normals @ y)
+        assert len(calls) == 4
+        assert all(np.shares_memory(a, active._chol) and a.flags.f_contiguous
+                   and a.shape == (n, n) for a in calls)
+
+    def test_steps_without_drops_solve_twice_each(self, monkeypatch):
+        # three orthogonal violated rows enter with one step each and none
+        # is dropped: two solves per step, none more for the additions
+        calls = self.spy_on_dtrsv(monkeypatch)
+        h = np.diag([1.0, 2.0, 3.0, 4.0])
+        a_in = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        upper = np.array([np.inf, np.inf, 0.5, np.inf])
+        res = solve_qp(dense(h), -h @ np.ones(4), a_in=a_in,
+                       b_in=np.array([0.5, 0.5]), upper=upper)
+        assert np.allclose(res.step, [0.5, 0.5, 0.5, 1.0], atol=1e-12)
+        k = 3
+        assert len(calls) == 2 * k
+        assert all(a.flags.f_contiguous and a.shape == (4, 4) for a in calls)
+        # one step per row plus the main loop's k + 1 most-violated checks,
+        # the count the QP's iteration limit bounds
+        assert res.iterations == 2 * k + 1
+
+    def test_unconstrained_qp_counts_one_iteration(self):
+        # no step, only the most-violated check that finds nothing
+        assert solve_qp(dense(np.eye(3)), np.ones(3)).iterations == 1
+
+
 class TestSolve:
     def test_quadratic_bowl(self):
         res = solve(quadratic_bowl(), SolverOptions(), np.array([5.0, 5.0]))
@@ -238,6 +372,60 @@ class TestSolve:
             solve(spec, SolverOptions(), np.array([1.5]))
         assert info.value.iterate is not None
         assert info.value.iterate[0] == pytest.approx(1.5)
+
+    def test_non_finite_start_gradient_raises(self):
+        # a NaN gradient at the start used to steer a line search of 81
+        # objective calls that ended "line search failed"
+        z0 = np.array([0.0, 1.0])
+        objective_calls = []
+
+        def objective(z):
+            objective_calls.append(z.copy())
+            return float(z @ z)
+
+        def gradient(z):
+            return np.full(2, np.nan) if np.array_equal(z, z0) else 2.0 * z
+
+        spec = NlpSpec(2, objective, gradient, _no_constraints,
+                       _no_jacobians(2))
+        with pytest.raises(EvaluatorFailure, match="non-finite") as info:
+            solve(spec, SolverOptions(), z0)
+        assert np.array_equal(info.value.iterate, z0)
+        assert len(objective_calls) == 1
+
+    def test_non_finite_start_value_raises(self):
+        spec = NlpSpec(1, lambda z: 0.0, lambda z: np.zeros(1),
+                       lambda z: (np.zeros(0), np.array([np.inf])),
+                       _no_jacobians(1))
+        with pytest.raises(EvaluatorFailure, match="non-finite"):
+            solve(spec, SolverOptions(), np.zeros(1))
+
+    def test_non_finite_jacobian_at_an_accepted_point_raises(self):
+        # the first step from z = 2 lands on z = 1 exactly (H0 = 1/2)
+        spec = NlpSpec(1, lambda z: (z[0] - 1.0) ** 2,
+                       lambda z: np.array([2.0 * (z[0] - 1.0)]),
+                       lambda z: (np.zeros(0), np.array([z[0] - 5.0])),
+                       lambda z: (np.zeros((0, 1)),
+                                  np.array([[np.nan if z[0] < 1.5 else 1.0]])),
+                       scales=np.array([math.sqrt(0.5)]))
+        with pytest.raises(EvaluatorFailure, match="non-finite") as info:
+            solve(spec, SolverOptions(), np.array([2.0]))
+        assert info.value.iterate[0] < 1.5
+
+    def test_non_finite_trial_point_only_rejects_the_trial(self):
+        # z^4 is NaN below -1; the full first step from 3 lands far below,
+        # and the line search must back off instead of failing the start
+        trials = []
+
+        def objective(z):
+            trials.append(z[0])
+            return float(z[0] ** 4) if z[0] >= -1.0 else math.nan
+
+        spec = NlpSpec(1, objective, lambda z: np.array([4.0 * z[0] ** 3]),
+                       _no_constraints, _no_jacobians(1))
+        res = solve(spec, SolverOptions(max_iterations=3), np.array([3.0]))
+        assert min(trials) < -1.0
+        assert math.isfinite(res.objective) and res.objective < 81.0
 
     def test_elastic_step_keeps_lower_bound_without_upper(self):
         # |z1| >= 1 linearizes to an infeasible row at z1 = 0, so the first
@@ -471,6 +659,23 @@ class TestMultistart:
         assert res.converged
         assert res.start_index == 2
         assert res.z[0] == pytest.approx(1.0, abs=0.02)
+
+    def test_non_finite_start_fails_and_never_wins(self):
+        # z^4 is NaN above 4; start 0 used to end "stalled" with objective
+        # NaN and win, because NaN never compares smaller than 0.0198
+        def objective(z):
+            return float(z[0] ** 4) if z[0] <= 4.0 else math.nan
+
+        spec = NlpSpec(1, objective, lambda z: np.array([4.0 * z[0] ** 3]),
+                       _no_constraints, _no_jacobians(1))
+        starts = [5.0, 3.0]
+        opts = SolverOptions(multistart=2, max_iterations=1)
+        res = multistart(spec, opts, lambda i, rng: np.array([starts[i]]))
+        assert res.start_index == 1
+        assert res.status == "max_iterations"
+        assert res.objective == pytest.approx(0.0198, abs=1e-4)
+        with pytest.raises(EvaluatorFailure):
+            solve(spec, opts, np.array([5.0]))
 
     def test_every_start_failed_raises_the_first_failure(self):
         def bad_objective(z):
