@@ -8,7 +8,6 @@ but infeasible, 2 usage error (bad flags, unreadable input, oversized grid),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -73,9 +72,8 @@ def cmd_solve(args, out) -> int:
     scene = _load_scene_checked(args.scene)
     flags = {name: getattr(args, name) for name in ("mode", "multistart", "seed")
              if getattr(args, name) is not None}
-    settings = dataclasses.replace(
-        nlp.SolveSettings(**scene.solve_defaults()), **flags,
-        early_stop_objective=1e-12)
+    settings = nlp.SolveSettings(**{**scene.solve_options, **flags},
+                                 early_stop_objective=1e-12)
     report = nlp.solve_placement(scene, settings)
 
     print(f"mode={report.mode} objective={report.objective:.6e} "

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,7 @@ FD_STEP = 1e-6
 # flat gradients stop just short of the zero plateau), it is re-solved once
 # with the axis ranges shrunk by this margin (rad), warm-started
 POLISH_MARGIN = 1e-5
+PINNED_MAX_ITERATIONS = 300  # SQP iterations per pinned-assignment solve
 
 
 @dataclass
@@ -434,14 +435,8 @@ class PlacementProblem:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SolveSettings:
+class SolveSettings(solver.SolverOptions):
     mode: str = "squared"
-    multistart: int = 1
-    seed: int = 0
-    max_iterations: int = 500
-    kkt_tolerance: float = 1e-6
-    constraint_tolerance: float = 1e-8
-    early_stop_objective: float | None = None
 
 
 def _multistart(problem: PlacementProblem, options: solver.SolverOptions
@@ -465,14 +460,9 @@ def solve_placement(scene, settings: SolveSettings | None = None
     covers the whole call.
     """
     started = time.perf_counter()
-    settings = settings or SolveSettings(**scene.solve_defaults())
+    settings = settings or SolveSettings(**scene.solve_options)
     problem = build_problem(scene, BuildOptions(mode=settings.mode))
-    result = _multistart(problem, solver.SolverOptions(
-        max_iterations=settings.max_iterations,
-        kkt_tolerance=settings.kkt_tolerance,
-        constraint_tolerance=settings.constraint_tolerance,
-        multistart=settings.multistart, seed=settings.seed,
-        early_stop_objective=settings.early_stop_objective))
+    result = _multistart(problem, settings)
     report = problem.extract_solution(result.z, result)
     polish_iterations = polish_retries = 0
     if report.verdict != "feasible" and report.objective <= 1e-6:
@@ -500,29 +490,28 @@ def _polish(scene, settings, result) -> tuple[solver.SolverResult, int]:
     """
     tightened = build_problem(scene, BuildOptions(
         mode=settings.mode, limit_margin=POLISH_MARGIN))
-    options = solver.SolverOptions(
-        max_iterations=100, kkt_tolerance=settings.kkt_tolerance,
-        constraint_tolerance=settings.constraint_tolerance, seed=settings.seed)
     z0 = tightened.repair_slacks(result.z.copy())
-    polished = solver.solve(tightened.as_nlp_spec(), options, z0)
+    polished = solver.solve(tightened.as_nlp_spec(), replace(
+        settings, max_iterations=100), z0)
     logger.debug("polish: %s objective %.3e", polished.status,
                  polished.objective)
     return polished, tightened.degenerate_retries
 
 
 def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0,
-                       max_iterations: int = 300,
                        early_stop_objective: float | None = None):
     """Callable solving the problem with one fixed configuration per segment.
 
     Handed to the enumeration oracle; returns (optimal value, solver result).
     """
+    options = solver.SolverOptions(
+        max_iterations=PINNED_MAX_ITERATIONS, multistart=multistart, seed=seed,
+        early_stop_objective=early_stop_objective)
+
     def solve_pinned(scene, assignment):
         problem = build_problem(scene, BuildOptions(mode=mode,
                                                     pinned=tuple(assignment)))
-        result = _multistart(problem, solver.SolverOptions(
-            max_iterations=max_iterations, multistart=multistart, seed=seed,
-            early_stop_objective=early_stop_objective))
+        result = _multistart(problem, options)
         return result.objective, result
 
     return solve_pinned

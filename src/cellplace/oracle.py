@@ -137,6 +137,8 @@ class GridCell:
 
 # targets per batched backward transform in grid_search; bounds its memory
 GRID_BATCH_TARGETS = 960
+# most cells one grid_search scans
+GRID_CELL_CAP = 1_000_000
 
 
 def _placement_scores(scene, placements: np.ndarray) -> np.ndarray:
@@ -157,15 +159,14 @@ def placement_score(scene, placement: np.ndarray) -> float:
     return float(_placement_scores(scene, placement[None])[0])
 
 
-def grid_search(scene, grid: GridSpec, cell_cap: int = 1_000_000
-                ) -> list[GridCell]:
+def grid_search(scene, grid: GridSpec) -> list[GridCell]:
     """Exhaustive placement scan, sorted by ascending score (ties by order).
 
     Cells are scored in chunks of about GRID_BATCH_TARGETS targets.
     """
-    if grid.total_cells > cell_cap:
+    if grid.total_cells > GRID_CELL_CAP:
         raise GridTooLarge(
-            f"{grid.total_cells} cells exceed the cap of {cell_cap}")
+            f"{grid.total_cells} cells exceed the cap of {GRID_CELL_CAP}")
     poses = [np.array(combo)
              for combo in itertools.product(*grid.component_values())]
     chunk = max(1, GRID_BATCH_TARGETS // scene.K)

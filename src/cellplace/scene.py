@@ -91,11 +91,6 @@ class Scene:
             seg_of[k] = ids[key]
         return len(ids), seg_of
 
-    def solve_defaults(self) -> dict:
-        defaults = {"mode": "squared", "multistart": 1, "seed": 0}
-        defaults.update(self.solve_options)
-        return defaults
-
 
 @dataclass
 class PointResult:
@@ -553,8 +548,11 @@ def _report_from_dict(raw) -> SolutionReport:
 # scene synthesis
 # ---------------------------------------------------------------------------
 
-def _sample_joints(robot: RobotModel, rng: np.random.Generator,
-                   limit_margin: float = 0.15) -> np.ndarray:
+_SAMPLE_LIMIT_MARGIN = 0.15  # rad kept to the axis limits by sampled joints
+_MIXED_PAIR_ATTEMPTS = 400  # TCPs drawn per search for a mixed pair
+
+
+def _sample_joints(robot: RobotModel, rng: np.random.Generator) -> np.ndarray:
     """In-limit, canonically wrapped, branch-robust joint vector.
 
     Keeps a margin to the limits, to the wrist singularity and to the
@@ -562,8 +560,8 @@ def _sample_joints(robot: RobotModel, rng: np.random.Generator,
     cannot flip the configuration.
     """
     lo, hi = robot.limits
-    lo = np.maximum(lo + limit_margin, -math.pi + 1e-6)
-    hi = np.minimum(hi - limit_margin, math.pi)
+    lo = np.maximum(lo + _SAMPLE_LIMIT_MARGIN, -math.pi + 1e-6)
+    hi = np.minimum(hi - _SAMPLE_LIMIT_MARGIN, math.pi)
     while True:
         theta = rng.uniform(lo, hi)
         if abs(theta[4]) < 0.2:
@@ -675,11 +673,11 @@ def synthesize_scene(robot: RobotModel | None = None, count: int = 1,
     raise SynthesisFailed(f"no valid scene after 400 attempts (seed {seed})")
 
 
-def _sample_mixed_pair(robot, placement, rng, attempts: int = 400):
+def _sample_mixed_pair(robot, placement, rng):
     """Two TCPs whose robust in-limit configuration sets are disjoint."""
     targets_a = []
     sets_a = []
-    for _ in range(attempts):
+    for _ in range(_MIXED_PAIR_ATTEMPTS):
         frame, _ = forward6(robot, _sample_joints(robot, rng))
         robust, loose = _config_sets(
             robot, [invert(placement) @ frame], placement,

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpstrf
 
 from .errors import EvaluatorFailure, InfeasibleSubproblem
 
@@ -34,6 +35,9 @@ logger = logging.getLogger(__name__)
 # iteration's QP (their multipliers are zero anyway). Feasibility and KKT
 # checks always use every row.
 WORKING_SET_MARGIN = 0.5
+
+# A row is dependent when its squared pivot is <= this * max(1, |row|^2).
+DEPENDENT_PIVOT = 1e-13
 
 
 @dataclass
@@ -193,9 +197,10 @@ class _ActiveSet:
     """Active rows of the dual QP, with an incremental Cholesky of N H^-1 N^T.
 
     Each member is one row in the ">=" form, kept with its integer row id
-    (see ``solve_qp``). The first ``n_eq`` members are equality rows and are
-    never dropped. At most n rows in R^n are independent, so the buffers hold
-    n members and are allocated once.
+    (see ``solve_qp``). The first ``n_eq`` members are the equality rows
+    that ``batch_init_equalities`` installs, and are never dropped. At most
+    n rows in R^n are independent, so the buffers hold n members and are
+    allocated once.
 
     The upper factor R of N H^-1 N^T over the q members lives in one n x n
     Fortran-ordered buffer that is always blockdiag(R, I): the leading q x q
@@ -244,7 +249,7 @@ class _ActiveSet:
         if q == self._mult.size:
             return False
         rho_sq = float(normal @ y) - float(w @ w)
-        if rho_sq <= 1e-13 * max(1.0, float(normal @ normal)):
+        if rho_sq <= DEPENDENT_PIVOT * max(1.0, float(normal @ normal)):
             return False
         self._chol[:q, q] = w
         self._chol[q, q] = math.sqrt(rho_sq)
@@ -290,35 +295,53 @@ class _ActiveSet:
         return y - self.hinv_nt @ r, r, w
 
     def batch_init_equalities(self, a_eq, b_eq, d):
-        """Install all equality rows at once (one blocked solve each).
+        """Install the equality rows in one blocked step; returns the
+        equality-feasible minimizer. Must be called on an empty set.
 
-        Returns the equality-feasible minimizer; raises InfeasibleSubproblem
-        when the rows are linearly dependent. Must be called on an empty set.
+        If a row is dependent, a pivoted Cholesky (LAPACK dpstrf) picks a
+        largest independent subset, installed in row order the same way
+        (``ids`` names the rows kept; the caller checks the others). Raises
+        InfeasibleSubproblem if that subset's factor is refused too.
         """
-        m = a_eq.shape[0]
-        if m > self._mult.size:  # more than n rows in R^n
-            raise InfeasibleSubproblem("dependent equality rows")
         b_block = self.hinv(a_eq.T)
         s = a_eq @ b_block
         s = 0.5 * (s + s.T)
-        try:
-            chol = scipy.linalg.cholesky(s, lower=False, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise InfeasibleSubproblem("dependent equality rows") from exc
-        # chol[i, i]^2 is row i's pivot given the rows before it: try_add's
-        # test, so a row that rounding let through counts as dependent too
-        pivots = np.diag(chol) ** 2
-        if np.any(pivots <= 1e-13 * np.maximum(
-                1.0, np.einsum("ij,ij->i", a_eq, a_eq))):
-            raise InfeasibleSubproblem("dependent equality rows")
+        scale = np.maximum(1.0, np.einsum("ij,ij->i", a_eq, a_eq))
+        # more than n rows in R^n are dependent, though rounding may pass them
+        chol = (_independent_factor(s, scale)
+                if a_eq.shape[0] <= self._mult.size else None)
+        ids = None
+        if chol is None:
+            # on s / sqrt(scale scale'), dpstrf's absolute stop on the
+            # squared pivots is the relative DEPENDENT_PIVOT test
+            _, piv, rank, _ = dpstrf(s / np.sqrt(np.outer(scale, scale)),
+                                     tol=DEPENDENT_PIVOT)
+            ids = np.sort(piv[:min(rank, self._mult.size)] - 1)
+            a_eq, b_eq, b_block = a_eq[ids], b_eq[ids], b_block[:, ids]
+            chol = _independent_factor(s[np.ix_(ids, ids)], scale[ids])
+            if chol is None:
+                raise InfeasibleSubproblem("dependent equality rows")
+        m = a_eq.shape[0]
         self._normals[:m] = a_eq
         self._b[:, :m] = b_block
         self._chol[:m, :m] = chol
-        self._ids[:m] = np.arange(m)
+        self._ids[:m] = np.arange(m) if ids is None else ids
         self.size = self.n_eq = m
         lam = self.solve(self.solve(b_eq - a_eq @ d, trans=1))
         self._mult[:m] = lam
         return d + b_block @ lam
+
+
+def _independent_factor(s, scale):
+    """Upper Cholesky factor of s, or None if a row is dependent: chol[i, i]^2
+    is row i's pivot given the rows before it, tested as in try_add."""
+    try:
+        chol = scipy.linalg.cholesky(s, lower=False, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(np.diag(chol) ** 2 <= DEPENDENT_PIVOT * scale):
+        return None
+    return chol
 
 
 def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
@@ -336,7 +359,9 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     general rows -A_in d >= -b_in take ids [0, n_in), the lower bounds
     d >= lower [n_in, n_in + n) and the upper bounds -d >= -upper
     [n_in + n, n_in + 2n). The equality rows, by their index in A_eq, form
-    a prefix of the active set that is never dropped.
+    a prefix of the active set that is never dropped. They enter in one
+    blocked step, which leaves out dependent rows; those must hold within
+    the QP's tolerance as far as the kept rows do, and get multiplier 0.
     """
     n = g.shape[0]
     a_eq = np.empty((0, n)) if a_eq is None else np.atleast_2d(a_eq)
@@ -405,28 +430,16 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
             active.drop(active.n_eq + block)
             ny = active.normals @ y
 
-    # Phase 0: install all equalities in one blocked solve; fall back to the
-    # sequential path if the rows turn out dependent. There each row enters
-    # as a ">=" row, negated (eq_sign -1) when d lies above it; a row that d
-    # already meets joins too, unless it depends on the members.
-    eq_sign = np.ones(n_eq)
     if n_eq:
-        try:
-            d = active.batch_init_equalities(a_eq, b_eq, d)
-        except InfeasibleSubproblem:
-            active = _ActiveSet(hinv, n)
-            d = -hinv(g)
-            for i in range(n_eq):
-                normal, row_rhs = a_eq[i], float(b_eq[i])
-                if float(normal @ d) > row_rhs:
-                    normal, row_rhs, eq_sign[i] = -normal, -row_rhs, -1.0
-                if row_rhs - float(normal @ d) <= tol:
-                    y = hinv(normal)
-                    active.try_add(i, normal, 0.0, y,
-                                   active.solve(active.normals @ y, trans=1))
-                else:
-                    step_to(i, normal, row_rhs)
-                active.n_eq = active.size
+        d = active.batch_init_equalities(a_eq, b_eq, d)
+        if active.n_eq < n_eq:  # rows left out as dependent must hold too
+            kept, gap = active.ids, a_eq @ d - b_eq
+            left = np.delete(np.arange(n_eq), kept)
+            # a left-out row is c'(kept rows): net of c'(their gaps), the
+            # rounding that d carries in every row cancels
+            c = np.linalg.lstsq(a_eq[kept].T, a_eq[left].T, rcond=None)[0]
+            if np.max(np.abs(gap[left] - c.T @ gap[kept])) > tol:
+                raise InfeasibleSubproblem("inconsistent equality rows")
 
     # Main loop: chase the most violated inequality; ties go to the lowest id.
     while True:
@@ -440,9 +453,8 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         step_to(i, normal_of(i), float(rhs[i]))
 
     ids, mult, k = active.ids, active.multipliers, active.n_eq
-    lam_eq = np.zeros(n_eq)
-    # Multipliers of A_eq d - b_eq = 0; undo the sign flip.
-    lam_eq[ids[:k]] = -eq_sign[ids[:k]] * mult[:k]
+    lam_eq = np.zeros(n_eq)  # of A_eq d - b_eq = 0; 0 for rows left out
+    lam_eq[ids[:k]] = -mult[:k]
     lam = np.zeros(n_in + 2 * n)
     lam[ids[k:]] = mult[k:]
     return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:],

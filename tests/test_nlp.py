@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from cellplace import solver
+from cellplace import nlp, solver
 from cellplace.errors import InvalidScene
 from cellplace.geometry import Pose, pose_from_frame, rot_x
 from cellplace.kinematics import limit_margins
@@ -312,6 +312,30 @@ class TestExtractSolution:
             "degenerate_retries": 0}
         assert report.diagnostics["status"] == "converged"
         assert 0.5 * wall <= report.elapsed_s <= wall
+
+    def test_settings_reach_the_solver_as_given(self, scene_k2, monkeypatch):
+        # the caller's settings object is the multistart's options; the
+        # polish re-solve keeps every setting but the iteration limit
+        settings = SolveSettings(mode="squared", seed=3, kkt_tolerance=1e-7,
+                                 constraint_tolerance=1e-9)
+        seen, results = [], []
+        real_multistart, real_solve = solver.multistart, solver.solve
+
+        def multistart(spec, options, sampler):
+            seen.append(options)
+            results.append(real_multistart(spec, options, sampler))
+            return results[-1]
+
+        def solve(spec, options, z0):
+            seen.append(options)
+            return real_solve(spec, options, z0)
+
+        monkeypatch.setattr(solver, "multistart", multistart)
+        solve_placement(scene_k2, settings)
+        assert len(seen) == 1 and seen[0] is settings
+        monkeypatch.setattr(solver, "solve", solve)
+        nlp._polish(scene_k2, settings, results[0])
+        assert seen[1] == dataclasses.replace(settings, max_iterations=100)
 
 
 def _without_elapsed(report):

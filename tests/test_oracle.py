@@ -122,7 +122,7 @@ class TestGridSearch:
         axes = tuple((0.0, 1.0, 101) for _ in range(3)) + \
             tuple((0.0, 0.0, 1) for _ in range(3))
         with pytest.raises(GridTooLarge):
-            grid_search(scene, GridSpec(axes), cell_cap=1_000_000)
+            grid_search(scene, GridSpec(axes))
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0),
                                         (-math.inf, 1.0), (0.0, math.inf)])

@@ -94,17 +94,14 @@ class TestQp:
             assert np.max(np.abs(grad)) < 1e-7
 
     def test_duplicated_consistent_equality_row(self, monkeypatch):
-        # the blocked install refuses the singular N H^-1 N^T, so the rows
-        # go in one at a time and the copy is left out as dependent
-        fallbacks = []
+        # N H^-1 N^T is singular: the one blocked install leaves the copy
+        # out as dependent itself, without raising
+        installs = []
         real_install = solver._ActiveSet.batch_init_equalities
 
         def install(*args):
-            try:
-                return real_install(*args)
-            except InfeasibleSubproblem:
-                fallbacks.append(True)
-                raise
+            installs.append(real_install(*args))
+            return installs[-1]
 
         monkeypatch.setattr(solver._ActiveSet, "batch_init_equalities",
                             install)
@@ -113,11 +110,40 @@ class TestQp:
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         b = np.array([1.0, 2.0])
         res = solve_qp(dense(h), g, a, b)
-        assert fallbacks
+        assert len(installs) == 1
         kkt = np.linalg.solve(np.block([[h, a[:1].T], [a[:1], np.zeros((1, 1))]]),
                               np.concatenate([-g, b[:1]]))
         assert np.allclose(res.step, kkt[:2], atol=1e-10)
         assert np.max(np.abs(h @ res.step + g + a.T @ res.eq_multipliers)) < 1e-10
+
+    def test_more_consistent_equalities_than_variables(self):
+        # x = 1, y = 2 and a third row through (1, 2) in R^2: the install
+        # keeps two rows and leaves the third out, with multiplier 0; with
+        # the second H, rounding lets the 3 x 3 N H^-1 N^T pass as definite
+        for h, third in ((np.array([[4.0, 1.0], [1.0, 3.0]]), [1.0, 1.0]),
+                         (np.diag([1e-8, 3e-8]), [0.1, 0.3])):
+            a = np.array([[1.0, 0.0], [0.0, 1.0], third])
+            b = a @ np.array([1.0, 2.0])
+            g = h @ np.array([1.0, -2.0])
+            res = solve_qp(dense(h), g, a, b)
+            assert np.max(np.abs(a @ res.step - b)) < 1e-10
+            assert np.max(np.abs(h @ res.step + g
+                                 + a.T @ res.eq_multipliers)) < 1e-10
+            assert res.eq_multipliers[2] == 0.0
+
+    def test_left_out_row_is_judged_net_of_the_kept_rows_rounding(self):
+        # -H^-1 g is ~1e8, so after the install d misses the kept rows by
+        # ~1e-8 > tol; the dependent third row shares that error, and only
+        # a real inconsistency in its right-hand side may raise
+        h = np.diag([1e-8, 3e-8])
+        g = np.array([1.0, -2.0])
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.3]])
+        b = a @ np.array([1.0, 2.0])
+        res = solve_qp(dense(h), g, a, b)
+        assert np.allclose(res.step, [1.0, 2.0], atol=1e-7)
+        assert res.eq_multipliers[2] == 0.0
+        with pytest.raises(InfeasibleSubproblem):
+            solve_qp(dense(h), g, a, b + np.array([0.0, 0.0, 1e-6]))
 
     def test_duplicated_inconsistent_equality_row_raises(self):
         # x + y = 1 and x + y = 2: rounding leaves N H^-1 N^T a hair positive
