@@ -13,7 +13,8 @@ from .errors import (CellplaceError, DegenerateTarget, EvaluatorFailure,
                      ParseError, SingularConfiguration, SynthesisFailed,
                      ValidationError)
 from .geometry import (Pose, compose, dh_transform, frame_from_pose,
-                       frame_is_valid, invert, pose_from_frame, wrap_angle)
+                       frame_is_valid, frames_from_poses, invert,
+                       pose_from_frame, wrap_angle)
 from .kinematics import (JointRow, RobotModel, axis_violation, backward6,
                          backward7, backward7_all, backward7_batch,
                          builtin_kr6r900, config_bits, config_from_bits,

@@ -130,17 +130,31 @@ class Pose:
                     wrap_angle(self.a), wrap_angle(self.b), wrap_angle(self.c))
 
 
+def frames_from_poses(poses) -> np.ndarray:
+    """frame_from_pose over a (..., 6) stack of x, y, z, a, b, c rows."""
+    poses = np.asarray(poses, dtype=float)
+    cos, sin = np.cos(poses[..., 3:]), np.sin(poses[..., 3:])
+    ca, cb, cc = cos[..., 0], cos[..., 1], cos[..., 2]
+    sa, sb, sc = sin[..., 0], sin[..., 1], sin[..., 2]
+    ca_sb, sa_sb = ca * sb, sa * sb
+    frames = np.zeros(poses.shape[:-1] + (4, 4))
+    frames[..., 0, 0] = ca * cb
+    frames[..., 0, 1] = ca_sb * sc - sa * cc
+    frames[..., 0, 2] = ca_sb * cc + sa * sc
+    frames[..., 1, 0] = sa * cb
+    frames[..., 1, 1] = sa_sb * sc + ca * cc
+    frames[..., 1, 2] = sa_sb * cc - ca * sc
+    frames[..., 2, 0] = -sb
+    frames[..., 2, 1] = cb * sc
+    frames[..., 2, 2] = cb * cc
+    frames[..., :3, 3] = poses[..., :3]
+    frames[..., 3, 3] = 1.0
+    return frames
+
+
 def frame_from_pose(pose: Pose) -> np.ndarray:
     """T(x,y,z) . Rz(a) . Ry(b) . Rx(c)."""
-    ca, sa = math.cos(pose.a), math.sin(pose.a)
-    cb, sb = math.cos(pose.b), math.sin(pose.b)
-    cc, sc = math.cos(pose.c), math.sin(pose.c)
-    return np.array([
-        [ca * cb, ca * sb * sc - sa * cc, ca * sb * cc + sa * sc, pose.x],
-        [sa * cb, sa * sb * sc + ca * cc, sa * sb * cc - ca * sc, pose.y],
-        [-sb, cb * sc, cb * cc, pose.z],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+    return frames_from_poses(pose.as_array())
 
 
 def pose_from_frame(frame: np.ndarray) -> Pose:

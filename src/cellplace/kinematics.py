@@ -14,16 +14,17 @@ targets. Backward transforms are indexed by a 3-bit configuration:
            (negative planar cross product),
     bit 2  axis 5 negative.
 
-The backward transform has two kernels with one closed form and the same
-bits. backward7_all solves one frame with scalar math and raises
-DegenerateTarget; it serves the single-frame API (backward7, backward6,
-``cellplace ik``) and is the reference the other is tested against.
-backward7_batch solves a stack of frames with array code and returns a
-degenerate mask instead; it serves every caller with many targets (grid
-scans, finite-difference sweeps, oracle checks). Each wins on its own input
-size: on a 2-core x86-64 host with numpy 2.4, one frame takes ~130 us in the
-scalar kernel and ~400 us as a batch of one (numpy's per-call overhead),
-while a batch of hundreds of frames costs ~13 us per frame.
+The backward transform has one kernel. backward7_batch solves a stack of
+frames with array code and returns a degenerate mask; it serves every
+caller with many targets (grid scans, finite-difference sweeps, oracle
+checks). backward7_all is its one-frame entry, a batch of one that raises
+DegenerateTarget where the mask is set, and backward7, backward6 and
+``cellplace ik`` go through it. The kernel's atan2 and hypot are numpy's,
+whose last bit can differ from the math module's and between numpy builds
+or CPU instruction sets, so its bits are reproducible on one machine with
+one numpy, not across machines. On a 2-core x86-64 host with numpy 2.4, a
+batch of one frame costs ~100 us and a batch of 960 frames ~2.5 us per
+frame.
 
 Robot models are immutable after construction and all operations are pure,
 so concurrent use needs no coordination.
@@ -45,6 +46,16 @@ SINGULARITY_EPS = 1e-8
 _TWO_PI = 2.0 * math.pi
 
 _ALPHA_PATTERN = (math.pi / 2, 0.0, math.pi / 2, -math.pi / 2, math.pi / 2, math.pi)
+
+# the configuration bits in backward7_batch: bit 0 turns axis 1 by pi and
+# negates the radial coordinate, bit 1 negates cos(elbow), bit 2 negates
+# axis 5 and turns axes 4 and 6 by pi; shaped for its (m, bit0),
+# (m, bit1, bit0) and (m, bit2, bit1, bit0) axes
+_SHOULDER_TURN = np.array([0.0, math.pi])
+_SHOULDER_SIGN = np.array([1.0, -1.0])
+_ELBOW_SIGN = np.array([[-1.0], [1.0]])
+_WRIST_SIGN = np.array([1.0, -1.0])[:, None, None]
+_WRIST_TURN = np.array([0.0, math.pi])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -107,20 +118,31 @@ class RobotModel:
     @cached_property
     def _arm(self) -> dict:
         rows = self.rotational_rows
-        d4 = rows[3].d
-        consts = {
-            "a1": rows[0].a, "d1": rows[0].d, "a2": rows[1].a,
-            "a3": rows[2].a, "d4": d4, "d6": rows[5].d,
-            "phi": np.array([r.phi for r in rows]),
-            "l3_zero": math.hypot(rows[2].a, d4),
-            "d4_sign": -1.0 if d4 < 0.0 else 1.0,
-            "base_inv": invert(self.base),
-            "tool_inv": invert(self.tool),
-        }
+        a3, d4 = rows[2].a, rows[3].d
+        phi = np.array([r.phi for r in rows])
+        l3_zero = math.hypot(a3, d4)
+        d4_sign = -1.0 if d4 < 0.0 else 1.0
+        tool_inv = invert(self.tool)
+        rx6 = rot_x(-rows[5].alpha)[:3, :3]
         # Offset from flange origin back to the wrist centre, in flange axes.
-        consts["wrist_offset"] = (rot_x(-rows[5].alpha)[:3, :3] @
-                                  np.array([0.0, 0.0, rows[5].d]))
-        return consts
+        wrist_offset = rx6 @ np.array([0.0, 0.0, rows[5].d])
+        # base_inv @ tcp @ wrist_of_tcp holds R_flange Rx(-alpha6) in its
+        # rotation block and the wrist centre in its last column
+        wrist_of_tcp = np.eye(4)
+        wrist_of_tcp[:, :3] = tool_inv[:, :3] @ rx6
+        wrist_of_tcp[:, 3] = tool_inv @ np.append(-wrist_offset, 1.0)
+        return {
+            "a1": rows[0].a, "d1": rows[0].d, "a2": rows[1].a, "a3": a3,
+            "d4": d4, "d4_sign": d4_sign, "phi": phi,
+            # joint offsets in backward7_batch's row layout
+            "phi7": np.insert(phi, 3, 0.0),
+            "l3_zero": l3_zero, "l3_floor": max(l3_zero, a3),
+            # the forearm length backward7_batch computes at l3_zero
+            "g_zero": d4_sign * math.sqrt(max(l3_zero * l3_zero - a3 * a3,
+                                              0.0)),
+            "base_inv": invert(self.base), "tool_inv": tool_inv,
+            "wrist_offset": wrist_offset, "wrist_of_tcp": wrist_of_tcp,
+        }
 
 
 def builtin_kr6r900() -> RobotModel:
@@ -243,213 +265,119 @@ def wrist_center(tcp: np.ndarray, robot: RobotModel) -> np.ndarray:
 # backward transforms
 # ---------------------------------------------------------------------------
 
-def _wrist_zyz(n: np.ndarray, sign: float, phi4: float, phi6: float):
-    """Angles of N = Rz(p4) Ry(p5) Rz(p6) with sin(p5) carrying the given sign."""
-    s5 = math.hypot(n[0, 2], n[1, 2])
-    if s5 > SINGULARITY_EPS:
-        psi5 = math.atan2(s5, n[2, 2]) * sign
-        psi4 = math.atan2(sign * n[1, 2], sign * n[0, 2])
-        psi6 = math.atan2(sign * n[2, 1], -sign * n[2, 0])
-        return wrap_angle(psi4 - phi4), psi5, wrap_angle(psi6 - phi6)
-    # Wrist singularity: fold the whole rotation into axis 6.
-    if n[2, 2] > 0.0:
-        return 0.0, 0.0, wrap_angle(math.atan2(n[1, 0], n[0, 0]) - phi6)
-    return 0.0, math.pi, wrap_angle(math.atan2(n[0, 1], n[1, 1]) - phi6)
-
-
-def backward7_all(robot: RobotModel, target: np.ndarray) -> np.ndarray:
-    """All eight virtual-robot solutions for a target TCP frame, as an (8, 7) array.
-
-    Row c holds (t1, t2, t3, v, t4, t5, t6) for configuration c. The virtual
-    excursion v is zero exactly when the wrist centre is positionally reachable
-    for the shoulder branch of c; otherwise it is the minimal |v| restoring the
-    planar triangle. Axis limits are deliberately not applied here.
-
-    Raises DegenerateTarget when the wrist centre lies on the axis-1 line (both
-    shoulder branches undefined) or collapses onto the shoulder point of
-    either shoulder branch.
-    """
-    arm = robot._arm
-    flange = arm["base_inv"] @ target @ arm["tool_inv"]
-    rot_f = flange[:3, :3]
-    pw = flange[:3, 3] - rot_f @ arm["wrist_offset"]
-
-    rho = math.hypot(pw[0], pw[1])
-    if rho <= SINGULARITY_EPS:
-        raise DegenerateTarget("wrist centre on the axis-1 line")
-    azimuth = math.atan2(pw[1], pw[0])
-
-    a1, a2, a3, d4 = arm["a1"], arm["a2"], arm["a3"], arm["d4"]
-    phi = arm["phi"]
-    out = np.empty((8, 7))
-
-    for bit0 in (0, 1):
-        psi1 = azimuth if bit0 == 0 else wrap_angle(azimuth + math.pi)
-        theta1 = wrap_angle(psi1 - phi[0])
-        u = (rho if bit0 == 0 else -rho) - a1
-        w = pw[2] - arm["d1"]
-        dist = math.hypot(u, w)
-        if dist <= SINGULARITY_EPS:
-            raise DegenerateTarget("wrist centre coincides with the shoulder")
-
-        # Minimal-|v| forearm stretch: clamp the natural link-3 length into
-        # the interval where the planar triangle (dist, a2, l3) closes.
-        l3_lo = max(a3, abs(dist - a2))
-        l3_hi = dist + a2
-        if l3_lo <= arm["l3_zero"] <= l3_hi:
-            l3, g, v = arm["l3_zero"], d4, 0.0
-            sin_elbow = (dist * dist - a2 * a2 - l3 * l3) / (2.0 * a2 * l3)
-            sin_elbow = min(1.0, max(-1.0, sin_elbow))
-        else:
-            l3 = min(max(arm["l3_zero"], l3_lo), l3_hi)
-            g = arm["d4_sign"] * math.sqrt(max(l3 * l3 - a3 * a3, 0.0))
-            v = g - d4
-            # the clamped triangle is flat: the elbow is exactly straight or
-            # folded, so both elbow branches get the same (rounding-free) row
-            sin_elbow = math.copysign(1.0, dist * dist - a2 * a2 - l3 * l3)
-        cos_mag = math.sqrt(max(1.0 - sin_elbow * sin_elbow, 0.0))
-        delta = math.atan2(a3, g)
-        azim_uw = math.atan2(w, u)
-
-        for bit1 in (0, 1):
-            cos_elbow = cos_mag if bit1 == 1 else -cos_mag
-            psi3 = wrap_angle(math.atan2(sin_elbow, cos_elbow) - delta)
-            theta3 = wrap_angle(psi3 - phi[2])
-            ex = a3 * math.cos(psi3) + g * math.sin(psi3)
-            ey = a3 * math.sin(psi3) - g * math.cos(psi3)
-            psi2 = wrap_angle(azim_uw - math.atan2(ey, a2 + ex))
-            theta2 = wrap_angle(psi2 - phi[1])
-
-            # Orientation remainder N = R3^T R_flange Rx(-alpha6) is a plain
-            # Z-Y-Z rotation in the wrist angles.
-            c1, s1 = math.cos(psi1), math.sin(psi1)
-            c23 = math.cos(psi2 + psi3)
-            s23 = math.sin(psi2 + psi3)
-            # R3 columns in root coordinates (alpha1 = alpha3 = pi/2 exactly).
-            r3 = np.array([
-                [c1 * c23, s1, c1 * s23],
-                [s1 * c23, -c1, s1 * s23],
-                [s23, 0.0, -c23],
-            ])
-            n = r3.T @ rot_f @ rot_x(-robot.rotational_rows[5].alpha)[:3, :3]
-            for bit2 in (0, 1):
-                theta4, theta5, theta6 = _wrist_zyz(
-                    n, 1.0 if bit2 == 0 else -1.0, phi[3], phi[5])
-                out[config_from_bits(bit0, bit1, bit2)] = (
-                    theta1, theta2, theta3, v, theta4, theta5, theta6)
-    return out
-
-
 def _wrap(theta: np.ndarray) -> np.ndarray:
     """geometry.wrap_angle elementwise, with the same arithmetic."""
     wrapped = theta - _TWO_PI * np.ceil((theta - math.pi) / _TWO_PI)
-    return np.where(wrapped <= -math.pi, wrapped + _TWO_PI, wrapped)
-
-
-# math.atan2 and math.hypot elementwise. numpy's arctan2 and hypot differ
-# from them in the last bit on some inputs, and the batched kernel must give
-# the scalar kernel's bits: the placement program's finite-difference
-# Jacobians pass those bits on to the SQP path.
-_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
-_HYPOT = np.frompyfunc(math.hypot, 2, 1)
-
-
-def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _ATAN2(y, x).astype(float)
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _HYPOT(x, y).astype(float)
+    np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    return wrapped
 
 
 def backward7_batch(robot: RobotModel, targets) -> tuple[np.ndarray, np.ndarray]:
-    """backward7_all over a (..., 4, 4) stack of target TCP frames.
+    """All eight virtual-robot solutions of each of a (..., 4, 4) stack of
+    target TCP frames.
 
     Returns the joint rows, shape (..., 8, 7), and a degenerate mask, shape
-    (...), set exactly where backward7_all raises DegenerateTarget; the rows
-    of a masked target are NaN. The closed form and every rounding step are
-    backward7_all's, so the rows agree with it bit for bit. It is written as
-    array code over the targets and the three configuration bits (axes bit2,
-    bit1, bit0, which flatten to the configuration code), with the
-    wrist-singular fold as a select.
+    (...). Row c holds (t1, t2, t3, v, t4, t5, t6) for configuration c. The
+    virtual excursion v is zero exactly when the wrist centre is positionally
+    reachable for the shoulder branch of c; otherwise it is the minimal |v|
+    restoring the planar triangle. Axis limits are deliberately not applied
+    here. A target is masked, its rows NaN, when its wrist centre lies on the
+    axis-1 line (both shoulder branches undefined) or collapses onto the
+    shoulder point of either shoulder branch.
+
+    The closed form is array code over the targets and the three
+    configuration bits (axes bit2, bit1, bit0, which flatten to the
+    configuration code). Intermediate angles stay unwrapped; one wrap at the
+    end maps every angle column into (-pi, pi].
     """
     arm = robot._arm
     targets = np.asarray(targets, dtype=float)
     batch = targets.shape[:-2]
-    flange = arm["base_inv"] @ targets.reshape(-1, 4, 4) @ arm["tool_inv"]
-    rot_f = flange[:, :3, :3]
-    pw = flange[:, :3, 3] - rot_f @ arm["wrist_offset"]
-    a1, a2, a3, d4 = arm["a1"], arm["a2"], arm["a3"], arm["d4"]
-    phi = arm["phi"]
+    # rot = R_flange Rx(-alpha6) and the wrist centre pw, in root coordinates
+    wrist = arm["base_inv"] @ targets.reshape(-1, 4, 4) @ arm["wrist_of_tcp"]
+    rot, pw = wrist[:, :3, :3], wrist[:, :3, 3]
+    a1, a2, a3 = arm["a1"], arm["a2"], arm["a3"]
 
     # shoulder branches on the last axis: (m, bit0)
-    rho = _hypot(pw[:, 0], pw[:, 1])
-    azimuth = _atan2(pw[:, 1], pw[:, 0])
-    psi1 = np.stack([azimuth, _wrap(azimuth + math.pi)], axis=-1)
-    u = np.stack([rho, -rho], axis=-1) - a1
-    w = (pw[:, 2] - arm["d1"])[:, None]
-    dist = _hypot(u, w)
-    degenerate = (rho <= SINGULARITY_EPS) | np.any(dist <= SINGULARITY_EPS,
-                                                    axis=-1)
+    px, py = pw[:, :1], pw[:, 1:2]
+    rho = np.hypot(px, py)
+    psi1 = np.arctan2(py, px) + _SHOULDER_TURN
+    u = rho * _SHOULDER_SIGN - a1
+    w = pw[:, 2:] - arm["d1"]
+    dist = np.hypot(u, w)
+    near = np.minimum(rho, dist)
+    degenerate = np.minimum(near[:, 0], near[:, 1]) <= SINGULARITY_EPS
 
-    l3_zero = arm["l3_zero"]
-    l3_lo = np.maximum(a3, np.abs(dist - a2))
-    l3_hi = dist + a2
-    stretched = (l3_zero < l3_lo) | (l3_zero > l3_hi)
-    l3 = np.where(stretched, np.minimum(np.maximum(l3_zero, l3_lo), l3_hi),
-                  l3_zero)
-    g = np.where(stretched, arm["d4_sign"] * np.sqrt(
-        np.maximum(l3 * l3 - a3 * a3, 0.0)), d4)
-    v = np.where(stretched, g - d4, 0.0)
+    # Minimal-|v| forearm stretch: clamp the natural link-3 length into the
+    # interval where the planar triangle (dist, a2, l3) closes. A clamped
+    # triangle is flat: the elbow is exactly straight or folded, so both
+    # elbow branches get the same (rounding-free) row.
+    # g is the forearm length along axis 4; at l3 == l3_zero it is g_zero,
+    # d4 up to rounding, so v = g - g_zero is exactly 0 on reachable targets
+    l3 = np.minimum(np.maximum(arm["l3_floor"], np.abs(dist - a2)), dist + a2)
+    g = arm["d4_sign"] * np.sqrt(np.maximum(l3 * l3 - a3 * a3, 0.0))
     numerator = dist * dist - a2 * a2 - l3 * l3
-    sin_elbow = np.where(stretched, np.copysign(1.0, numerator),
-                         np.clip(numerator / (2.0 * a2 * l3), -1.0, 1.0))
-    cos_mag = np.sqrt(np.maximum(1.0 - sin_elbow * sin_elbow, 0.0))
+    sin_elbow = np.minimum(np.maximum(numerator / (2.0 * a2 * l3), -1.0), 1.0)
+    np.copysign(1.0, numerator, out=sin_elbow, where=l3 != arm["l3_zero"])
+    cos_mag = np.sqrt(1.0 - sin_elbow * sin_elbow)  # |sin_elbow| <= 1
 
-    # elbow branches: (m, bit1, bit0)
-    cos_elbow = np.array([[-1.0], [1.0]]) * cos_mag[:, None]
-    psi3 = _wrap(_atan2(sin_elbow[:, None], cos_elbow)
-                 - _atan2(a3, g)[:, None])
-    g = g[:, None]
-    ex = a3 * np.cos(psi3) + g * np.sin(psi3)
-    ey = a3 * np.sin(psi3) - g * np.cos(psi3)
-    psi2 = _wrap(_atan2(w, u)[:, None] - _atan2(ey, a2 + ex))
+    # elbow branches: (m, bit1, bit0). In the arm plane the forearm, of
+    # length l3, points along (sin_elbow, -cos_elbow) from the elbow.
+    sin_elbow, l3 = sin_elbow[:, None], l3[:, None]
+    cos_elbow = cos_mag[:, None] * _ELBOW_SIGN
+    psi3 = np.arctan2(sin_elbow, cos_elbow) - np.arctan2(a3, g)[:, None]
+    psi2 = np.arctan2(w, u)[:, None] - np.arctan2(-l3 * cos_elbow,
+                                                   a2 + l3 * sin_elbow)
 
-    # N = R3^T R_flange Rx(-alpha6), as in backward7_all
-    c1, s1 = np.cos(psi1)[:, None], np.sin(psi1)[:, None]
-    c23, s23 = np.cos(psi2 + psi3), np.sin(psi2 + psi3)
-    r3_t = np.zeros(psi2.shape + (3, 3))
-    r3_t[..., 0, 0], r3_t[..., 0, 1], r3_t[..., 0, 2] = c1 * c23, s1 * c23, s23
-    r3_t[..., 1, 0], r3_t[..., 1, 1] = s1, -c1
-    r3_t[..., 2, 0], r3_t[..., 2, 1], r3_t[..., 2, 2] = c1 * s23, s1 * s23, -c23
-    n = (r3_t @ rot_f[:, None, None]
-         @ rot_x(-robot.rotational_rows[5].alpha)[:3, :3])
+    # Orientation remainder N = R3^T rot, a plain Z-Y-Z rotation in the
+    # wrist angles. R3's columns in root coordinates are (c1 c23, s1 c23,
+    # s23), (s1, -c1, 0) and (c1 s23, s1 s23, -c23).
+    r0, r1, r2 = rot[:, None, 0], rot[:, None, 1], rot[:, None, None, 2]
+    c1, s1 = np.cos(psi1)[..., None], np.sin(psi1)[..., None]
+    along = (c1 * r0 + s1 * r1)[:, None]
+    psi23 = psi2 + psi3
+    c23, s23 = np.cos(psi23)[..., None], np.sin(psi23)[..., None]
+    # rows of N with the wrist axis added: (m, bit2, bit1, bit0, 3)
+    n0 = (c23 * along + s23 * r2)[:, None]
+    n1 = (s1 * r0 - c1 * r1)[:, None, None]
+    n2 = (s23 * along - c23 * r2)[:, None]
 
-    # wrist branches: (m, bit2, bit1, bit0); at the wrist singularity axis 6
-    # takes the whole rotation, from other entries of N
-    n = n[:, None]
-    sign = np.array([1.0, -1.0])[:, None, None]
-    s5 = _hypot(n[..., 0, 2], n[..., 1, 2])
-    regular = s5 > SINGULARITY_EPS
-    up = n[..., 2, 2] > 0.0
-    q = np.empty((len(pw), 2, 2, 2, 7))
-    q[..., 0] = _wrap(psi1 - phi[0])[:, None, None]
-    q[..., 1] = _wrap(psi2 - phi[1])[:, None]
-    q[..., 2] = _wrap(psi3 - phi[2])[:, None]
-    q[..., 3] = v[:, None, None]
-    q[..., 4] = np.where(regular, _wrap(_atan2(sign * n[..., 1, 2],
-                                               sign * n[..., 0, 2]) - phi[3]),
-                         0.0)
-    q[..., 5] = np.where(regular, _atan2(s5, n[..., 2, 2]) * sign,
-                         np.where(up, 0.0, math.pi))
-    q[..., 6] = _wrap(_atan2(
-        np.where(regular, sign * n[..., 2, 1],
-                 np.where(up, n[..., 1, 0], n[..., 0, 1])),
-        np.where(regular, -sign * n[..., 2, 0],
-                 np.where(up, n[..., 0, 0], n[..., 1, 1]))) - phi[5])
+    # wrist branches: (m, bit2, bit1, bit0). Flipping the sign of axis 5
+    # turns axes 4 and 6 by pi: Rz(a) Ry(b) Rz(c) = Rz(a+pi) Ry(-b) Rz(c+pi).
+    s5 = np.hypot(n0[..., 2], n1[..., 2])
+    q = np.zeros((len(pw), 2, 2, 2, 7))
+    q[..., 0] = psi1[:, None, None]
+    q[..., 1] = psi2[:, None]
+    q[..., 2] = psi3[:, None]
+    q[..., 4] = np.arctan2(n1[..., 2], n0[..., 2]) + _WRIST_TURN
+    q[..., 5] = np.arctan2(s5, n2[..., 2]) * _WRIST_SIGN
+    q[..., 6] = np.arctan2(n2[..., 1], -n2[..., 0]) + _WRIST_TURN
+    singular = s5 <= SINGULARITY_EPS
+    if singular.any():
+        # at the wrist singularity axis 6 takes the whole rotation, from
+        # other entries of N
+        up = n2[..., 2] > 0.0
+        q[..., 4] = np.where(singular, 0.0, q[..., 4])
+        q[..., 5] = np.where(singular, np.where(up, 0.0, math.pi), q[..., 5])
+        q[..., 6] = np.where(singular, np.arctan2(
+            np.where(up, n1[..., 0], n0[..., 1]),
+            np.where(up, n0[..., 0], n1[..., 1])), q[..., 6])
+    # every angle column at once; axis 5 is in (-pi, pi] already
+    q = _wrap(q - arm["phi7"])
+    q[..., 3] = (g - arm["g_zero"])[:, None, None]
     q = q.reshape(-1, 8, 7)
     q[degenerate] = np.nan
     return q.reshape(batch + (8, 7)), degenerate.reshape(batch)
+
+
+def backward7_all(robot: RobotModel, target: np.ndarray) -> np.ndarray:
+    """backward7_batch of one target frame: its (8, 7) rows, or
+    DegenerateTarget where it masks the target."""
+    q, degenerate = backward7_batch(robot, target)
+    if degenerate:
+        raise DegenerateTarget(
+            "wrist centre on the axis-1 line or at a shoulder point")
+    return q
 
 
 def backward7(robot: RobotModel, target: np.ndarray, config: int) -> np.ndarray:
@@ -498,25 +426,35 @@ def axis_violation(theta: float, theta_min: float, theta_max: float) -> float:
     return best
 
 
-# canonical first, so that the first maximum margin prefers it on ties
-_SHIFTS = np.array([0.0, -_TWO_PI, _TWO_PI])
+def _candidate_margins(theta, lo, hi):
+    """Signed limit margins of theta's 2pi-representatives theta,
+    theta - 2pi and theta + 2pi, and the largest of the three."""
+    theta = np.asarray(theta, dtype=float)
+    margins = [np.minimum(t - lo, hi - t)
+               for t in (theta, theta - _TWO_PI, theta + _TWO_PI)]
+    return margins, np.maximum(np.maximum(margins[0], margins[1]), margins[2])
 
 
 def limit_margins(theta, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """2pi-representative and signed limit margin of each joint angle.
 
-    theta broadcasts against lo and hi along its last axes. The margin of a
-    representative t is min(t - lo, hi - t): positive inside the range with
-    that much room, negative by how far it misses. The representative is the
-    one deepest inside the range (the canonical one on ties), so for any
-    symmetric or sub-2pi range it is the canonical angle whenever that fits.
-    limit_violation turns the margins into violations.
+    theta broadcasts against lo and hi. The margin of a representative t is
+    min(t - lo, hi - t): positive inside the range with that much room,
+    negative by how far it misses. The representative is the one deepest
+    inside the range (the canonical one on ties, then theta - 2pi), so for
+    any symmetric or sub-2pi range it is the canonical angle whenever that
+    fits. limit_violation turns the margins into violations.
     """
     theta = np.asarray(theta, dtype=float)
-    cands = theta[..., None] + _SHIFTS
-    margins = np.minimum(cands - np.asarray(lo, dtype=float)[..., None],
-                         np.asarray(hi, dtype=float)[..., None] - cands)
-    return theta + _SHIFTS[margins.argmax(axis=-1)], margins.max(axis=-1)
+    (canonical, below, _), best = _candidate_margins(theta, lo, hi)
+    shift = np.where(canonical == best, 0.0,
+                     np.where(below == best, -_TWO_PI, _TWO_PI))
+    return theta + shift, best
+
+
+def deepest_margins(theta, lo, hi) -> np.ndarray:
+    """The margins of limit_margins without the representatives."""
+    return _candidate_margins(theta, lo, hi)[1]
 
 
 def limit_violation(margins) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import oracle, scene as scene_mod, solver
 from .errors import DegenerateTarget, InvalidScene
-from .geometry import Pose, frame_from_pose
+from .geometry import Pose, frame_from_pose, frames_from_poses
 from .kinematics import backward7_batch, limit_margins, limit_violation
 
 logger = logging.getLogger(__name__)
@@ -92,7 +92,7 @@ class PlacementProblem:
         self.scene = scene
         self.robot = scene.robot
         self.mode = options.mode
-        self.targets = np.array(scene.target_frames())
+        self.targets = scene.target_frames()
         self.K = scene.K
         self.n_segments, self.seg_of = scene.segment_map()
         if options.pinned is None:
@@ -138,9 +138,8 @@ class PlacementProblem:
     def _kin_batch(self, xs: np.ndarray):
         """Admissible joint tables (P,K,C,6), excursions (P,K,C) and a
         per-placement degenerate flag (P,) at placements xs, shape (P, 6)."""
-        placements = np.array([frame_from_pose(Pose.from_array(x)) for x in xs])
-        q, degenerate = backward7_batch(self.robot,
-                                        placements[:, None] @ self.targets)
+        q, degenerate = backward7_batch(
+            self.robot, frames_from_poses(xs)[:, None] @ self.targets)
         q = q[:, self._admissible[0], self._admissible[1]]
         return q[..., [0, 1, 2, 4, 5, 6]], q[..., 3], degenerate.any(axis=1)
 

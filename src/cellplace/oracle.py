@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooLarge
-from .geometry import Pose, frame_from_pose
-from .kinematics import (RobotModel, backward7_batch, limit_margins,
-                         limit_violation)
+from .geometry import frame_from_pose, frames_from_poses
+from .kinematics import (RobotModel, backward7_batch, deepest_margins,
+                         limit_margins, limit_violation)
 
 IN_LIMITS = "in_limits"
 OUT_OF_LIMITS = "out_of_limits"
@@ -61,7 +61,7 @@ def _classify_joint_rows(robot: RobotModel, q: np.ndarray
 
 def _world_targets(scene, placements: np.ndarray) -> np.ndarray:
     """Target frames at each placement: (..., 4, 4) -> (..., K, 4, 4)."""
-    return placements[..., None, :, :] @ np.array(scene.target_frames())
+    return placements[..., None, :, :] @ scene.target_frames()
 
 
 def classify_targets(robot: RobotModel, targets: np.ndarray, configs) -> list:
@@ -71,8 +71,8 @@ def classify_targets(robot: RobotModel, targets: np.ndarray, configs) -> list:
     ``margins`` are the signed per-axis limit margins (rad) of the best
     2pi-representative: positive means inside the range with that much room,
     negative is the distance by which every representative misses the range.
-    A degenerate target (see backward7_all) is out of the workspace in every
-    configuration, with v = inf and margins -inf.
+    A target that backward7_batch masks as degenerate is out of the
+    workspace in every configuration, with v = inf and margins -inf.
     """
     q_all, degenerate = backward7_batch(robot, targets)
     q = q_all[np.arange(len(q_all)), np.asarray(configs, dtype=int)]
@@ -145,9 +145,10 @@ def _placement_scores(scene, placements: np.ndarray) -> np.ndarray:
     """placement_score of each of a stack of placements, shape (m, 4, 4)."""
     q_all, degenerate = backward7_batch(scene.robot,
                                         _world_targets(scene, placements))
-    _, margins = limit_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
-                               *scene.robot.limits)
-    worst = limit_violation(margins).max(axis=-1)
+    margins = deepest_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
+                              *scene.robot.limits)
+    # the worst axis is the one with the least margin
+    worst = limit_violation(margins.min(axis=-1))
     penalty = np.where(degenerate, math.inf,
                        np.min(q_all[..., 3] ** 2 + worst ** 2, axis=-1))
     # cumsum adds the points in order, as a running total would
@@ -167,13 +168,11 @@ def grid_search(scene, grid: GridSpec) -> list[GridCell]:
     if grid.total_cells > GRID_CELL_CAP:
         raise GridTooLarge(
             f"{grid.total_cells} cells exceed the cap of {GRID_CELL_CAP}")
-    poses = [np.array(combo)
-             for combo in itertools.product(*grid.component_values())]
+    poses = np.array(list(itertools.product(*grid.component_values())))
     chunk = max(1, GRID_BATCH_TARGETS // scene.K)
     scores = []
     for start in range(0, len(poses), chunk):
-        placements = np.array([frame_from_pose(Pose.from_array(pose))
-                               for pose in poses[start:start + chunk]])
+        placements = frames_from_poses(poses[start:start + chunk])
         scores.extend(_placement_scores(scene, placements).tolist())
     cells = [GridCell(pose=pose, score=score, feasible=score == 0.0)
              for pose, score in zip(poses, scores)]

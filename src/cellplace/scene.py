@@ -21,10 +21,11 @@ import numpy as np
 
 from . import oracle
 from .errors import ParseError, SynthesisFailed, ValidationError
-from .geometry import Pose, frame_from_pose, invert, pose_from_frame
+from .geometry import (Pose, frame_from_pose, frames_from_poses, invert,
+                       pose_from_frame)
 from .kinematics import (JointRow, RobotModel, _wrist_plane, backward7_batch,
-                         builtin_kr6r900, config_label, forward6,
-                         limit_margins)
+                         builtin_kr6r900, config_label, deepest_margins,
+                         forward6)
 
 FORMAT_VERSION = 1
 
@@ -73,8 +74,10 @@ class Scene:
     def K(self) -> int:
         return len(self.points)
 
-    def target_frames(self) -> list[np.ndarray]:
-        return [frame_from_pose(p.pose) for p in self.points]
+    def target_frames(self) -> np.ndarray:
+        """The points' frames in workpiece coordinates, shape (K, 4, 4)."""
+        return frames_from_poses(
+            np.array([p.pose.as_array() for p in self.points]).reshape(-1, 6))
 
     def segment_map(self) -> tuple[int, np.ndarray]:
         """(segment count, segment index per point).
@@ -584,9 +587,8 @@ def _config_sets(scene_robot, targets, placement, margin_rad, margin_mm):
     target has both sets empty.
     """
     q_all, _ = backward7_batch(scene_robot, placement @ np.array(targets))
-    _, margins = limit_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
-                               *scene_robot.limits)
-    worst = margins.min(axis=-1)
+    worst = deepest_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
+                            *scene_robot.limits).min(axis=-1)
     v = np.abs(q_all[..., 3])
     robust_in = (v == 0.0) & (worst >= margin_rad)
     loose_in = (v <= margin_mm) & (worst >= -margin_rad)

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellplace.geometry import (Pose, compose, dh_transform, frame_from_pose,
-                                frame_is_valid, invert, pose_from_frame,
-                                rot_x, rot_y, rot_z, wrap_angle)
+                                frame_is_valid, frames_from_poses, invert,
+                                pose_from_frame, rot_x, rot_y, rot_z,
+                                wrap_angle)
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -118,6 +119,20 @@ class TestPoseConversions:
                         rng.uniform(-math.pi, math.pi))
             back = pose_from_frame(frame_from_pose(pose))
             assert np.allclose(back.as_array(), pose.as_array(), atol=1e-9)
+
+    def test_batched_frames_survive_a_pose_round_trip(self):
+        rng = np.random.default_rng(4)
+        poses = np.column_stack([rng.uniform(-500, 500, (1000, 3)),
+                                 rng.uniform(-math.pi, math.pi, 1000),
+                                 rng.uniform(-1.4, 1.4, 1000),
+                                 rng.uniform(-math.pi, math.pi, 1000)])
+        frames = frames_from_poses(poses.reshape(10, 100, 6))
+        assert frames.shape == (10, 100, 4, 4)
+        for pose, frame in zip(poses, frames.reshape(-1, 4, 4)):
+            assert frame_is_valid(frame)
+            assert np.array_equal(frame, frame_from_pose(Pose(*pose)))
+            assert np.allclose(pose_from_frame(frame).as_array(), pose,
+                               rtol=0.0, atol=1e-9)
 
     def test_singular_convention(self):
         pose = pose_from_frame(rot_y(math.pi / 2))

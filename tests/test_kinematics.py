@@ -350,40 +350,80 @@ class TestBackward:
         assert np.allclose(forward7(robot, q), frame, atol=1e-9)
 
 
-def _scalar_reference(robot, frames):
-    """backward7_all over a list of frames: rows (n, 8, 7), NaN where it
-    raises DegenerateTarget, and that mask."""
-    rows, mask = [], []
+# criterion 1's tolerance, here on every entry of a frame (mm and unitless)
+ROUND_TRIP_TOL = 1e-9
+
+
+def _dh_stack(q, d, a, alpha):
+    """oracle_fk's matrix for an array of joint values, shape q.shape+(4, 4)."""
+    cq, sq, ca, sa = np.cos(q), np.sin(q), math.cos(alpha), math.sin(alpha)
+    m = np.zeros(np.shape(q) + (4, 4))
+    m[..., 0, :] = np.stack([cq, -sq * ca, sq * sa, a * cq], axis=-1)
+    m[..., 1, :] = np.stack([sq, cq * ca, -cq * sa, a * sq], axis=-1)
+    m[..., 2, 1:] = sa, ca, 0.0
+    m[..., 2, 3] = d
+    m[..., 3, 3] = 1.0
+    return m
+
+
+def oracle_fk_rows(q):
+    """oracle_fk over a stack of virtual-robot rows (t1, t2, t3, v, t4, t5,
+    t6), shape (..., 7) -> (..., 4, 4)."""
+    frame = np.diag([1.0, -1.0, -1.0, 1.0])
+    for column, (offset, d, a, alpha) in enumerate((
+            (0.0, -400.0, 25.0, math.pi / 2), (0.0, 0.0, 455.0, 0.0),
+            (-math.pi / 2, 0.0, 35.0, math.pi / 2), (None, 0.0, 0.0, 0.0),
+            (0.0, -420.0, 0.0, -math.pi / 2), (0.0, 0.0, 0.0, math.pi / 2),
+            (0.0, -80.0, 0.0, math.pi))):
+        if offset is None:  # the virtual prismatic axis
+            frame = frame @ _dh_stack(np.zeros_like(q[..., 3]), q[..., 3],
+                                      0.0, 0.0)
+        else:
+            frame = frame @ _dh_stack(q[..., column] + offset, d, a, alpha)
+    return frame
+
+
+def degenerate_by_definition(robot, frames):
+    """Targets whose wrist centre lies on the axis-1 line or on either
+    shoulder point (a1 = 25 mm, d1 = -400 mm), in scalar math."""
+    base_inv = invert(robot.base)
+    mask = []
     for frame in frames:
-        try:
-            rows.append(backward7_all(robot, frame))
-            mask.append(False)
-        except DegenerateTarget:
-            rows.append(np.full((8, 7), np.nan))
-            mask.append(True)
-    return np.array(rows), np.array(mask)
+        px, py, pz = base_inv[:3, :3] @ wrist_center(frame, robot) + \
+            base_inv[:3, 3]
+        rho = math.hypot(px, py)
+        mask.append(min(rho, math.hypot(rho - 25.0, pz + 400.0),
+                        math.hypot(-rho - 25.0, pz + 400.0)) <= 1e-8)
+    return np.array(mask)
 
 
-def _assert_kernels_agree(robot, frames):
-    """Same rows bit for bit, NaN exactly where the scalar kernel raises."""
+def _assert_round_trip(robot, frames):
+    """Every row of every target reproduces the target through the
+    independent forward transform; the mask is exactly the definition's and
+    the masked rows are NaN."""
     frames = np.asarray(frames)
-    expected, expected_mask = _scalar_reference(robot, frames)
     q, mask = backward7_batch(robot, frames)
-    assert np.array_equal(mask, expected_mask)
-    assert np.array_equal(q, expected, equal_nan=True)
+    assert np.array_equal(mask, degenerate_by_definition(robot, frames))
+    assert np.isnan(q[mask]).all() and not np.isnan(q[~mask]).any()
+    error = np.abs(oracle_fk_rows(q[~mask]) - frames[~mask][:, None])
+    assert error.max() <= ROUND_TRIP_TOL
+    return q, mask
 
 
 class TestBatchKernel:
-    """backward7_batch against the scalar reference backward7_all: equal
-    bits imply the 1e-12 rad / 1e-9 mm agreement and the same v == 0
-    pattern."""
+    """backward7_batch against the independent forward transform: every one
+    of the eight rows of a target reproduces it to criterion 1's tolerance,
+    stretched rows (v != 0) included."""
 
     def test_round_trip_samples(self, robot):
-        # criterion 1's samples
+        # criterion 1's samples; each row of its own configuration is the
+        # sampled joint vector
         rng = np.random.default_rng(1001)
-        _assert_kernels_agree(robot, [
-            forward6(robot, theta)[0]
-            for theta in sample_joints_canonical(robot, rng, 10_000)])
+        thetas = sample_joints_canonical(robot, rng, 10_000)
+        frames, configs = zip(*(forward6(robot, theta) for theta in thetas))
+        q, _ = _assert_round_trip(robot, frames)
+        recovered = q[np.arange(len(q)), configs][:, [0, 1, 2, 4, 5, 6]]
+        assert np.max(np.abs(recovered - np.array(thetas))) <= ROUND_TRIP_TOL
 
     def test_grid_targets_of_the_k30_scenes(self, robot):
         # the 10 x 10 x-y grid of the benchmark's grid scan, scenes 300-304
@@ -398,16 +438,42 @@ class TestBatchKernel:
                     pose[:2] = x, y
                     frames.extend(frame_from_pose(Pose.from_array(pose))
                                   @ targets)
-        _assert_kernels_agree(robot, frames)
+        q, _ = _assert_round_trip(robot, frames)
+        assert np.any(q[..., 3] != 0.0) and np.any(q[..., 3] == 0.0)
 
     def test_wrist_singular_and_degenerate_targets(self, robot):
         frames = [forward6(robot, HOME)[0],  # theta5 = 0
                   frame_with_wrist_center([0.0, 0.0, -400.0]),  # axis-1 line
                   frame_with_wrist_center([25.0, 0.0, -400.0]),  # shoulder
                   frame_with_wrist_center([1025.0, 0.0, -400.0])]  # v != 0
-        _assert_kernels_agree(robot, frames)
-        _, mask = backward7_batch(robot, np.array(frames))
+        q, mask = _assert_round_trip(robot, frames)
         assert mask.tolist() == [False, True, True, False]
+        assert np.all(q[3, :, 3] != 0.0)
+        # the stacked oracle is oracle_fk, stretched rows included
+        for row in q[[0, 3]].reshape(-1, 7):
+            assert np.allclose(oracle_fk_rows(row),
+                               oracle_fk(row[[0, 1, 2, 4, 5, 6]], row[3]),
+                               rtol=0.0, atol=1e-12)
+
+    def test_one_frame_entry_is_a_batch_of_one(self, robot):
+        # backward7_all returns the batch's row bit for bit and raises
+        # exactly where the batch masks, also when only the front shoulder
+        # branch is degenerate
+        rng = np.random.default_rng(12)
+        frames = [forward6(robot, theta)[0]
+                  for theta in sample_joints_canonical(robot, rng, 20)]
+        frames += [forward6(robot, HOME)[0],
+                   frame_with_wrist_center([0.0, 0.0, -400.0]),
+                   frame_with_wrist_center([25.0, 0.0, -400.0]),
+                   frame_with_wrist_center([1025.0, 0.0, -400.0])]
+        q, mask = backward7_batch(robot, np.array(frames))
+        assert mask.tolist() == [False] * 21 + [True, True, False]
+        for frame, rows, masked in zip(frames, q, mask):
+            if masked:
+                with pytest.raises(DegenerateTarget):
+                    backward7_all(robot, frame)
+            else:
+                assert np.array_equal(backward7_all(robot, frame), rows)
 
     def test_input_shapes(self, robot):
         rng = np.random.default_rng(7)
