@@ -17,8 +17,7 @@ import numpy as np
 from . import nlp, oracle, plot, scene as scene_mod
 from .errors import (CellplaceError, GridTooLarge, ParseError, ValidationError)
 from .geometry import Pose, frame_from_pose, pose_from_frame
-from .kinematics import (backward7_all, builtin_kr6r900, config_label,
-                         forward6, limit_margins)
+from .kinematics import backward7_all, builtin_kr6r900, config_label, forward6
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -102,12 +101,11 @@ def cmd_check(args, out) -> int:
               oracle.OUT_OF_WORKSPACE: "ws"}
     header = " ".join(f"{f'c{c}':>12s}" for c in range(8))
     print(f"{'point':>8s} {header}", file=out)
-    for k, point in enumerate(scene.points):
-        cells = []
-        for branch in table.rows[k]:
-            tag = legend[branch.outcome]
-            cells.append(f"{tag}:{branch.v:8.2f}" if math.isfinite(branch.v)
-                         else f"{tag}:     inf")
+    for point, outcomes, vs in zip(scene.points, table.outcome.tolist(),
+                                   table.v.tolist()):
+        cells = [f"{legend[outcome]}:{v:8.2f}" if math.isfinite(v)
+                 else f"{legend[outcome]}:     inf"
+                 for outcome, v in zip(outcomes, vs)]
         print(f"{point.id:>8s} " + " ".join(f"{cell:>12s}" for cell in cells),
               file=out)
     verdict = "feasible" if table.feasible else "infeasible"
@@ -199,9 +197,8 @@ def cmd_ik(args, out) -> int:
     except CellplaceError as exc:
         print(f"degenerate target: {exc}", file=out)
         return EXIT_INFEASIBLE
-    # every branch classified from the one transform, as backward6 would
-    reps, margins = limit_margins(q_all[:, [0, 1, 2, 4, 5, 6]], *robot.limits)
-    reachable = (q_all[:, 3] == 0.0) & (margins.min(axis=1) >= 0.0)
+    table = oracle.reachability_table(robot, joint_rows=q_all)
+    reachable = table.outcome == oracle.IN_LIMITS
     print(f"{'c':>2s} {'bits':>5s} {'v (mm)':>12s} {'in-limits':>9s}  joints (deg)",
           file=out)
     for c in range(8):
@@ -213,8 +210,8 @@ def cmd_ik(args, out) -> int:
         if not reachable[args.config]:
             print(f"configuration {args.config}: unreachable", file=out)
             return EXIT_INFEASIBLE
-        print(f"configuration {args.config} joints (deg): "
-              + " ".join(_fmt_deg(t) for t in reps[args.config]), file=out)
+        joints = " ".join(_fmt_deg(t) for t in table.joints[args.config])
+        print(f"configuration {args.config} joints (deg): {joints}", file=out)
     return EXIT_OK
 
 

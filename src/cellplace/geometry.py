@@ -17,12 +17,21 @@ import numpy as np
 _TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(theta: float) -> float:
-    """Map an angle to its unique representative in (-pi, pi]."""
-    wrapped = theta - _TWO_PI * math.ceil((theta - math.pi) / _TWO_PI)
-    if wrapped <= -math.pi:  # rounding can land exactly on -pi
-        wrapped += _TWO_PI
-    return wrapped
+def wrap_angle(theta):
+    """Map an angle, or an array of them, to its representative in (-pi, pi].
+
+    The quotient's rounding can leave theta - 2pi ceil((theta - pi) / 2pi)
+    one turn outside the range on either side, so one more turn corrects it.
+    For |theta| < 15 pi every other step is exact, and the result is
+    theta - 2pi n exactly for the one integer n that lands in the range. Up
+    to |theta| = 2^52 the rounded product 2pi n stays within a turn, so the
+    result is still in the range.
+    """
+    wrapped = np.asarray(theta - _TWO_PI * np.ceil((theta - math.pi)
+                                                   / _TWO_PI))
+    np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > math.pi)
+    np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    return wrapped if np.ndim(theta) else float(wrapped)
 
 
 def rot_x(angle: float) -> np.ndarray:

@@ -265,13 +265,6 @@ def wrist_center(tcp: np.ndarray, robot: RobotModel) -> np.ndarray:
 # backward transforms
 # ---------------------------------------------------------------------------
 
-def _wrap(theta: np.ndarray) -> np.ndarray:
-    """geometry.wrap_angle elementwise, with the same arithmetic."""
-    wrapped = theta - _TWO_PI * np.ceil((theta - math.pi) / _TWO_PI)
-    np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
-    return wrapped
-
-
 def backward7_batch(robot: RobotModel, targets) -> tuple[np.ndarray, np.ndarray]:
     """All eight virtual-robot solutions of each of a (..., 4, 4) stack of
     target TCP frames.
@@ -363,7 +356,7 @@ def backward7_batch(robot: RobotModel, targets) -> tuple[np.ndarray, np.ndarray]
             np.where(up, n1[..., 0], n0[..., 1]),
             np.where(up, n0[..., 0], n1[..., 1])), q[..., 6])
     # every angle column at once; axis 5 is in (-pi, pi] already
-    q = _wrap(q - arm["phi7"])
+    q = wrap_angle(q - arm["phi7"])
     q[..., 3] = (g - arm["g_zero"])[:, None, None]
     q = q.reshape(-1, 8, 7)
     q[degenerate] = np.nan

@@ -401,19 +401,18 @@ class PlacementProblem:
         pose = Pose.from_array(z[:6]).wrapped()
         placement = frame_from_pose(pose)
         configs = self.chosen_configurations(z)
-        classified = oracle.classify_targets(self.robot,
-                                             placement @ self.targets, configs)
+        table = oracle.check_placement(self.scene, placement)
         points = []
-        all_ok = True
-        for point, config, (outcome, joints, v, margins) in zip(
-                self.scene.points, configs.tolist(), classified):
-            ok = outcome == oracle.IN_LIMITS
-            all_ok = all_ok and ok
+        for k, (point, config) in enumerate(zip(self.scene.points,
+                                                configs.tolist())):
+            outcome = str(table.outcome[k, config])
             points.append(scene_mod.PointResult(
-                id=point.id, config=config, v_mm=v,
-                joints=None if joints is None else joints.tolist(),
-                axis_margins=margins,
+                id=point.id, config=config, v_mm=float(table.v[k, config]),
+                joints=table.joints[k, config].tolist()
+                if outcome == oracle.IN_LIMITS else None,
+                axis_margins=table.margins[k, config].tolist(),
                 outcome=outcome))
+        all_ok = all(p.outcome == oracle.IN_LIMITS for p in points)
         diagnostics = {}
         objective = self.eval_objective(z)
         if result is not None:

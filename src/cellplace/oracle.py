@@ -4,12 +4,22 @@ Everything here re-derives its answers from the kinematics alone: no shared
 caches, no finite differences, no solver state. The optimizer is validated
 against this module, never the other way around. All functions are pure
 and deterministic; cells and (point, configuration) pairs are independent.
+
+Reachability has one rule and one table. A virtual-robot row is reachable
+when its excursion v is 0 and every signed limit margin of its deepest
+2pi-representative is >= 0. reachability_table applies the rule to every
+configuration of a stack of targets at once and keeps the arrays it used:
+outcome, v, representatives and margins. check_placement, verify_solution,
+the report extraction, the CLI, the SVG and scene synthesis all read that
+table. The grid keeps its own margins-only score (_placement_scores): a cell
+needs one number, not a table, and a scan of up to 10^6 cells should not pay
+for representatives and outcome strings that no score reads.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,39 +34,50 @@ OUT_OF_WORKSPACE = "out_of_workspace"
 POINTS_MISMATCH = "points_mismatch"
 
 
-@dataclass
-class BranchResult:
-    outcome: str
-    joints: np.ndarray | None  # in-limit representatives when available
-    v: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class ReachabilityTable:
-    """Per (point, configuration) classification of one placement."""
+    """Every configuration of K targets classified, as (K, 8) arrays.
 
-    rows: list[list[BranchResult]] = field(default_factory=list)
+    ``outcome`` holds IN_LIMITS, OUT_OF_LIMITS or OUT_OF_WORKSPACE; ``v`` the
+    virtual excursion (mm); ``joints`` (K, 8, 6) the deepest
+    2pi-representatives (rad); ``margins`` (K, 8, 6) their signed limit
+    margins (rad), positive inside the range with that much room, negative
+    by how far every representative misses it. A target the kernel masks as
+    degenerate is out of the workspace in every configuration, with v = inf,
+    margins -inf and NaN joints.
+    """
+
+    outcome: np.ndarray
+    v: np.ndarray
+    joints: np.ndarray
+    margins: np.ndarray
 
     @property
     def feasible(self) -> bool:
-        return all(any(b.outcome == IN_LIMITS for b in row) for row in self.rows)
+        """Whether every target has an in-limit configuration."""
+        return bool((self.outcome == IN_LIMITS).any(axis=-1).all())
 
 
-def _classify_joint_rows(robot: RobotModel, q: np.ndarray
-                         ) -> tuple[list[BranchResult], np.ndarray]:
-    """One BranchResult per virtual-robot solution row of q, shape (n, 7),
-    and the rows' per-axis limit margins, shape (n, 6)."""
-    reps, margins = limit_margins(q[:, [0, 1, 2, 4, 5, 6]], *robot.limits)
-    in_limits = margins.min(axis=1) >= 0.0
-    branches = []
-    for v, joints, ok in zip(q[:, 3].tolist(), reps, in_limits):
-        if v != 0.0:
-            branches.append(BranchResult(OUT_OF_WORKSPACE, None, v))
-        elif ok:
-            branches.append(BranchResult(IN_LIMITS, joints, 0.0))
-        else:
-            branches.append(BranchResult(OUT_OF_LIMITS, None, 0.0))
-    return branches, margins
+def reachability_table(robot: RobotModel, targets=None, *,
+                       joint_rows=None) -> ReachabilityTable:
+    """Classify every configuration of a (..., 4, 4) stack of target frames.
+
+    The frames go through one batched backward transform. A caller that
+    already holds the backward7 rows, shape (..., 8, 7), of targets that are
+    not degenerate passes them as ``joint_rows`` instead.
+    """
+    if joint_rows is None:
+        joint_rows, degenerate = backward7_batch(robot, targets)
+    else:
+        degenerate = np.zeros(joint_rows.shape[:-2], dtype=bool)
+    joints, margins = limit_margins(joint_rows[..., [0, 1, 2, 4, 5, 6]],
+                                    *robot.limits)
+    v = np.where(degenerate[..., None], math.inf, joint_rows[..., 3])
+    margins = np.where(degenerate[..., None, None], -math.inf, margins)
+    outcome = np.where(v != 0.0, OUT_OF_WORKSPACE,
+                       np.where(margins.min(axis=-1) >= 0.0, IN_LIMITS,
+                                OUT_OF_LIMITS))
+    return ReachabilityTable(outcome, v, joints, margins)
 
 
 def _world_targets(scene, placements: np.ndarray) -> np.ndarray:
@@ -64,35 +85,9 @@ def _world_targets(scene, placements: np.ndarray) -> np.ndarray:
     return placements[..., None, :, :] @ scene.target_frames()
 
 
-def classify_targets(robot: RobotModel, targets: np.ndarray, configs) -> list:
-    """(outcome, joints-or-None, v, margins) of each target frame, shape
-    (K, 4, 4), in its configuration, from one batched backward transform.
-
-    ``margins`` are the signed per-axis limit margins (rad) of the best
-    2pi-representative: positive means inside the range with that much room,
-    negative is the distance by which every representative misses the range.
-    A target that backward7_batch masks as degenerate is out of the
-    workspace in every configuration, with v = inf and margins -inf.
-    """
-    q_all, degenerate = backward7_batch(robot, targets)
-    q = q_all[np.arange(len(q_all)), np.asarray(configs, dtype=int)]
-    branches, margins = _classify_joint_rows(robot, q)
-    return [(OUT_OF_WORKSPACE, None, math.inf, [-math.inf] * 6) if bad else
-            (branch.outcome, branch.joints, branch.v, row)
-            for branch, row, bad in zip(branches, margins.tolist(), degenerate)]
-
-
 def check_placement(scene, placement: np.ndarray) -> ReachabilityTable:
-    """Classify every (point, configuration) pair at a candidate placement."""
-    q_all, degenerate = backward7_batch(scene.robot,
-                                        _world_targets(scene, placement))
-    branches, _ = _classify_joint_rows(scene.robot, q_all.reshape(-1, 7))
-    table = ReachabilityTable()
-    for k, bad in enumerate(degenerate):
-        table.rows.append([BranchResult(OUT_OF_WORKSPACE, None, math.inf)
-                           for _ in range(8)] if bad else
-                          branches[8 * k:8 * k + 8])
-    return table
+    """The reachability table of the scene's points at a placement."""
+    return reachability_table(scene.robot, _world_targets(scene, placement))
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +221,19 @@ def verify_solution(scene, report):
     if report_ids != scene_ids:
         return False, [{"outcome": POINTS_MISMATCH, "scene_ids": scene_ids,
                         "report_ids": report_ids}]
-    targets = _world_targets(scene, frame_from_pose(report.placement))
-    classified = classify_targets(scene.robot, targets,
-                                  [p.config for p in report.points])
+    table = check_placement(scene, frame_from_pose(report.placement))
     diffs = []
-    for point_result, (outcome, _, v, margins) in zip(report.points,
-                                                      classified):
+    for k, point_result in enumerate(report.points):
         config = point_result.config
+        outcome = str(table.outcome[k, config])
         if outcome == IN_LIMITS:
             continue
         violations = [0.0] * 6
         if outcome == OUT_OF_LIMITS:
-            violations = limit_violation(np.array(margins)).tolist()
+            violations = limit_violation(table.margins[k, config]).tolist()
         diffs.append({
             "point": point_result.id, "config": config, "outcome": outcome,
-            "v_mm": v, "axis_violations_rad": violations,
+            "v_mm": float(table.v[k, config]),
+            "axis_violations_rad": violations,
         })
     return len(diffs) == 0, diffs

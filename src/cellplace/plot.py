@@ -116,14 +116,13 @@ def render_scene_svg(scene, placement_pose: Pose) -> str:
     for k, point in enumerate(scene.points):
         world = placement @ targets[k]
         wx, wy, wz = world[:3, 3]
-        row = table.rows[k]
-        if any(b.outcome == oracle.IN_LIMITS for b in row):
+        if (table.outcome[k] == oracle.IN_LIMITS).any():
             color, v_best = _GREEN, 0.0
-        elif any(b.v == 0.0 for b in row):
+        elif (table.v[k] == 0.0).any():
             color, v_best = _AMBER, 0.0
         else:
             color = _RED
-            v_best = min(abs(b.v) for b in row)
+            v_best = float(np.abs(table.v[k]).min())
         wr = math.hypot(wx, wy)
         for panel, anchor in ((top, (0.0, 0.0)), (side, (shoulder_r, shoulder_z))):
             coords = (wx, wy) if panel is top else (wr, wz)

@@ -23,9 +23,8 @@ from . import oracle
 from .errors import ParseError, SynthesisFailed, ValidationError
 from .geometry import (Pose, frame_from_pose, frames_from_poses, invert,
                        pose_from_frame)
-from .kinematics import (JointRow, RobotModel, _wrist_plane, backward7_batch,
-                         builtin_kr6r900, config_label, deepest_margins,
-                         forward6)
+from .kinematics import (JointRow, RobotModel, _wrist_plane, builtin_kr6r900,
+                         config_label, forward6)
 
 FORMAT_VERSION = 1
 
@@ -586,10 +585,10 @@ def _config_sets(scene_robot, targets, placement, margin_rad, margin_mm):
     Any configuration in loose_in \\ robust_in is borderline. A degenerate
     target has both sets empty.
     """
-    q_all, _ = backward7_batch(scene_robot, placement @ np.array(targets))
-    worst = deepest_margins(q_all[..., [0, 1, 2, 4, 5, 6]],
-                            *scene_robot.limits).min(axis=-1)
-    v = np.abs(q_all[..., 3])
+    table = oracle.reachability_table(scene_robot,
+                                      placement @ np.array(targets))
+    worst = table.margins.min(axis=-1)
+    v = np.abs(table.v)
     robust_in = (v == 0.0) & (worst >= margin_rad)
     loose_in = (v <= margin_mm) & (worst >= -margin_rad)
     return ([set(np.flatnonzero(row).tolist()) for row in robust_in],

@@ -31,6 +31,33 @@ class TestWrapAngle:
     def test_left_boundary_excluded(self):
         assert wrap_angle(-math.pi) == math.pi
 
+    @pytest.mark.parametrize("turns", [-3, -2, -1, 1, 2, 3])
+    def test_doubles_next_to_multiples_of_pi(self, turns):
+        # the 81 doubles nearest turns * pi, against the exact reduction
+        # that math.remainder computes; wrap_angle(-pi + 1 ulp) used to
+        # return pi + 1 ulp
+        below = above = turns * math.pi
+        thetas = [below]
+        for _ in range(40):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+            thetas += [below, above]
+        exact = [math.remainder(t, 2.0 * math.pi) for t in thetas]
+        exact = [math.pi if r == -math.pi else r for r in exact]
+        assert [wrap_angle(t) for t in thetas] == exact
+        assert wrap_angle(np.array(thetas)).tolist() == exact
+        assert all(-math.pi < w <= math.pi for w in exact)
+
+    @given(st.floats(min_value=-2.0 ** 52, max_value=2.0 ** 52))
+    def test_in_range_below_two_to_the_52(self, theta):
+        assert -math.pi < wrap_angle(theta) <= math.pi
+
+    def test_scalars_give_floats_and_arrays_arrays(self):
+        assert type(wrap_angle(4.0)) is float
+        wrapped = wrap_angle(np.full((2, 3), 4.0))
+        assert wrapped.shape == (2, 3)
+        assert np.all(wrapped == wrap_angle(4.0))
+
     @given(angles)
     def test_idempotent(self, theta):
         once = wrap_angle(theta)

@@ -399,12 +399,14 @@ def degenerate_by_definition(robot, frames):
 
 def _assert_round_trip(robot, frames):
     """Every row of every target reproduces the target through the
-    independent forward transform; the mask is exactly the definition's and
-    the masked rows are NaN."""
+    independent forward transform; the mask is exactly the definition's, the
+    masked rows are NaN and every angle of the others is in (-pi, pi]."""
     frames = np.asarray(frames)
     q, mask = backward7_batch(robot, frames)
     assert np.array_equal(mask, degenerate_by_definition(robot, frames))
     assert np.isnan(q[mask]).all() and not np.isnan(q[~mask]).any()
+    angles = q[~mask][..., [0, 1, 2, 4, 5, 6]]
+    assert np.all((angles > -math.pi) & (angles <= math.pi))
     error = np.abs(oracle_fk_rows(q[~mask]) - frames[~mask][:, None])
     assert error.max() <= ROUND_TRIP_TOL
     return q, mask
@@ -449,6 +451,10 @@ class TestBatchKernel:
         q, mask = _assert_round_trip(robot, frames)
         assert mask.tolist() == [False, True, True, False]
         assert np.all(q[3, :, 3] != 0.0)
+        # the first wrap left axis 4 at pi + 1 ulp on two of this
+        # unreachable target's rows
+        _assert_round_trip(robot, [frame_from_pose(
+            Pose.from_degrees(1200.0, 0.0, 900.0, 0.0, 90.0, 0.0))])
         # the stacked oracle is oracle_fk, stretched rows included
         for row in q[[0, 3]].reshape(-1, 7):
             assert np.allclose(oracle_fk_rows(row),

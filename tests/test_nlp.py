@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import time
 
@@ -12,9 +13,10 @@ from cellplace.geometry import Pose, pose_from_frame, rot_x
 from cellplace.kinematics import limit_margins
 from cellplace.nlp import (BuildOptions, SolveSettings, build_problem,
                            make_pinned_solver, solve_placement)
-from cellplace.oracle import minimin_enumerate, verify_solution
-from cellplace.scene import (PlacementBounds, ProcessPoint, Scene,
-                             synthesize_scene)
+from cellplace.oracle import (OUT_OF_WORKSPACE, check_placement,
+                              minimin_enumerate, verify_solution)
+from cellplace.scene import (PlacementBounds, ProcessPoint, Scene, load_report,
+                             save_report, synthesize_scene)
 
 DEG = math.radians
 
@@ -440,8 +442,8 @@ class TestSegmentSemantics:
             for k, point_result in enumerate(report.points):
                 mates = [j for j in range(scene.K) if seg_of[j] == seg_of[k]]
                 for j in mates:
-                    branch = table.rows[j][point_result.config]
-                    assert branch.outcome == IN_LIMITS, (seed, k, j)
+                    outcome = table.outcome[j, point_result.config]
+                    assert outcome == IN_LIMITS, (seed, k, j)
 
     def test_solve_defaults_from_scene_options(self, robot):
         scene = synthesize_scene(robot, count=1, seed=64)
@@ -464,6 +466,51 @@ class TestOptions:
         assert report.diagnostics["degenerate_retries"] >= 1
         report = solve_placement(scene_k1, SolveSettings(mode="squared"))
         assert report.diagnostics["degenerate_retries"] == 0
+
+    def test_one_hessian_reset_on_a_placement_solve(self, caplog):
+        # the retry with a fresh Hessian fires on real placement programs:
+        # one of this solve's later starts needs it, and start 0 wins
+        scene = synthesize_scene(count=3, seed=506)
+        with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
+            report = solve_placement(scene, SolveSettings(
+                mode="abs", multistart=4, seed=506))
+        resets = [r for r in caplog.records
+                  if r.getMessage().startswith("hessian reset")]
+        assert len(resets) == 1
+        assert report.verdict == "feasible"
+        assert report.diagnostics["start_index"] == 0
+        assert report.diagnostics["iterations"] == 8
+
+
+class TestDegenerateTarget:
+    """A target on the axis-1 line: the kernel masks it, so the oracle
+    marks it out of the workspace in every configuration."""
+
+    def test_table_marks_every_configuration(self, robot):
+        table = check_placement(_axis1_line_scene(robot), np.eye(4))
+        assert not table.feasible
+        assert np.all(table.outcome == OUT_OF_WORKSPACE)
+        assert np.all(table.v == math.inf)
+        assert np.all(table.margins == -math.inf)
+        assert np.all(np.isnan(table.joints))
+
+    def test_report_verifies_and_round_trips(self, robot, tmp_path):
+        scene = _axis1_line_scene(robot)
+        problem = build_problem(scene, BuildOptions(mode="squared"))
+        report = problem.extract_solution(np.zeros(problem.n_vars))
+        assert report.placement == Pose()
+        assert report.verdict == "infeasible"
+        point = report.points[0]
+        assert point.outcome == OUT_OF_WORKSPACE and point.joints is None
+        assert point.v_mm == math.inf
+        assert point.axis_margins == [-math.inf] * 6
+        ok, diffs = verify_solution(scene, report)
+        assert not ok
+        assert diffs == [{"point": "p1", "config": point.config,
+                          "outcome": OUT_OF_WORKSPACE, "v_mm": math.inf,
+                          "axis_violations_rad": [0.0] * 6}]
+        save_report(report, tmp_path / "report.json")
+        assert load_report(tmp_path / "report.json") == report
 
 
 def _axis1_line_scene(robot):

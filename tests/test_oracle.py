@@ -33,27 +33,25 @@ class TestCheckPlacement:
     def test_constructed_scene_is_feasible_at_ground_truth(self, scene):
         table = check_placement(scene, frame_from_pose(ground_truth_pose(scene)))
         assert table.feasible
-        assert len(table.rows) == 3
-        assert all(len(row) == 8 for row in table.rows)
+        assert table.outcome.shape == table.v.shape == (3, 8)
+        assert table.joints.shape == table.margins.shape == (3, 8, 6)
 
     def test_far_points_all_out_of_workspace(self, scene):
         far = frame_from_pose(Pose(x=10_000.0))
         table = check_placement(scene, far)
         assert not table.feasible
-        for row in table.rows:
-            for branch in row:
-                assert branch.outcome == OUT_OF_WORKSPACE
-                assert branch.v != 0.0
+        assert np.all(table.outcome == OUT_OF_WORKSPACE)
+        assert np.all(table.v != 0.0)
 
     def test_in_limits_rows_have_exact_zero_slack(self, scene):
         table = check_placement(scene, frame_from_pose(ground_truth_pose(scene)))
         lo, hi = scene.robot.limits
-        for row in table.rows:
-            for branch in row:
-                if branch.outcome == IN_LIMITS:
-                    assert branch.v == 0.0
-                    assert np.all(branch.joints >= lo)
-                    assert np.all(branch.joints <= hi)
+        in_limits = table.outcome == IN_LIMITS
+        assert in_limits.any()
+        assert np.all(table.v[in_limits] == 0.0)
+        assert np.all(table.margins[in_limits] >= 0.0)
+        assert np.all(table.joints[in_limits] >= lo)
+        assert np.all(table.joints[in_limits] <= hi)
 
     def test_limit_violation_classified_with_zero_v(self, robot):
         # forward pose with axis 2 beyond its +45 deg limit: position is
@@ -64,9 +62,9 @@ class TestCheckPlacement:
             ProcessPoint("p1", pose_from_frame(frame)),),
             bounds=_unit_bounds())
         table = check_placement(scene, np.eye(4))
-        branch = table.rows[0][config]
-        assert branch.outcome == OUT_OF_LIMITS
-        assert branch.v == 0.0
+        assert table.outcome[0, config] == OUT_OF_LIMITS
+        assert table.v[0, config] == 0.0
+        assert table.margins[0, config, 1] < 0.0
 
 
 def _unit_bounds():
@@ -193,8 +191,7 @@ class TestVerifySolution:
         assert report.verdict == "feasible"
         table = check_placement(scene, frame_from_pose(report.placement))
         target_point = report.points[0]
-        in_limit = {c for c in range(8)
-                    if table.rows[0][c].outcome == IN_LIMITS}
+        in_limit = set(np.flatnonzero(table.outcome[0] == IN_LIMITS).tolist())
         target_point.config = next(c for c in range(8) if c not in in_limit)
         ok, diffs = verify_solution(scene, report)
         assert not ok

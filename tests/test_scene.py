@@ -352,8 +352,8 @@ class TestSynthesize:
         pose = Pose.from_degrees(gt["x"], gt["y"], gt["z"], gt["a"], gt["b"],
                                  gt["c"])
         table = check_placement(scene, frame_from_pose(pose))
-        sets = [{c for c in range(8) if table.rows[k][c].outcome == IN_LIMITS}
-                for k in range(2)]
+        sets = [set(np.flatnonzero(row).tolist())
+                for row in table.outcome == IN_LIMITS]
         assert sets[0] and sets[1]
         assert not (sets[0] & sets[1])
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -470,6 +471,23 @@ class TestSolve:
                        lower=np.array([-0.5, -np.inf]))
         solve(spec, SolverOptions(max_iterations=3), np.zeros(2))
         assert min(z[0] for z in seen) >= -0.5 - 1e-9
+
+    def test_line_search_failure_after_a_hessian_reset(self, caplog):
+        # a gradient of the wrong sign makes every QP step an ascent
+        # direction; the retry with a fresh Hessian cannot help, so the
+        # start ends "line search failed" after one iteration
+        spec = NlpSpec(1, lambda z: float((z[0] - 3.0) ** 2),
+                       lambda z: np.array([-2.0 * (z[0] - 3.0)]),
+                       _no_constraints, _no_jacobians(1))
+        with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
+            res = solve(spec, SolverOptions(), np.zeros(1))
+        assert res.status == "stalled"
+        assert res.message == "line search failed"
+        assert res.iterations == 1
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("hessian reset")] == \
+            ["hessian reset at iteration 1"]
+        assert res.z[0] == 0.0
 
     def test_converged_means_tolerances_met(self):
         res = solve(quadratic_bowl(), SolverOptions(), np.array([100.0, -70.0]))
