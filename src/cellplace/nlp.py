@@ -23,30 +23,28 @@ Inequality rows (convention g <= 0): one per point, configuration and axis,
 deepest 2pi-representative (kinematics.limit_margins). The opposite limit
 needs no row of its own: it lies the whole axis range away.
 
-Joint values and virtual excursions depend on z only through x, so their
-values and finite-difference Jacobians are cached per x and shared by the
-objective, constraint and Jacobian callbacks. One batched backward transform
-(kinematics.backward7_batch) evaluates all K targets at a placement, and one
-more all 12 central-difference probes of a Jacobian. The single-slot caches
-are not thread safe; the problem definition is immutable after build.
+Everything kinematic depends on z only through x. One private method runs
+the batched backward transform (kinematics.backward7_batch) on a stack of
+placements and retries a degenerate one once at x + 1e-9. kinematic_values
+caches the KinematicValues record at x that every evaluator reads, and
+kinematic_jacobians the central differences of 12 probes run in one call.
+The single-slot caches are not thread safe; the problem is immutable.
 """
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import oracle, scene as scene_mod, solver
 from .errors import DegenerateTarget, InvalidScene
-from .geometry import Pose, frame_from_pose, frames_from_poses
+from .geometry import Pose, frame_from_pose, frames_from_poses, wrap_angle
 from .kinematics import backward7_batch, limit_margins, limit_violation
 
 logger = logging.getLogger(__name__)
-
-_TWO_PI = 2.0 * math.pi
 
 # relative central-difference step of the kinematic Jacobians
 FD_STEP = 1e-6
@@ -70,6 +68,14 @@ class BuildOptions:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.limit_margin < 0.0:
             raise ValueError("limit_margin must be nonnegative")
+
+
+class KinematicValues(NamedTuple):
+    """The backward transform at one placement, per admissible (k, c)."""
+    joints: np.ndarray  # (K, C, 6) axes 1-6
+    v: np.ndarray  # (K, C) virtual-axis excursions
+    reps: np.ndarray  # (K, C, 6) deepest 2pi-representatives of the joints
+    margins: np.ndarray  # (K, C, 6) their signed limit margins
 
 
 def build_problem(scene: "scene_mod.Scene", options: BuildOptions | None = None
@@ -128,56 +134,43 @@ class PlacementProblem:
         self.x0 = scene.initial.as_array() if scene.initial is not None else \
             0.5 * (lo + hi)
         self.degenerate_retries = 0
-        self._val_cache: tuple[bytes, np.ndarray, ...] | None = None
+        self._values_at: bytes | None = None
+        self._values: KinematicValues | None = None
         self._jac_cache: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # kinematic evaluation and cache
     # ------------------------------------------------------------------
 
-    def _kin_batch(self, xs: np.ndarray):
-        """Admissible joint tables (P,K,C,6), excursions (P,K,C) and a
-        per-placement degenerate flag (P,) at placements xs, shape (P, 6)."""
+    def _kinematics(self, xs: np.ndarray):
+        """Admissible joints (P,K,C,6) and excursions (P,K,C) at placements
+        xs (P, 6). A degenerate placement is retried once at x + 1e-9 (counted
+        in degenerate_retries); DegenerateTarget is raised if it still fails."""
         q, degenerate = backward7_batch(
             self.robot, frames_from_poses(xs)[:, None] @ self.targets)
-        q = q[:, self._admissible[0], self._admissible[1]]
-        return q[..., [0, 1, 2, 4, 5, 6]], q[..., 3], degenerate.any(axis=1)
-
-    def _kin_all(self, xs: np.ndarray):
-        """_kin_batch without the flag: a placement with a degenerate target
-        is re-evaluated once at x + 1e-9 (counted in degenerate_retries), and
-        DegenerateTarget is raised if that still fails."""
-        theta, v, degenerate = self._kin_batch(xs)
-        for i in np.flatnonzero(degenerate):
+        for i in np.flatnonzero(degenerate.any(axis=1)):
             self.degenerate_retries += 1
             logger.warning("degenerate target at x=%s; retrying with 1e-9 shift",
                            xs[i])
-            t_i, v_i, still = self._kin_batch(xs[i:i + 1] + 1e-9)
-            if still[0]:
+            q[i], still = backward7_batch(
+                self.robot, frames_from_poses(xs[i] + 1e-9) @ self.targets)
+            if still.any():
                 raise DegenerateTarget(f"degenerate target at x={xs[i]}")
-            theta[i], v[i] = t_i[0], v_i[0]
-        return theta, v
+        q = q[:, self._admissible[0], self._admissible[1]]
+        return q[..., [0, 1, 2, 4, 5, 6]], q[..., 3]
 
-    def _kin_at(self, x: np.ndarray):
-        theta, v = self._kin_all(x[None])
-        return theta[0], v[0]
-
-    def kinematic_values(self, x: np.ndarray):
-        """Cached joint table (K,C,6) and virtual excursions (K,C) at x."""
-        key = np.asarray(x, float).tobytes()
-        if self._val_cache is None or self._val_cache[0] != key:
-            theta, v = self._kin_at(np.asarray(x, float))
-            self._val_cache = (key, theta, v, *limit_margins(
-                theta, self.limits_lo, self.limits_hi))
-        return self._val_cache[1], self._val_cache[2]
-
-    def limit_values(self, x: np.ndarray):
-        """Cached deepest representatives and signed limit margins (K,C,6)."""
-        self.kinematic_values(x)
-        return self._val_cache[3], self._val_cache[4]
+    def kinematic_values(self, x: np.ndarray) -> KinematicValues:
+        """The record every evaluator reads at x, cached for the last x."""
+        x = np.asarray(x, float)
+        if x.tobytes() != self._values_at:
+            joints, v = self._kinematics(x[None])
+            self._values = KinematicValues(joints[0], v[0], *limit_margins(
+                joints[0], self.limits_lo, self.limits_hi))
+            self._values_at = x.tobytes()
+        return self._values
 
     def fd_kinematic_jacobians(self, x: np.ndarray, fd_step: float | None = None):
-        """Central-difference d(theta)/dx (K,C,6,6) and dv/dx (K,C,6).
+        """Central-difference d(joints)/dx (K,C,6,6) and dv/dx (K,C,6).
 
         The step is relative, FD_STEP unless given. Angle differences are
         wrapped into (-pi, pi] before dividing so that a canonical-wrap jump
@@ -190,9 +183,8 @@ class PlacementProblem:
         probes = np.tile(x, (12, 1))
         probes[np.arange(6), np.arange(6)] += h
         probes[6 + np.arange(6), np.arange(6)] -= h
-        theta, v = self._kin_all(probes)
-        diff = theta[:6] - theta[6:]
-        diff = diff - _TWO_PI * np.round(diff / _TWO_PI)
+        joints, v = self._kinematics(probes)
+        diff = wrap_angle(joints[:6] - joints[6:])
         dtheta = np.moveaxis(diff, 0, -1) / (2.0 * h)
         dv = np.moveaxis(v[:6] - v[6:], 0, -1) / (2.0 * h)
         return dtheta, dv
@@ -234,13 +226,13 @@ class PlacementProblem:
     # ------------------------------------------------------------------
 
     def eval_objective(self, z) -> float:
-        _, v = self.kinematic_values(self.x_of(z))
+        v = self.kinematic_values(self.x_of(z)).v
         return float(np.sum(self.w_of(z) *
                             (self._f(z, v) + self.m_of(z)[self.seg_of])))
 
     def eval_gradient(self, z) -> np.ndarray:
         x = self.x_of(z)
-        _, v = self.kinematic_values(x)
+        v = self.kinematic_values(x).v
         w = self.w_of(z)
         grad = np.zeros(self.n_vars)
         if self.abs_mode:
@@ -257,13 +249,11 @@ class PlacementProblem:
         return grad
 
     def eval_constraints(self, z):
-        x = self.x_of(z)
-        _, v = self.kinematic_values(x)
-        _, margins = self.limit_values(x)
-        ineq = (-margins - self.m_of(z)[self.seg_of][..., None]).ravel()
+        values = self.kinematic_values(self.x_of(z))
+        ineq = (-values.margins - self.m_of(z)[self.seg_of][..., None]).ravel()
         eq = [self.w_of(z).sum(axis=1) - 1.0]
         if self.abs_mode:
-            eq.append(self.vplus_of(z) - self.vminus_of(z) - v.ravel())
+            eq.append(self.vplus_of(z) - self.vminus_of(z) - values.v.ravel())
         return np.concatenate(eq), ineq
 
     def eval_jacobians(self, z):
@@ -278,11 +268,10 @@ class PlacementProblem:
             j_eq[rows, self.off_vp + kc] = 1.0
             j_eq[rows, self.off_vm + kc] = -1.0
         # -margin is lo - t on the lower-limit side and t - hi on the upper
-        reps, _ = self.limit_values(x)
-        lower_side = reps - self.limits_lo <= self.limits_hi - reps
+        reps = self.kinematic_values(x).reps
+        lower_side = (reps - self.limits_lo <= self.limits_hi - reps)[..., None]
         j_in = np.zeros((self.n_ineq, self.n_vars))
-        j_in[:, :6] = np.where(lower_side[..., None], -dtheta, dtheta
-                               ).reshape(-1, 6)
+        j_in[:, :6] = np.where(lower_side, -dtheta, dtheta).reshape(-1, 6)
         j_in[np.arange(self.n_ineq), self._row_m_cols] = -1.0
         return j_eq, j_in
 
@@ -330,14 +319,13 @@ class PlacementProblem:
         (guarded by the merit function), which removes second-order
         feasibility dust in rows that are linear in the auxiliaries.
         """
-        _, v = self.kinematic_values(z[:6])
-        _, margins = self.limit_values(z[:6])
+        values = self.kinematic_values(z[:6])
         m = np.zeros((self.n_segments, self.C))
-        np.maximum.at(m, self.seg_of, limit_violation(margins).max(axis=2))
+        np.maximum.at(m, self.seg_of, limit_violation(values.margins).max(axis=2))
         z[self.off_m:self.off_vp] = m.ravel()
         if self.abs_mode:
-            z[self.off_vp:self.off_vm] = np.maximum(v, 0.0).ravel()
-            z[self.off_vm:] = np.maximum(-v, 0.0).ravel()
+            z[self.off_vp:self.off_vm] = np.maximum(values.v, 0.0).ravel()
+            z[self.off_vm:] = np.maximum(-values.v, 0.0).ravel()
         # renormalize the weights: partial steps leave (1 - alpha)-sized
         # simplex residues; scaling each row back keeps it in the box
         w = self.w_of(z)
@@ -354,7 +342,7 @@ class PlacementProblem:
         minimin equivalence), so this is applied once at solver exit to shed
         residual weight dust. Ties resolve to the smallest configuration.
         """
-        _, v = self.kinematic_values(z[:6])
+        v = self.kinematic_values(z[:6]).v
         # abs mode: |v| is the optimal split value for the current x
         f = np.abs(v) if self.abs_mode else v ** 2
         best = np.argmin(f + self.m_of(z)[self.seg_of], axis=1)

@@ -9,7 +9,7 @@ import pytest
 
 from cellplace import nlp, solver
 from cellplace.errors import InvalidScene
-from cellplace.geometry import Pose, pose_from_frame, rot_x
+from cellplace.geometry import Pose, pose_from_frame, rot_x, wrap_angle
 from cellplace.kinematics import limit_margins
 from cellplace.nlp import (BuildOptions, SolveSettings, build_problem,
                            make_pinned_solver, solve_placement)
@@ -86,7 +86,7 @@ class TestObjective:
         z = np.zeros(p.n_vars)
         z[:6] = x
         z[p.off_w:p.off_w + 8] = 1.0 / 8.0
-        theta, v = p.kinematic_values(x)
+        v = p.kinematic_values(x).v
         if np.all(v == 0.0):  # fully reachable both families: objective 0
             assert p.eval_objective(z) == pytest.approx(0.0, abs=1e-12)
 
@@ -94,7 +94,7 @@ class TestObjective:
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
         z = p.initial_point("scene")
         x = z[:6]
-        _, v = p.kinematic_values(x)
+        v = p.kinematic_values(x).v
         config = 3
         z[p.off_w:p.off_w + 8] = 0.0
         z[p.off_w + config] = 1.0
@@ -121,12 +121,13 @@ class TestConstraints:
     def test_hinge_value_for_axis2_at_50deg(self, scene_k1):
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
         z = p.initial_point("scene")
-        theta, v = p.kinematic_values(z[:6])
+        values = p.kinematic_values(z[:6])
         # put point 0, config 0, axis 2 at 50 deg, 5 deg past its upper limit
-        theta = theta.copy()
+        theta = values.joints.copy()
         theta[0, 0, 1] = DEG(50)
-        p._kin_at = lambda x: (theta, v)
-        p._val_cache = None
+        # a fresh problem, so that no cached record hides the edited table
+        p = build_problem(scene_k1, BuildOptions(mode="squared"))
+        p._kinematics = lambda xs: (theta[None], values.v[None])
         row = (0 * 8 + 0) * 6 + 1
         z[p.off_m:p.off_m + 8] = 0.0
         _, ineq = p.eval_constraints(z)
@@ -197,6 +198,22 @@ class TestJacobians:
         z = p.initial_point("scene")
         j_eq, _ = p.eval_jacobians(z)
         assert np.all(j_eq[:2, :6] == 0.0)
+
+    def test_fd_jacobian_across_the_pi_seam(self, scene_k1):
+        # one joint angle is wrap(pi - 1e-7 + x0): at x0 = 0 the two probes
+        # x0 +- 1e-6 straddle the seam, and without wrapping their difference
+        # the derivative would be near -2pi / 2e-6
+        p = build_problem(scene_k1, BuildOptions(mode="squared"))
+
+        def seam(xs):
+            joints = np.zeros((len(xs), p.K, p.C, 6))
+            joints[:, 0, 0, 0] = wrap_angle(np.pi - 1e-7 + xs[:, 0])
+            return joints, np.zeros((len(xs), p.K, p.C))
+
+        p._kinematics = seam
+        dtheta, _ = p.fd_kinematic_jacobians(np.zeros(6))
+        assert dtheta[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert np.count_nonzero(dtheta) == 1
 
     def test_richardson_step_halving(self, scene_k1):
         # central differences: halving the step shrinks the truncation error
@@ -456,9 +473,9 @@ class TestOptions:
     def test_degenerate_target_retried_with_shift(self, robot):
         # the evaluator must log-and-retry with a 1e-9 shift instead of failing
         p = build_problem(_axis1_line_scene(robot), BuildOptions(mode="squared"))
-        theta, v = p.kinematic_values(np.zeros(6))
+        values = p.kinematic_values(np.zeros(6))
         assert p.degenerate_retries == 1
-        assert np.all(np.isfinite(theta)) and np.all(np.isfinite(v))
+        assert all(np.all(np.isfinite(a)) for a in values)
 
     def test_degenerate_retries_reach_the_report(self, robot, scene_k1):
         report = solve_placement(_axis1_line_scene(robot),

@@ -53,6 +53,13 @@ class TestLoadScene:
         # default bounds kick in
         assert scene.bounds.lower[0] == -1500.0
 
+    def test_huge_point_angle_loads_in_range(self, tmp_path):
+        payload = copy.deepcopy(MINIMAL)
+        # the array path's ceil rule would give -57.7 rad for this angle
+        payload["points"][0]["pose"]["a"] = 2.684e19  # degrees
+        pose = load_scene(write_scene(tmp_path, payload)).points[0].pose
+        assert -math.pi < pose.a <= math.pi
+
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -389,6 +389,18 @@ class TestSolve:
         assert res.objective == pytest.approx(0.0, abs=1e-8)
         assert np.allclose(res.z, [0.0, 1.0, 0.0], atol=1e-6)
 
+    def test_zero_step_on_an_infeasible_stationary_point(self):
+        # z^2 + 1 <= 0 has no solution and its linearization at z = 0 has
+        # a zero gradient, so even the elastic QP's step is zero
+        spec = NlpSpec(1, lambda z: 0.0, lambda z: np.zeros(1),
+                       lambda z: (np.zeros(0), np.array([z[0] ** 2 + 1.0])),
+                       lambda z: (np.zeros((0, 1)), np.array([[2.0 * z[0]]])))
+        res = solve(spec, SolverOptions(), np.array([0.0]))
+        assert res.status == "stalled"
+        assert res.message == "zero step"
+        assert res.iterations == 1
+        assert res.constraint_violation == 1.0
+
     def test_evaluator_failure_carries_iterate(self):
         def bad_objective(z):
             raise RuntimeError("boom")
