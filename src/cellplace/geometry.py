@@ -20,23 +20,19 @@ _TWO_PI = 2.0 * math.pi
 def wrap_angle(theta):
     """Map an angle, or an array of them, to its representative in (-pi, pi].
 
-    A finite scalar is reduced exactly by math.remainder, whatever its size,
-    and -0.0 comes back as 0.0; an infinite one gives nan. For an array, the
-    quotient's rounding can leave theta - 2pi ceil((theta - pi) / 2pi) one
-    turn outside the range on either side, so one more turn corrects it. For
-    |theta| < 15 pi every other step is exact, and the result is the scalar
-    one. Up to |theta| = 2^52 the rounded product 2pi n stays within a turn,
-    so the result is still in the range.
+    fmod takes whole turns off exactly, leaving |theta| < 2pi; an angle
+    already that small passes unchanged. The quotient's rounding can then
+    leave theta - 2pi ceil((theta - pi) / 2pi) one turn outside the range on
+    either side, so one more turn corrects it. Every step is exact, so the
+    result is theta - 2pi n for the one integer n that lands in the range,
+    at any size. -0.0 comes back as 0.0 and an infinity as nan.
     """
-    if not np.ndim(theta):
-        if math.isinf(theta):
-            return math.nan
-        wrapped = math.remainder(theta, _TWO_PI) + 0.0
-        return math.pi if wrapped == -math.pi else wrapped
-    wrapped = theta - _TWO_PI * np.ceil((theta - math.pi) / _TWO_PI)
+    wrapped = np.fmod(theta, _TWO_PI)
+    wrapped = np.asarray(wrapped - _TWO_PI * np.ceil((wrapped - math.pi)
+                                                     / _TWO_PI))
     np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > math.pi)
     np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
-    return wrapped
+    return wrapped if np.ndim(theta) else float(wrapped)
 
 
 def rot_x(angle: float) -> np.ndarray:

@@ -55,7 +55,7 @@ class TestLoadScene:
 
     def test_huge_point_angle_loads_in_range(self, tmp_path):
         payload = copy.deepcopy(MINIMAL)
-        # the array path's ceil rule would give -57.7 rad for this angle
+        # the ceil rule alone, without fmod first, gives -57.7 rad here
         payload["points"][0]["pose"]["a"] = 2.684e19  # degrees
         pose = load_scene(write_scene(tmp_path, payload)).points[0].pose
         assert -math.pi < pose.a <= math.pi
