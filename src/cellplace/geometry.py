@@ -20,16 +20,22 @@ _TWO_PI = 2.0 * math.pi
 def wrap_angle(theta):
     """Map an angle, or an array of them, to its representative in (-pi, pi].
 
-    fmod takes whole turns off exactly, leaving |theta| < 2pi; an angle
-    already that small passes unchanged. The quotient's rounding can then
-    leave theta - 2pi ceil((theta - pi) / 2pi) one turn outside the range on
-    either side, so one more turn corrects it. Every step is exact, so the
-    result is theta - 2pi n for the one integer n that lands in the range,
-    at any size. -0.0 comes back as 0.0 and an infinity as nan.
+    The quotient's rounding can leave theta - 2pi ceil((theta - pi) / 2pi)
+    one turn outside the range on either side, so one more turn corrects it.
+    For |theta| < 15 pi every other step is exact, and the result is
+    theta - 2pi n exactly for the one integer n that lands in the range. Up
+    to |theta| = 2^52 the rounded product 2pi n stays within a turn, so the
+    result is still in the range. A scalar, which may come from a file at
+    any size, first has whole turns taken off exactly by fmod, so it lands
+    in the range at any size. Arrays skip that step: the kernel's angles
+    stay within a few turns, where it changes no bit, and fmod over them
+    doubled the kernel's wrap time.
+    -0.0 comes back as 0.0 and an infinity as nan.
     """
-    wrapped = np.fmod(theta, _TWO_PI)
-    wrapped = np.asarray(wrapped - _TWO_PI * np.ceil((wrapped - math.pi)
-                                                     / _TWO_PI))
+    if not np.ndim(theta):
+        theta = np.fmod(theta, _TWO_PI)
+    wrapped = np.asarray(theta - _TWO_PI * np.ceil((theta - math.pi)
+                                                   / _TWO_PI))
     np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > math.pi)
     np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
     return wrapped if np.ndim(theta) else float(wrapped)
