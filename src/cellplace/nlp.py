@@ -17,7 +17,8 @@ Decision vector layout:
 The objective sums w[k,c] * (f[k,c] + m[seg(k),c]) where f is the squared
 virtual-axis excursion (mode "squared") or the split v+ + v- (mode "abs").
 Equality rows: one weight-simplex row per point, plus v+ - v- - v(x) = 0 per
-(k, c) in abs mode; with C = 1 the simplex rows fix every weight at 1.
+(k, c) in abs mode. With C = 1 there are no simplex rows: the weights' bounds
+fix each at 1, and the solver's QP takes such a variable as fixed.
 Inequality rows (convention g <= 0): one per point, configuration and axis,
 -margin - m <= 0, where margin is the signed limit margin of the axis angle's
 deepest 2pi-representative (kinematics.limit_margins). The opposite limit
@@ -121,7 +122,8 @@ class PlacementProblem:
         self.off_vp = self.off_m + s * c
         self.off_vm = self.off_vp + k * c
         self.n_vars = self.off_vp + (2 * k * c if self.abs_mode else 0)
-        self.n_eq = k + (k * c if self.abs_mode else 0)
+        self.n_simplex = k if c > 1 else 0
+        self.n_eq = self.n_simplex + (k * c if self.abs_mode else 0)
         self.n_ineq = 6 * k * c
         # slack column of every (k, c) and, repeated per axis, of every row
         m_cols = (self.off_m + c * self.seg_of[:, None] + np.arange(c)).ravel()
@@ -251,7 +253,7 @@ class PlacementProblem:
     def eval_constraints(self, z):
         values = self.kinematic_values(self.x_of(z))
         ineq = (-values.margins - self.m_of(z)[self.seg_of][..., None]).ravel()
-        eq = [self.w_of(z).sum(axis=1) - 1.0]
+        eq = [self.w_of(z).sum(axis=1)[:self.n_simplex] - 1.0]
         if self.abs_mode:
             eq.append(self.vplus_of(z) - self.vminus_of(z) - values.v.ravel())
         return np.concatenate(eq), ineq
@@ -261,9 +263,10 @@ class PlacementProblem:
         dtheta, dv = self.kinematic_jacobians(x)
         kc = np.arange(self.K * self.C)
         j_eq = np.zeros((self.n_eq, self.n_vars))
-        j_eq[kc // self.C, self.off_w + kc] = 1.0  # simplex rows
+        if self.n_simplex:
+            j_eq[kc // self.C, self.off_w + kc] = 1.0
         if self.abs_mode:
-            rows = self.K + kc
+            rows = self.n_simplex + kc
             j_eq[rows, :6] = -dv.reshape(-1, 6)
             j_eq[rows, self.off_vp + kc] = 1.0
             j_eq[rows, self.off_vm + kc] = -1.0
@@ -280,12 +283,15 @@ class PlacementProblem:
     # ------------------------------------------------------------------
 
     def variable_bounds(self):
-        """Placement box; weights in [0, 1]; slacks and v-splits nonnegative."""
+        """Placement box; slacks, v-splits and weights nonnegative, and with
+        C = 1 each weight fixed at 1. The simplex rows and w >= 0 already
+        keep the weights of a wider table at most 1."""
         lower = np.zeros(self.n_vars)
         upper = np.full(self.n_vars, np.inf)
         lower[:6] = self.scene.bounds.lower
         upper[:6] = self.scene.bounds.upper
-        upper[self.off_w:self.off_m] = 1.0
+        if self.C == 1:
+            lower[self.off_w:self.off_m] = upper[self.off_w:self.off_m] = 1.0
         return lower, upper
 
     def initial_point(self, strategy: str = "scene",

@@ -8,9 +8,16 @@ constraints one at a time, drop blocking ones), and globalizes with an
 l1-merit backtracking line search. The Hessian is kept in the compact form of
 Byrd, Nocedal and Schnabel (1994): a diagonal plus the damped pairs of the
 accepted steps, so the QP applies its inverse in O(n r) for r pairs and never
-forms or factors an n x n matrix. Infeasible subproblems are retried in an
-elastic form where a scalar relaxation variable scales the constraint
-right-hand sides.
+forms or factors an n x n matrix. As in qpOASES (Ferreau et al., 2014), an
+active bound fixes its variable instead of entering the QP's factor, which
+holds only the equality and general rows; the inverse of the Hessian over
+the free variables is one Woodbury form of the same compact terms through
+which the QP applies the Hessian itself. The bounds that the QP's starting
+point violates are fixed in one block. Infeasible
+subproblems are retried in an elastic form where a scalar relaxation
+variable scales the constraint right-hand sides, and a QP that fails in
+both forms is retried once with a reset Hessian. A start stops when the l1
+merit stops falling.
 
 All randomness (multistart sampling) flows through one seeded generator, so
 results are reproducible bit for bit for a fixed BLAS thread count.
@@ -24,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
 
 from .errors import EvaluatorFailure, InfeasibleSubproblem
 
@@ -38,6 +45,22 @@ WORKING_SET_MARGIN = 0.5
 
 # A row is dependent when its squared pivot is <= this * max(1, |row|^2).
 DEPENDENT_PIVOT = 1e-13
+
+# An SQP start stops "stalled" with message "no progress" once the l1 merit
+# has fallen by at most NO_PROGRESS_DROP (relative) over the last
+# NO_PROGRESS_WINDOW accepted iterations.
+NO_PROGRESS_WINDOW = 10
+NO_PROGRESS_DROP = 1e-9
+
+# The QP re-solves for its members from scratch, once, when at its end they
+# miss their rows by more than this many times its feasibility tolerance.
+DRIFT_FACTOR = 1e3
+
+# DampedBfgs.update skips a pair whose curvature s'Bs/s's is at most this
+# fraction of |B|: each damped pair leaves curvature 0.2 s'Bs along s, and
+# a chain of such pairs drives B's smallest eigenvalue into its rounding
+# (|B| eps), where the compact form stops being positive definite.
+CURVATURE_FLOOR = 1e-10
 
 
 @dataclass
@@ -123,18 +146,16 @@ class QpResult:
 class DampedBfgs:
     """Powell-damped BFGS matrix B in compact form, with B0 = diag(b0).
 
-    Every accepted pair (s, y) is kept; ``reset`` drops them all. ``times``
-    applies B through the rank-one terms of the updates,
+    Every accepted pair (s, y) is kept; ``reset`` drops them all. B is the
+    sum of the rank-one terms of the updates,
     B = B0 + sum_i (y_i y_i'/s_i'y_i - u_i u_i'/s_i'u_i) with u_i the
-    product of s_i and the matrix before update i. ``solve`` applies B^-1
-    through the inverse compact form of Byrd, Nocedal and Schnabel (1994),
-    H0 V + W (M (W' V)) with H0 = B0^-1 and W = [S, H0 Y], whose 2r x 2r
-    middle matrix M is rebuilt once per accepted pair.
+    product of s_i and the matrix before update i: ``times`` applies it and
+    ``compact`` hands its terms to the QP, whose Woodbury form of the same
+    terms (``_FreeHessian``) also applies B^-1 for ``solve``.
     """
 
     def __init__(self, b0: np.ndarray):
         self.b0 = np.asarray(b0, float)
-        self.h0 = 1.0 / self.b0
         self.reset()
 
     def reset(self) -> None:
@@ -143,7 +164,6 @@ class DampedBfgs:
         self._u: list[np.ndarray] = []
         self._sy: list[float] = []
         self._su: list[float] = []
-        self._w = self._m = None
 
     def times(self, v: np.ndarray) -> np.ndarray:
         """B v for one vector."""
@@ -154,17 +174,37 @@ class DampedBfgs:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """B^-1 V for a vector or an (n, m) block."""
-        h0 = self.h0 if v.ndim == 1 else self.h0[:, None]
-        if self._w is None:
-            return h0 * v
-        return h0 * v + self._w @ (self._m @ (self._w.T @ v))
+        return _FreeHessian(self.compact, self.b0.size).apply(v)
+
+    def compact(self):
+        """(b0, U, sign) with B = diag(b0) + U diag(sign) U': one column
+        y_i / sqrt(s_i'y_i) (sign +1) and one u_i / sqrt(s_i'u_i) (sign -1)
+        per pair, the terms ``times`` sums."""
+        cols = ([y / math.sqrt(sy) for y, sy in zip(self._y, self._sy)]
+                + [u / math.sqrt(su) for u, su in zip(self._u, self._su)])
+        u = np.column_stack(cols) if cols else np.empty((self.b0.size, 0))
+        sign = np.repeat([1.0, -1.0], len(self._s))
+        return self.b0, u, sign
+
+    def augmented(self, b_extra: float) -> "DampedBfgs":
+        """blockdiag(B, b_extra) in the same compact form: one more
+        variable, on which every stored pair is zero."""
+        out = DampedBfgs(np.append(self.b0, b_extra))
+        out._s, out._y, out._u = ([np.append(v, 0.0) for v in vs]
+                                  for vs in (self._s, self._y, self._u))
+        out._sy, out._su = list(self._sy), list(self._su)
+        return out
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         """Add the pair (s, y), damped so that B stays positive definite."""
         bs = self.times(s)
         shs = float(s @ bs)
         sy = float(s @ y)
-        if shs <= 1e-14:
+        # sum(y y'/s'y) bounds the terms that B adds to B0, so the bracket
+        # bounds |B|: the pair's curvature must stand above its floor
+        b_norm = float(np.max(self.b0)) + sum(
+            float(v @ v) / v_sy for v, v_sy in zip(self._y, self._sy))
+        if shs <= max(1e-14, CURVATURE_FLOOR * b_norm * float(s @ s)):
             return
         if sy < 0.2 * shs:
             theta = 0.8 * shs / (shs - sy)
@@ -177,159 +217,425 @@ class DampedBfgs:
         self._u.append(bs)
         self._sy.append(sy)
         self._su.append(shs)
-        big_s, big_y = np.column_stack(self._s), np.column_stack(self._y)
-        h0_y = self.h0[:, None] * big_y
-        r = len(self._s)
-        sty = big_s.T @ big_y
-        r_inv = scipy.linalg.solve_triangular(np.triu(sty), np.eye(r),
-                                              check_finite=False)
-        inner = np.diag(np.diag(sty)) + big_y.T @ h0_y
-        self._m = np.block([[r_inv.T @ inner @ r_inv, -r_inv.T],
-                            [-r_inv, np.zeros((r, r))]])
-        self._w = np.hstack([big_s, h0_y])
 
 
 # ---------------------------------------------------------------------------
 # dual active-set QP
 # ---------------------------------------------------------------------------
 
-class _ActiveSet:
-    """Active rows of the dual QP, with an incremental Cholesky of N H^-1 N^T.
+class _FreeHessian:
+    """B and the inverse of B over the free variables F, from one compact form.
 
-    Each member is one row in the ">=" form, kept with its integer row id
-    (see ``solve_qp``). The first ``n_eq`` members are the equality rows
-    that ``batch_init_equalities`` installs, and are never dropped. At most
-    n rows in R^n are independent, so the buffers hold n members and are
-    allocated once.
+    B = diag(b0) + U diag(sign) U' (``DampedBfgs.compact``, loaded by the
+    callable ``compact`` when first needed); ``times`` applies it. A fixed
+    variable is held where it is, so the QP works with K_F, the inverse of
+    B_FF padded with zeros on the fixed rows and columns, which ``apply``
+    applies by the Woodbury form of the same terms
 
-    The upper factor R of N H^-1 N^T over the q members lives in one n x n
-    Fortran-ordered buffer that is always blockdiag(R, I): the leading q x q
-    block is R with exact zeros below its diagonal, and everything outside
-    that block is exactly the identity. BLAS ``dtrsv`` then solves with R
-    on the whole buffer, in place, given a right-hand side padded with
-    zeros (the padding solves to zeros), so no step copies the factor.
+        K_F v = h v - h U M^-1 U' h v,   M = diag(sign) + U' h U  (2r x 2r)
+
+    with h = 1/b0 on F and 0 on the fixed variables. M is indefinite.
+    Fixing or freeing variable j changes M by -/+ h_j U_j' U_j and M^-1 by
+    rank one (Sherman-Morrison): its pivot is b0_j times K_F's (j, j) entry
+    while j is free, so it stays positive. ``set_free`` changes many
+    variables at once and computes M^-1 afresh. Solves with M^-1 take one
+    step of iterative refinement against M.
+
+    A dense H given only through ``hinv`` (H^-1 as a callable, for small
+    problems) is applied through ``hinv`` while no variable is fixed.
     """
 
-    def __init__(self, hinv, n):
+    def __init__(self, compact, n, hinv=None):
+        self._compact = compact
         self.hinv = hinv
-        self.size = 0
-        self.n_eq = 0
-        self._normals = np.empty((n, n))  # active ">=" rows
-        self._b = np.empty((n, n))  # H^-1 N^T, one column per member
-        self._chol = np.eye(n, order="F")  # blockdiag(R, I)
-        self._mult = np.empty(n)
-        self._ids = np.empty(n, dtype=np.intp)
+        self.free = np.ones(n, dtype=bool)
+        self.n_fixed = 0
+        self.b0 = None
+
+    def _load(self):
+        if self.b0 is None:
+            self.b0, self.u, self.sign = self._compact()
+            self._h = np.where(self.free, 1.0 / self.b0, 0.0)
+            self.invert()
+
+    def invert(self):
+        """M and M^-1 afresh from the free set."""
+        self._load()
+        u = self.u
+        self._mid = np.asfortranarray(np.diag(self.sign)
+                                      + u.T @ (self._h[:, None] * u))
+        self._mid_inv = np.asfortranarray(np.linalg.inv(self._mid)) \
+            if self.sign.size else None
+
+    def _rank_one(self, j, c):
+        """M += c U_j' U_j, with M^-1 following by Sherman-Morrison."""
+        if self._mid_inv is not None:
+            uj = self.u[j]
+            w = _refined_solve(self._mid_inv, self._mid, uj)
+            dger(c, uj, uj, a=self._mid, overwrite_a=1)
+            dger(-c / (1.0 + c * float(uj @ w)), w, w, a=self._mid_inv,
+                 overwrite_a=1)
+
+    def fix(self, j):
+        if self.b0 is not None:
+            self._rank_one(j, -self._h[j])
+            self._h[j] = 0.0
+        self.free[j] = False
+        self.n_fixed += 1
+
+    def release(self, j):
+        if self.b0 is not None:
+            self._h[j] = 1.0 / self.b0[j]
+            self._rank_one(j, self._h[j])
+        self.free[j] = True
+        self.n_fixed -= 1
+
+    def set_free(self, var, value):
+        """Free (True) or fix (False) the variables ``var`` at once."""
+        self.free[var] = value
+        self.n_fixed = int(np.count_nonzero(~self.free))
+        if self.b0 is not None:
+            self._h = np.where(self.free, 1.0 / self.b0, 0.0)
+            self.invert()
+
+    def apply(self, v):
+        """K_F v for a vector or an (n, m) block."""
+        if self.hinv is not None and not self.n_fixed:
+            return self.hinv(v)
+        self._load()
+        h = self._h if v.ndim == 1 else self._h[:, None]
+        hv = h * v
+        if self._mid_inv is not None:
+            hv -= h * (self.u @ _refined_solve(self._mid_inv, self._mid,
+                                               self.u.T @ hv))
+        return hv
+
+    def times(self, v):
+        """B v for one vector."""
+        self._load()
+        return self.b0 * v + self.u @ (self.sign * (self.u.T @ v))
+
+
+def _compact_of(hinv, n):
+    """(b0, U, sign) of a dense H given only through H^-1: with the least
+    eigenvalue l of H, B = (l/2) I + V diag(lambda - l/2) V'."""
+    h = np.linalg.inv(hinv(np.eye(n)))
+    lam, vec = np.linalg.eigh(0.5 * (h + h.T))
+    shift = 0.5 * lam[0]
+    return np.full(n, shift), vec * np.sqrt(lam - shift), np.ones(n)
+
+
+class _ActiveSet:
+    """Active rows of the dual QP: bounds fix variables, the rest keep S^-1.
+
+    Each member is one row n'd >= rhs, kept with its integer row id (see
+    ``solve_qp``). A bound member (normal e_j or -e_j) fixes variable j in
+    ``hess`` and never enters S below. It keeps its multiplier, and its dual
+    direction comes from row j of the stationarity condition
+    (``directions``). The general members E, the ``n_eq`` equality rows
+    first (installed by ``batch_init_equalities``, never dropped), keep
+
+        B_E = K_F N_E'  (one column per member),  S = N_E K_F N_E'  and  S^-1
+
+    with K_F from ``hess``; S and S^-1 are q x q, in Fortran order. Fixing
+    variable j changes K_F by -k k'/k_j with k = K_F e_j, so B_E, S and S^-1
+    change by rank one in place (BLAS dger; S^-1 gains r r'/rho^2 with
+    r = S^-1 N_E k and rho^2 the pivot). Freeing j changes them back and
+    adding a general member borders them. Dropping a general member removes
+    a row and a column of S and recomputes S^-1 from its Cholesky factor.
+
+    S^-1 is kept instead of a factor of S because every fix or free would
+    refactor S: LAPACK dpotrf takes 50-230 us at q = 100-180 and scipy's
+    qr_update with an identity Q 110-130 us, against 25-70 us for the
+    Sherman-Morrison update (a Python loop of Givens rotations: 0.6-1 ms).
+    Rank-one downdates of S lose digits when they cancel (S^-1 adds no
+    error of its own: solves refined against S come out the same);
+    ``refresh`` and ``resolve`` recompute everything from the members when
+    that shows.
+    """
+
+    def __init__(self, hess, n, capacity):
+        self.hess = hess
+        self.q = self.n_eq = 0  # general members, equality rows first
+        self._normals = np.empty((capacity, n))
+        self._b = np.empty((n, capacity), order="F")
+        self._gram = np.empty((0, 0), order="F")  # S
+        self._inv = np.empty((0, 0), order="F")  # S^-1
+        self._mult = np.empty(capacity)
+        self._ids = np.empty(capacity, dtype=np.intp)
+        self.nb = 0  # bound members: variable, +1 lower / -1 upper, id
+        self._var = np.empty(n, dtype=np.intp)
+        self._side = np.empty(n)
+        self._bid = np.empty(n, dtype=np.intp)
+        self._bmult = np.empty(n)
 
     @property
     def normals(self):
-        return self._normals[:self.size]
+        return self._normals[:self.q]
 
     @property
     def hinv_nt(self):
-        return self._b[:, :self.size]
+        return self._b[:, :self.q]
+
+    @property
+    def gram(self):
+        return self._gram
+
+    @property
+    def gram_inverse(self):
+        return self._inv
 
     @property
     def multipliers(self):
-        return self._mult[:self.size]
+        return self._mult[:self.q]
 
     @property
     def ids(self):
-        return self._ids[:self.size]
+        return self._ids[:self.q]
 
-    def solve(self, v, trans=0):
-        """R^-1 v, or R^-T v with trans=1, for a vector over the members."""
-        x = np.zeros(self._mult.size)
-        x[:self.size] = v
-        return dtrsv(self._chol, x, trans=trans, overwrite_x=1)[:self.size]
+    @property
+    def bounds(self):
+        """(variable, side, id, multiplier) arrays of the bound members."""
+        nb = self.nb
+        return self._var[:nb], self._side[:nb], self._bid[:nb], self._bmult[:nb]
 
-    def try_add(self, row_id, normal, multiplier, y, w) -> bool:
-        """Append a row, given y = H^-1 normal and w = R^-T (N y) over the
-        current members; False if it depends on the members (any does at n)."""
-        q = self.size
-        if q == self._mult.size:
-            return False
-        rho_sq = float(normal @ y) - float(w @ w)
+    def _rank_one(self, alpha, k, nk, r):
+        """K_F += alpha k k' (k = K_F e_j up to a factor, nk = N_E k,
+        r = S^-1 nk), in place."""
+        if self.q:
+            dger(alpha, nk, nk, a=self._gram, overwrite_a=1)
+            dger(alpha, k, nk, a=self._b[:, :self.q], overwrite_a=1)
+            dger(-alpha / (1.0 + alpha * float(nk @ r)), r, r, a=self._inv,
+                 overwrite_a=1)
+
+    def directions(self, normal, y, ny):
+        """Primal direction z and dual directions r over E and r_b over the
+        bound members for a candidate normal, given y = K_F normal and
+        ny = N_E y. Row j of H z = normal - N_E'r - side_j r_b,j e_j gives
+        r_b."""
+        r = self._inv @ ny
+        z = y - self.hinv_nt @ r
+        var, side, _, _ = self.bounds
+        r_b = side * (normal - r @ self.normals - self.hess.times(z))[var] \
+            if self.nb else np.zeros(0)
+        return z, r, r_b
+
+    def inequality_members(self):
+        """Multipliers and ids of the droppable members, general first: the
+        positions ``drop`` takes."""
+        k, q = self.n_eq, self.q
+        return (np.concatenate([self._mult[k:q], self._bmult[:self.nb]]),
+                np.concatenate([self._ids[k:q], self._bid[:self.nb]]))
+
+    def step_multipliers(self, t, r, r_b):
+        self._mult[:self.q] -= t * r
+        self._bmult[:self.nb] -= t * r_b
+
+    def try_add(self, row_id, normal, multiplier, y, ny, r, rho_sq,
+                var=None) -> bool:
+        """Add a row given y = K_F normal, ny = N_E y, r = S^-1 ny and its
+        pivot rho_sq = normal'y - ny'r; a bound on variable ``var`` fixes
+        it. False if the row depends on the members."""
+        q = self.q
         if rho_sq <= DEPENDENT_PIVOT * max(1.0, float(normal @ normal)):
             return False
-        self._chol[:q, q] = w
-        self._chol[q, q] = math.sqrt(rho_sq)
+        if var is not None:
+            # K_F loses k k'/k_j, k = K_F e_j = side * y, k_j = normal'y
+            self._rank_one(-1.0 / float(normal @ y), y, ny, r)
+            self._b[var, :q] = 0.0
+            self.hess.fix(var)
+            nb = self.nb
+            self._var[nb], self._side[nb] = var, normal[var]
+            self._bid[nb], self._bmult[nb] = row_id, multiplier
+            self.nb = nb + 1
+            return True
+        if q == self._mult.size:
+            return False
+        gram = np.empty((q + 1, q + 1), order="F")
+        gram[:q, :q] = self._gram
+        gram[q, :q] = gram[:q, q] = ny
+        gram[q, q] = float(normal @ y)
+        self._gram = gram
+        inv = np.empty((q + 1, q + 1), order="F")
+        inv[:q, :q] = self._inv + np.outer(r, r / rho_sq)
+        inv[q, :q] = inv[:q, q] = -r / rho_sq
+        inv[q, q] = 1.0 / rho_sq
+        self._inv = inv
         self._normals[q] = normal
         self._b[:, q] = y
         self._mult[q] = multiplier
         self._ids[q] = row_id
-        self.size = q + 1
+        self.q = q + 1
         return True
 
     def drop(self, position):
-        """Remove a member: shift the later columns of R left, then Givens
-        rotations clear the subdiagonal this leaves, in O(q^2) and in place.
+        """Remove the droppable member at ``position`` (as in
+        ``inequality_members``); returns its row id and, for a bound, its
+        variable (else None)."""
+        q, general = self.q, self.q - self.n_eq
+        if position < general:
+            p = self.n_eq + position
+            row_id = int(self._ids[p])
+            for a in (self._normals, self._mult, self._ids):
+                a[p:q - 1] = a[p + 1:q]
+            self._b[:, p:q - 1] = self._b[:, p + 1:q]
+            keep = np.delete(np.arange(q), p)
+            self._gram = np.asfortranarray(self._gram[np.ix_(keep, keep)])
+            self.q = q - 1
+            self._inv = _spd_inverse(self._gram) if self.q else \
+                np.empty((0, 0), order="F")
+            return row_id, None
+        b, nb = position - general, self.nb
+        var, row_id = int(self._var[b]), int(self._bid[b])
+        for a in (self._var, self._side, self._bid, self._bmult):
+            a[b:nb - 1] = a[b + 1:nb]
+        self.nb = nb - 1
+        # K_F gains k k'/k_j, k = K_F e_j with j free again
+        self.hess.release(var)
+        unit = np.zeros(self._b.shape[0])
+        unit[var] = 1.0
+        k = self.hess.apply(unit)
+        nk = self.normals @ k
+        self._rank_one(1.0 / k[var], k, nk, self._inv @ nk)
+        return row_id, var
 
-        The diagonal stays positive (Goldfarb and Idnani, 1983): rotation k
-        zeroes R[k + 1, k], the untouched original diagonal entry shifted
-        left, and leaves hypot(R[k, k], R[k + 1, k]) > 0 on the diagonal.
-        """
-        q, r = self.size, self._chol
-        r[:q, position:q - 1] = r[:q, position + 1:q]
-        for k in range(position, q - 1):
-            a, b = r[k, k], r[k + 1, k]
-            rad = math.hypot(a, b)
-            c, s = a / rad, b / rad
-            top, bottom = r[k, k + 1:q - 1], r[k + 1, k + 1:q - 1]
-            top, bottom = c * top + s * bottom, c * bottom - s * top
-            r[k, k + 1:q - 1], r[k + 1, k + 1:q - 1] = top, bottom
-            r[k, k], r[k + 1, k] = rad, 0.0
-        r[:q, q - 1] = 0.0
-        r[q - 1, q - 1] = 1.0
-        self._normals[position:q - 1] = self._normals[position + 1:q]
-        self._b[:, position:q - 1] = self._b[:, position + 1:q]
-        self._mult[position:q - 1] = self._mult[position + 1:q]
-        self._ids[position:q - 1] = self._ids[position + 1:q]
-        self.size = q - 1
+    def refresh(self):
+        """Recompute B_E, S and S^-1 from the members; returns S's upper
+        Cholesky factor, or None with nothing changed if S is numerically
+        singular. Rank-one updates lose digits when they cancel (a pivot
+        far below its row's K_F diagonal); this restores them."""
+        q = self.q
+        self.hess.invert()
+        b = self.hess.apply(np.ascontiguousarray(self.normals.T))
+        s = self.normals @ b
+        s = 0.5 * (s + s.T)
+        chol, info = dpotrf(s, lower=0, clean=1)
+        if info:
+            return None
+        self._b[:, :q] = b
+        self._gram = np.asfortranarray(s)
+        self._inv = _spd_inverse(chol=chol)
+        return chol
 
-    def directions(self, y, ny):
-        """Primal direction z and dual direction r for a candidate normal,
-        given y = H^-1 normal and ny = N y over the current members, plus the
-        forward solve w = R^-T ny that ``try_add`` takes."""
-        w = self.solve(ny, trans=1)
-        r = self.solve(w)
-        return y - self.hinv_nt @ r, r, w
+    def dependent(self):
+        """Positions of the general members outside the rank of S, by a
+        pivoted Cholesky (LAPACK dpstrf) with try_add's relative test."""
+        s = self.normals @ self.hess.apply(np.ascontiguousarray(self.normals.T))
+        scale = np.sqrt(np.maximum(1.0, np.einsum("ij,ij->i", self.normals,
+                                                  self.normals)))
+        _, piv, rank, _ = dpstrf(0.5 * (s + s.T) / np.outer(scale, scale),
+                                 tol=DEPENDENT_PIVOT)
+        return np.sort(piv[rank:] - 1)
+
+    def resolve(self, g, d_fixed, rhs):
+        """Solve afresh for the current members: the minimizer with the
+        fixed variables at d_fixed and each general member n'd = rhs, with
+        new B_E, S, S^-1 and multipliers; returns it, or None with nothing
+        changed if S is numerically singular."""
+        hess, q = self.hess, self.q
+        d = d_fixed - hess.apply(g + hess.times(d_fixed) if hess.n_fixed
+                                 else g)
+        if q:
+            chol = self.refresh()
+            if chol is None:
+                return None
+            lam = scipy.linalg.cho_solve((chol, False), rhs - self.normals @ d,
+                                         check_finite=False)
+            d = d + self.hinv_nt @ lam
+            self._mult[:q] = lam
+        if self.nb:
+            var, side, _, _ = self.bounds
+            self._bmult[:self.nb] = side * (
+                hess.times(d) + g - self.multipliers @ self.normals)[var]
+        return d
+
+    def fix_bounds(self, var, side, ids):
+        """Make bound members of the variables ``var`` (sides +1 lower,
+        -1 upper, row ids ``ids``) at once, leaving B_E, S, S^-1 and the
+        multipliers to ``resolve``."""
+        nb, k = self.nb, var.size
+        self._var[nb:nb + k], self._side[nb:nb + k] = var, side
+        self._bid[nb:nb + k], self._bmult[nb:nb + k] = ids, 0.0
+        self.nb = nb + k
+        self.hess.set_free(var, False)
+
+    def release_bounds(self, positions):
+        """Drop the bound members at these positions among the bound
+        members at once, leaving the rest to ``resolve``; returns their row
+        ids and variables."""
+        gone = self._bid[positions].copy(), self._var[positions].copy()
+        keep = np.delete(np.arange(self.nb), positions)
+        for a in (self._var, self._side, self._bid, self._bmult):
+            a[:keep.size] = a[keep]
+        self.nb = keep.size
+        self.hess.set_free(gone[1], True)
+        return gone
+
+    def clip_multipliers(self):
+        """Zero the inequality members' multipliers that rounding left
+        below zero."""
+        np.maximum(self._mult[self.n_eq:self.q], 0.0,
+                   out=self._mult[self.n_eq:self.q])
+        np.maximum(self._bmult[:self.nb], 0.0, out=self._bmult[:self.nb])
 
     def batch_init_equalities(self, a_eq, b_eq, d):
         """Install the equality rows in one blocked step; returns the
-        equality-feasible minimizer. Must be called on an empty set.
+        equality-feasible minimizer. Must be called on a set with no members.
 
         If a row is dependent, a pivoted Cholesky (LAPACK dpstrf) picks a
         largest independent subset, installed in row order the same way
         (``ids`` names the rows kept; the caller checks the others). Raises
         InfeasibleSubproblem if that subset's factor is refused too.
         """
-        b_block = self.hinv(a_eq.T)
+        b_block = self.hess.apply(a_eq.T)
         s = a_eq @ b_block
         s = 0.5 * (s + s.T)
         scale = np.maximum(1.0, np.einsum("ij,ij->i", a_eq, a_eq))
+        capacity = self._mult.size
         # more than n rows in R^n are dependent, though rounding may pass them
         chol = (_independent_factor(s, scale)
-                if a_eq.shape[0] <= self._mult.size else None)
+                if a_eq.shape[0] <= capacity else None)
         ids = None
         if chol is None:
             # on s / sqrt(scale scale'), dpstrf's absolute stop on the
             # squared pivots is the relative DEPENDENT_PIVOT test
             _, piv, rank, _ = dpstrf(s / np.sqrt(np.outer(scale, scale)),
                                      tol=DEPENDENT_PIVOT)
-            ids = np.sort(piv[:min(rank, self._mult.size)] - 1)
+            ids = np.sort(piv[:min(rank, capacity)] - 1)
             a_eq, b_eq, b_block = a_eq[ids], b_eq[ids], b_block[:, ids]
-            chol = _independent_factor(s[np.ix_(ids, ids)], scale[ids])
+            s = s[np.ix_(ids, ids)]
+            chol = _independent_factor(s, scale[ids])
             if chol is None:
                 raise InfeasibleSubproblem("dependent equality rows")
         m = a_eq.shape[0]
         self._normals[:m] = a_eq
         self._b[:, :m] = b_block
-        self._chol[:m, :m] = chol
+        self._gram = np.asfortranarray(s)
+        self._inv = _spd_inverse(chol=chol)
         self._ids[:m] = np.arange(m) if ids is None else ids
-        self.size = self.n_eq = m
-        lam = self.solve(self.solve(b_eq - a_eq @ d, trans=1))
+        self.q = self.n_eq = m
+        lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d,
+                                     check_finite=False)
         self._mult[:m] = lam
         return d + b_block @ lam
+
+
+def _refined_solve(inv, mat, b):
+    """mat^-1 b through an explicit inverse, with one step of iterative
+    refinement: the inverse follows mat through rank-one updates and loses
+    digits that the residual against mat restores."""
+    x = inv @ b
+    return x + inv @ (b - mat @ x)
+
+
+def _spd_inverse(s=None, chol=None):
+    """S^-1 in Fortran order from S or from its upper Cholesky factor."""
+    if chol is None:
+        chol, info = dpotrf(s, lower=0, clean=1)
+        if info:
+            raise InfeasibleSubproblem("degenerate active set")
+    inv, _ = dpotri(chol, lower=0)
+    return np.asfortranarray(np.triu(inv) + np.triu(inv, 1).T)
 
 
 def _independent_factor(s, scale):
@@ -344,24 +650,32 @@ def _independent_factor(s, scale):
     return chol
 
 
-def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
+def solve_qp(hessian, g: np.ndarray,
              a_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
              a_in: np.ndarray | None = None, b_in: np.ndarray | None = None,
              lower: np.ndarray | None = None, upper: np.ndarray | None = None
              ) -> QpResult:
     """Minimize 0.5 d'Hd + g'd s.t. A_eq d = b_eq, A_in d <= b_in, lower <= d <= upper.
 
-    H is positive definite and reached only through ``hinv``, which maps a
-    vector or an (n, m) block V to H^-1 V. Raises InfeasibleSubproblem when
-    the constraints admit no point.
+    H is positive definite, given as a DampedBfgs or as a callable mapping a
+    vector or an (n, m) block V to H^-1 V. A callable serves small dense
+    problems: its compact form is built from H^-1 once a variable is fixed.
+    Raises InfeasibleSubproblem when the constraints admit no point.
 
     Every inequality is one row n_i'd >= rhs_i with an integer id i: the
     general rows -A_in d >= -b_in take ids [0, n_in), the lower bounds
     d >= lower [n_in, n_in + n) and the upper bounds -d >= -upper
-    [n_in + n, n_in + 2n). The equality rows, by their index in A_eq, form
-    a prefix of the active set that is never dropped. They enter in one
-    blocked step, which leaves out dependent rows; those must hold within
-    the QP's tolerance as far as the kept rows do, and get multiplier 0.
+    [n_in + n, n_in + 2n). An active bound fixes its variable (see
+    ``_ActiveSet``), and a variable whose bounds coincide is fixed from the
+    start. The equality rows, by their index in A_eq, form a prefix of the
+    active set that is never dropped. They enter in one blocked step, which
+    leaves out dependent rows; those must hold within the QP's tolerance as
+    far as the kept rows do, and get multiplier 0.
+
+    The main loop enters the most violated row that is not a member, ties
+    to the lowest id. After a step of length zero it enters the violated row
+    with the lowest id instead, until a step has positive length, and a tie
+    in the blocking test goes to the lowest id (Bland's rule).
     """
     n = g.shape[0]
     a_eq = np.empty((0, n)) if a_eq is None else np.atleast_2d(a_eq)
@@ -374,60 +688,102 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     hi_vec = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
     rhs = np.concatenate([-b_in, lo_vec, -hi_vec])
 
-    d = -hinv(g)
-    active = _ActiveSet(hinv, n)
+    if isinstance(hessian, DampedBfgs):
+        hess = _FreeHessian(hessian.compact, n)
+    else:
+        hess = _FreeHessian(lambda: _compact_of(hessian, n), n, hessian)
+    # members, which the main loop never enters again: the general rows by
+    # id, a fixed variable by both of its bound ids
+    member = np.zeros(n_in + 2 * n, dtype=bool)
+    pinned = np.flatnonzero(lo_vec == hi_vec)
+    member[n_in + pinned] = member[n_in + n + pinned] = True
+    if pinned.size:
+        hess.set_free(pinned, False)
+    d = np.zeros(n)
+    d[pinned] = lo_vec[pinned]
+    d = d - hess.apply(g + hess.times(d) if pinned.size else g)
+    active = _ActiveSet(hess, n, min(n, n_eq + n_in))
 
     b_all = np.abs(np.concatenate([b_eq, rhs]))
     tol = 1e-10 * max(1.0, float(np.max(b_all[np.isfinite(b_all)], initial=0.0)))
     limit = max(200, 20 * (n + n_eq + 1))
     iterations = 0
+    degenerate = False  # the last step had length zero
 
-    def normal_of(i):
-        if i < n_in:
-            return -a_in[i]
-        normal = np.zeros(n)
-        normal[(i - n_in) % n] = 1.0 if i < n_in + n else -1.0
-        return normal
+    def mark(row_id, var, value):
+        """Record whether a row is a member; a bound, or an array of them,
+        by its variable."""
+        if var is None:
+            member[row_id] = value
+        else:
+            member[n_in + var] = member[n_in + n + var] = value
 
-    def step_to(row_id, normal, row_rhs):
-        nonlocal d, iterations
-        # H^-1 normal and its products with the members, renewed on a drop
-        y = hinv(normal)
+    def member_rhs():
+        k, ids = active.n_eq, active.ids
+        return np.concatenate([b_eq[ids[:k]], rhs[ids[k:]]])
+
+    def step_to(row_id, normal, row_rhs, var):
+        nonlocal d, iterations, degenerate
+        # K_F normal and its products with E, renewed on a drop
+        dependent = DEPENDENT_PIVOT * max(1.0, float(normal @ normal))
+        y = hess.apply(normal)
         ny = active.normals @ y
         u_plus = 0.0  # multiplier of the incoming constraint, built up stepwise
+        refreshed = False
         while True:
             iterations += 1
             if iterations > limit:
                 raise InfeasibleSubproblem("active-set iteration limit")
             slack = row_rhs - float(normal @ d)
             if slack <= tol:
-                # u_plus > 0 here only after a drop, so w is solved afresh
-                if u_plus > 0.0 and not active.try_add(
-                        row_id, normal, u_plus, y, active.solve(ny, trans=1)):
-                    raise InfeasibleSubproblem("degenerate active set")
+                # u_plus > 0 here only after a drop, so S^-1 ny is renewed
+                if u_plus > 0.0:
+                    r = active.gram_inverse @ ny
+                    if not active.try_add(row_id, normal, u_plus, y, ny, r,
+                                          float(normal @ y - ny @ r), var):
+                        raise InfeasibleSubproblem("degenerate active set")
+                mark(row_id, var, u_plus > 0.0)
                 return
-            z, r, w = active.directions(y, ny)
+            z, r, r_b = active.directions(normal, y, ny)
+            # the pivot of the row, the same number try_add tests
             z_dot = float(normal @ z)
-            # Dual blocking test over the inequality members: the first
-            # smallest ratio; the trailing inf stands for "none blocks".
-            r_in = r[active.n_eq:]
-            ratios = np.full(r_in.size + 1, math.inf)
-            np.divide(active.multipliers[active.n_eq:], r_in, out=ratios[:-1],
-                      where=r_in > 1e-12)
-            block = int(np.argmin(ratios))
-            t1 = float(ratios[block])
-            t2 = slack / z_dot if z_dot > 1e-12 else math.inf
+            # Dual blocking test over the droppable members: the smallest
+            # ratio, ties to the lowest id; the trailing inf stands for
+            # "none blocks".
+            mult, ids = active.inequality_members()
+            rates = np.concatenate([r[active.n_eq:], r_b])
+            ratios = np.full(rates.size + 1, math.inf)
+            np.divide(mult, rates, out=ratios[:-1], where=rates > 1e-12)
+            t1 = float(np.min(ratios))
+            t2 = slack / z_dot if z_dot > dependent else math.inf
             t = min(t1, t2)
             if not math.isfinite(t):
-                raise InfeasibleSubproblem("no feasible point for QP constraints")
+                # proof of infeasibility, unless rounding faked it: check
+                # once more against freshly computed factors
+                if refreshed or active.q == 0 or active.refresh() is None:
+                    raise InfeasibleSubproblem(
+                        "no feasible point for QP constraints")
+                refreshed = True
+                ny = active.normals @ y
+                continue
+            if not math.isfinite(t * float(np.max(np.abs(z), initial=0.0))):
+                # a pivot that rounding kept just above DEPENDENT_PIVOT
+                raise InfeasibleSubproblem("non-finite step")
+            degenerate = t == 0.0
             d = d + t * z
             u_plus += t
-            active.multipliers[:] -= t * r
+            active.step_multipliers(t, r, r_b)
             if t2 <= t1:
-                if not active.try_add(row_id, normal, u_plus, y, w):
+                if not active.try_add(row_id, normal, u_plus, y, ny, r, z_dot,
+                                      var):
                     raise InfeasibleSubproblem("degenerate active set")
+                mark(row_id, var, True)
                 return
-            active.drop(active.n_eq + block)
+            ties = np.flatnonzero(ratios == t1)
+            dropped, dropped_var = active.drop(int(ties[np.argmin(ids[ties])]))
+            mark(dropped, dropped_var, False)
+            if dropped_var is not None:
+                y = hess.apply(normal)
             ny = active.normals @ y
 
     if n_eq:
@@ -435,28 +791,109 @@ def solve_qp(hinv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         if active.n_eq < n_eq:  # rows left out as dependent must hold too
             kept, gap = active.ids, a_eq @ d - b_eq
             left = np.delete(np.arange(n_eq), kept)
-            # a left-out row is c'(kept rows): net of c'(their gaps), the
-            # rounding that d carries in every row cancels
-            c = np.linalg.lstsq(a_eq[kept].T, a_eq[left].T, rcond=None)[0]
+            # on the free columns a left-out row is c'(kept rows): net of
+            # c'(their gaps), the rounding that d carries in every row cancels
+            free = hess.free
+            c = np.linalg.lstsq(a_eq[kept][:, free].T, a_eq[left][:, free].T,
+                                rcond=None)[0]
             if np.max(np.abs(gap[left] - c.T @ gap[kept])) > tol:
                 raise InfeasibleSubproblem("inconsistent equality rows")
 
-    # Main loop: chase the most violated inequality; ties go to the lowest id.
+    def resolve():
+        """``_ActiveSet.resolve`` for the members: d and the multipliers
+        afresh, or None with nothing changed."""
+        var, side, _, _ = active.bounds
+        d_fixed = np.zeros(n)
+        d_fixed[pinned] = lo_vec[pinned]
+        d_fixed[var] = np.where(side > 0.0, lo_vec[var], hi_vec[var])
+        return active.resolve(g, d_fixed, member_rhs())
+
+    # Blocked start: the equality-feasible minimizer's violated bounds are
+    # nearly all active at the solution (188 of 194 on the first QP of a
+    # K=30 squared scene, with 238 violated), so they become members at
+    # once. Those whose multiplier comes out negative leave together, and
+    # the rest is re-solved, until every multiplier is nonnegative; the
+    # main loop then adds what is still violated. A single violated bound
+    # takes the main loop's ordinary step, which costs less than a re-solve.
+    start = np.flatnonzero(((d < lo_vec - tol) | (d > hi_vec + tol))
+                           & hess.free)
+    if start.size > 1:
+        side = np.where(d[start] < lo_vec[start], 1.0, -1.0)
+        ids = np.where(side > 0.0, n_in + start, n_in + n + start)
+        active.fix_bounds(start, side, ids)
+        mark(None, start, True)
+        while True:
+            iterations += 1
+            d_new = resolve()
+            if d_new is None:
+                # the fixed variables leave some members dependent: free
+                # those that appear in them, or all if none does
+                var = active.bounds[0]
+                rows = active.normals[active.dependent()]
+                out = np.flatnonzero(np.any(rows[:, var] != 0.0, axis=0))
+                if not out.size:
+                    out = np.arange(active.nb)
+                mark(None, active.release_bounds(out)[1], False)
+                if not active.nb:
+                    d = resolve()
+                    if d is None:
+                        raise InfeasibleSubproblem("degenerate active set")
+                    break
+                continue
+            d = d_new
+            mult = active.bounds[3]
+            negative = np.flatnonzero(
+                mult < -1e-9 * float(np.max(np.abs(mult), initial=1.0)))
+            if not negative.size:
+                active.clip_multipliers()
+                break
+            mark(None, active.release_bounds(negative)[1], False)
+
+    resid = np.empty(n_in + 2 * n)
+    settled = False
     while True:
         iterations += 1
         if iterations > limit:
             raise InfeasibleSubproblem("active-set iteration limit")
-        resid = np.concatenate([a_in @ d - b_in, lo_vec - d, d - hi_vec])
-        i = int(np.argmax(resid))
+        np.subtract(a_in @ d, b_in, out=resid[:n_in])
+        np.subtract(lo_vec, d, out=resid[n_in:n_in + n])
+        np.subtract(d, hi_vec, out=resid[n_in + n:])
+        np.copyto(resid, -np.inf, where=member)
+        i = int(np.argmax(resid > tol if degenerate else resid))
         if not resid[i] > tol:
-            break
-        step_to(i, normal_of(i), float(rhs[i]))
+            # the members must hold as equalities: once per QP, re-solve if
+            # they drifted by more than DRIFT_FACTOR * tol
+            drift = active.normals @ d - member_rhs()
+            if settled or not np.max(np.abs(drift), initial=0.0) > \
+                    DRIFT_FACTOR * tol:
+                break
+            settled = True
+            d_new = resolve()
+            if d_new is not None:
+                d = d_new
+                active.clip_multipliers()
+            continue
+        var = None
+        if i < n_in:
+            normal = -a_in[i]
+        else:
+            var = (i - n_in) % n
+            normal = np.zeros(n)
+            normal[var] = 1.0 if i < n_in + n else -1.0
+        step_to(i, normal, float(rhs[i]), var)
 
     ids, mult, k = active.ids, active.multipliers, active.n_eq
     lam_eq = np.zeros(n_eq)  # of A_eq d - b_eq = 0; 0 for rows left out
     lam_eq[ids[:k]] = -mult[:k]
     lam = np.zeros(n_in + 2 * n)
     lam[ids[k:]] = mult[k:]
+    _, _, bound_ids, bound_mult = active.bounds
+    lam[bound_ids] = bound_mult
+    if pinned.size:
+        # stationarity row j of a pinned variable is its multiplier
+        mu = (hess.times(d) + g + a_eq.T @ lam_eq + a_in.T @ lam[:n_in])[pinned]
+        lam[n_in + pinned] = np.maximum(mu, 0.0)
+        lam[n_in + n + pinned] = np.maximum(-mu, 0.0)
     return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:],
                     iterations)
 
@@ -529,7 +966,7 @@ def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):
     return max(stat, comp)
 
 
-def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
+def _elastic_qp(h, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
     """Relaxed QP: scale constraint right-hand sides by xi in [0, 1].
 
     Variable vector (d, xi); xi = 0 is always feasible, the penalty pushes xi
@@ -537,19 +974,12 @@ def _elastic_qp(hinv, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
     """
     n = g.shape[0]
     rho = 1e4 * max(1.0, float(np.max(np.abs(g))))
-
-    def hinv_aug(v):
-        out = np.empty(v.shape)
-        out[:n] = hinv(v[:n])
-        out[n] = v[n] / (2.0 * rho)
-        return out
-
     g_aug = np.append(g, -2.0 * rho)  # from rho * (1 - xi)^2
     a_eq = np.hstack([j_eq, c_eq[:, None]])
     a_in = np.hstack([j_in, np.maximum(c_in, 0.0)[:, None]])
-    result = solve_qp(hinv_aug, g_aug, a_eq, np.zeros(c_eq.shape[0]), a_in,
-                      -np.minimum(c_in, 0.0), np.append(lo_step, 0.0),
-                      np.append(hi_step, 1.0))
+    result = solve_qp(h.augmented(2.0 * rho), g_aug, a_eq,
+                      np.zeros(c_eq.shape[0]), a_in, -np.minimum(c_in, 0.0),
+                      np.append(lo_step, 0.0), np.append(hi_step, 1.0))
     return QpResult(result.step[:n], result.eq_multipliers,
                     result.in_multipliers, result.lower_multipliers[:n],
                     result.upper_multipliers[:n], result.iterations)
@@ -572,6 +1002,7 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     lam_in = np.zeros(c_in.shape[0])
     grad_l = _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in)
     mu = 1.0
+    accepted_points = []  # (objective, l1 infeasibility), the last few
     status = "max_iterations"
     message = ""
     iteration = 0
@@ -611,14 +1042,20 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         fresh_hessian = False
         while True:  # at most two passes: current Hessian, then a reset one
             try:
-                qp = solve_qp(h.solve, g, j_eq, -c_eq, j_ws, -c_ws,
-                              lo_step, hi_step)
+                qp = solve_qp(h, g, j_eq, -c_eq, j_ws, -c_ws, lo_step, hi_step)
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
                 logger.debug("elastic fallback at iteration %d", iteration)
                 try:
-                    qp = _elastic_qp(h.solve, g, j_eq, c_eq, j_ws, c_ws,
+                    qp = _elastic_qp(h, g, j_eq, c_eq, j_ws, c_ws,
                                      lo_step, hi_step)
                 except (InfeasibleSubproblem, np.linalg.LinAlgError):
+                    if not fresh_hessian:
+                        # an ill-conditioned Hessian can defeat both QPs
+                        logger.debug("hessian reset at iteration %d",
+                                     iteration)
+                        h.reset()
+                        fresh_hessian = True
+                        continue
                     status = "stalled"
                     message = "QP subproblem failed even in elastic mode"
                     break
@@ -691,6 +1128,19 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
 
         z, f, c_eq, c_in = z_new, f_new, c_eq_new, c_in_new
         g, j_eq, j_in = g_new, j_eq_new, j_in_new
+
+        # No progress: the l1 merit at the current penalty fell by less
+        # than NO_PROGRESS_DROP (relative) over NO_PROGRESS_WINDOW accepted
+        # iterations.
+        accepted_points.append((f, _merit(0.0, c_eq, c_in, 1.0)))
+        if len(accepted_points) > NO_PROGRESS_WINDOW:
+            f_old, infeasibility_old = accepted_points.pop(0)
+            phi_old = f_old + mu * infeasibility_old
+            if phi_old - _merit(f, c_eq, c_in, mu) <= \
+                    NO_PROGRESS_DROP * abs(phi_old):
+                status = "stalled"
+                message = "no progress"
+                break
 
     # The QP keeps bound residuals only to its own tolerance; snap exactly.
     z_final = np.clip(z, lower, upper)

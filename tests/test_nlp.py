@@ -403,23 +403,27 @@ class TestLemmaEquivalenceSmall:
 
     def test_pinned_layout(self, scene_k2):
         # a one-column configuration table: one weight per point, fixed at 1
-        # by its simplex row, and one slack per segment
+        # by its bounds (no simplex rows), and one slack per segment
         p = build_problem(scene_k2, BuildOptions(mode="squared",
                                                  pinned=(2, 5)))
         assert p.n_vars == 6 + 2 + 2
         assert p.n_ineq == 12
-        assert p.n_eq == 2
+        assert p.n_eq == 0
+        lower, upper = p.variable_bounds()
+        assert np.array_equal(lower[p.off_w:p.off_m], np.ones(2))
+        assert np.array_equal(upper[p.off_w:p.off_m], np.ones(2))
         z = p.initial_point("scene")
         assert np.array_equal(p.w_of(z), np.ones((2, 1)))
         eq, ineq = p.eval_constraints(z)
         assert ineq.max() <= 1e-12
-        assert np.array_equal(eq, np.zeros(2))
+        assert eq.shape == (0,)
+        assert p.eval_jacobians(z)[0].shape == (0, p.n_vars)
         assert list(p.chosen_configurations(z)) == [2, 5]
 
     def test_pinned_abs_layout(self, scene_k2):
         p = build_problem(scene_k2, BuildOptions(mode="abs", pinned=(2, 5)))
         assert p.n_vars == 6 + 2 + 2 + 4
-        assert p.n_eq == 2 + 2
+        assert p.n_eq == 2  # the v-split rows only
 
     def test_pinned_rows_are_the_free_rows_of_its_configurations(self,
                                                                  scene_k2):
@@ -486,17 +490,21 @@ class TestOptions:
 
     def test_one_hessian_reset_on_a_placement_solve(self, caplog):
         # the retry with a fresh Hessian fires on real placement programs:
-        # one of this solve's later starts needs it, and start 0 wins
+        # one of this solve's later starts needs it (twice with one BLAS
+        # thread, once with two), and start 0, which needs none, wins
         scene = synthesize_scene(count=3, seed=506)
         with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
             report = solve_placement(scene, SolveSettings(
                 mode="abs", multistart=4, seed=506))
-        resets = [r for r in caplog.records
-                  if r.getMessage().startswith("hessian reset")]
-        assert len(resets) == 1
+        messages = [r.getMessage() for r in caplog.records]
+        resets = [i for i, m in enumerate(messages)
+                  if m.startswith("hessian reset")]
+        start_0 = next(i for i, m in enumerate(messages)
+                       if m.startswith("start 0:"))
+        assert resets and min(resets) > start_0
         assert report.verdict == "feasible"
         assert report.diagnostics["start_index"] == 0
-        assert report.diagnostics["iterations"] == 8
+        assert report.diagnostics["iterations"] == 7
 
 
 class TestDegenerateTarget:

@@ -219,45 +219,77 @@ class TestQp:
 
 
 class TestResidentFactor:
-    """The active set's factor against a dense reference, and its solves."""
+    """The active set's S = N_E K_F N_E', S^-1 and B_E = K_F N_E' against
+    dense references after every fix, free, add and drop, where K_F is the
+    inverse of B over the free variables, padded with zeros."""
 
-    def random_hinv(self, rng, n, compact):
-        """H^-1 as the active set applies it, and as a dense matrix."""
-        if not compact:
-            root = rng.normal(size=(n, n))
-            h = root @ root.T / n + np.eye(n)
-            return dense(h), np.linalg.inv(h)
-        b0 = 10.0 ** rng.uniform(-1, 1, size=n)
-        h = DampedBfgs(b0)
-        for s, y in TestCompactHessian().random_pairs(rng, n, n // 2):
+    def random_hessian(self, rng, n, pairs):
+        """A compact H with the given number of pairs, and B as a matrix."""
+        h = DampedBfgs(10.0 ** rng.uniform(-1, 1, size=n))
+        for s, y in TestCompactHessian().random_pairs(rng, n, pairs):
             h.update(s, y)
-        return h.solve, h.solve(np.eye(n))
+        b0, u, sign = h.compact()
+        return h, np.diag(b0) + u @ np.diag(sign) @ u.T
 
-    def check(self, active, hinv_dense, rng):
-        buf = active._chol
-        q, n = active.size, buf.shape[0]
-        assert buf.flags.f_contiguous
-        r = buf[:q, :q]
-        assert np.array_equal(r, np.triu(r))
-        assert not buf[:q, q:].any() and not buf[q:, :q].any()
-        assert np.array_equal(buf[q:, q:], np.eye(n - q))
+    def new_set(self, rng, n, compact):
+        """An empty active set over a compact H with n // 2 pairs (more
+        than the free variables once most are fixed), or over a dense H
+        given as a callable, whose compact form the QP builds from H^-1;
+        and B."""
+        if compact:
+            h, dense_b = self.random_hessian(rng, n, n // 2)
+            hess = solver._FreeHessian(h.compact, n)
+        else:
+            root = rng.normal(size=(n, n))
+            dense_b = root @ root.T / n + np.eye(n)
+            hinv = dense(dense_b)
+            hess = solver._FreeHessian(lambda: solver._compact_of(hinv, n), n,
+                                       hinv)
+        return solver._ActiveSet(hess, n, n), dense_b
+
+    def check(self, active, dense_b, rng):
+        n = dense_b.shape[0]
+        free = active.hess.free
+        k = np.zeros((n, n))
+        k[np.ix_(free, free)] = np.linalg.inv(dense_b[np.ix_(free, free)])
         normals = active.normals
-        s = normals @ hinv_dense @ normals.T
-        assert np.linalg.norm(r.T @ r - s) <= 1e-12 * np.linalg.norm(s)
-        y = active.hinv(rng.normal(size=n))
-        ny = normals @ y
-        z, dual, w = active.directions(y, ny)
-        want = np.linalg.solve(s, ny)
-        assert np.linalg.norm(dual - want) <= 1e-10 * np.linalg.norm(want)
-        want_z = y - hinv_dense @ normals.T @ want
+        s = normals @ k @ normals.T
+        assert np.linalg.norm(active.gram - s) <= \
+            1e-11 * max(1.0, np.linalg.norm(s))
+        assert np.linalg.norm(active.hinv_nt - k @ normals.T) <= \
+            1e-11 * max(1.0, np.linalg.norm(k @ normals.T))
+        if active.q:
+            assert active.gram.flags.f_contiguous
+            assert np.linalg.norm(active.gram_inverse @ s - np.eye(active.q)) \
+                <= 1e-10
+        normal = rng.normal(size=n)
+        y = active.hess.apply(normal)
+        assert np.linalg.norm(y - k @ normal) <= 1e-12 * np.linalg.norm(y)
+        z, r, r_b = active.directions(normal, y, normals @ y)
+        want_r = np.linalg.solve(s, normals @ k @ normal) if active.q \
+            else np.zeros(0)
+        want_z = k @ (normal - normals.T @ want_r)
+        assert np.linalg.norm(r - want_r) <= \
+            1e-10 * max(1.0, np.linalg.norm(want_r))
         assert np.linalg.norm(z - want_z) <= 1e-10 * np.linalg.norm(y)
-        assert np.linalg.norm(r.T @ w - ny) <= 1e-12 * np.linalg.norm(ny)
+        # bound members: row j of B z = normal - N'r - side_j r_b,j e_j
+        var, side, _, _ = active.bounds
+        want_rb = side * (normal - normals.T @ want_r - dense_b @ want_z)[var]
+        assert np.linalg.norm(r_b - want_rb) <= \
+            1e-10 * max(1.0, np.linalg.norm(normal))
 
-    def add(self, active, rng, row_id):
-        normal = rng.normal(size=active._chol.shape[0])
-        y = active.hinv(normal)
-        w = active.solve(active.normals @ y, trans=1)
-        assert active.try_add(row_id, normal, 1.0, y, w)
+    def add(self, active, rng, row_id, var=None, side=1.0):
+        n = active.hess.free.size
+        if var is None:
+            normal = rng.normal(size=n)
+        else:
+            normal = np.zeros(n)
+            normal[var] = side
+        y = active.hess.apply(normal)
+        ny = active.normals @ y
+        r = active.gram_inverse @ ny
+        assert active.try_add(row_id, normal, 1.0, y, ny, r,
+                              float(normal @ y - ny @ r), var)
 
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("blocked", [True, False])
@@ -266,74 +298,76 @@ class TestResidentFactor:
         for _ in range(10):
             n = int(rng.integers(8, 30))
             m = int(rng.integers(1, 4))
-            hinv, hinv_dense = self.random_hinv(rng, n, compact)
-            active = solver._ActiveSet(hinv, n)
+            active, dense_b = self.new_set(rng, n, compact)
             a_eq = rng.normal(size=(m, n))
             if blocked:
                 active.batch_init_equalities(a_eq, rng.normal(size=m),
                                              np.zeros(n))
             else:
                 for i in range(m):
-                    y = hinv(a_eq[i])
-                    w = active.solve(active.normals @ y, trans=1)
-                    assert active.try_add(i, a_eq[i], 0.0, y, w)
+                    y = active.hess.apply(a_eq[i])
+                    ny = active.normals @ y
+                    r = active.gram_inverse @ ny
+                    assert active.try_add(i, a_eq[i], 0.0, y, ny, r,
+                                          float(a_eq[i] @ y - ny @ r))
                 active.n_eq = m
-            self.check(active, hinv_dense, rng)
+            self.check(active, dense_b, rng)
             row_id = 0
-            for _ in range(n - m - 2):
-                self.add(active, rng, row_id)
+            # fix variables until 3 + m stay free, fewer than the pairs
+            for var in rng.permutation(n)[:n - m - 3]:
+                self.add(active, rng, row_id, int(var), rng.choice([-1.0, 1.0]))
                 row_id += 1
-            self.check(active, hinv_dense, rng)
-            # first, a middle and the last inequality member, each followed
-            # by an addition that must extend the updated factor
-            for position in (m, (m + active.size) // 2, active.size - 1):
-                kept = np.delete(active.ids, position)
-                active.drop(position)
-                assert np.array_equal(active.ids, kept)
-                self.check(active, hinv_dense, rng)
-                self.add(active, rng, row_id)
-                row_id += 1
-                self.check(active, hinv_dense, rng)
-            while active.size > m:
-                active.drop(int(rng.integers(m, active.size)))
-            self.check(active, hinv_dense, rng)
-
-    def spy_on_dtrsv(self, monkeypatch):
-        calls = []
-        real = solver.dtrsv
-
-        def spy(a, x, **kwargs):
-            calls.append(a)
-            return real(a, x, **kwargs)
-
-        monkeypatch.setattr(solver, "dtrsv", spy)
-        return calls
-
-    def test_solves_run_in_place_on_the_resident_factor(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        n = 12
-        hinv, _ = self.random_hinv(rng, n, compact=False)
-        active = solver._ActiveSet(hinv, n)
-        for row_id in range(5):
+                self.check(active, dense_b, rng)
             self.add(active, rng, row_id)
-        calls = self.spy_on_dtrsv(monkeypatch)
-        normal = rng.normal(size=n)
-        y = hinv(normal)
-        z, r, w = active.directions(y, active.normals @ y)
-        assert len(calls) == 2
-        assert active.try_add(5, normal, 1.0, y, w)
-        assert len(calls) == 2
-        active.drop(2)
-        y = hinv(rng.normal(size=n))
-        active.directions(y, active.normals @ y)
-        assert len(calls) == 4
-        assert all(np.shares_memory(a, active._chol) and a.flags.f_contiguous
-                   and a.shape == (n, n) for a in calls)
+            row_id += 1
+            self.check(active, dense_b, rng)
+            # drop a general member, the first, a middle and the last bound
+            # member, each followed by an addition
+            for position in (0, 1, (active.q - m + active.nb) // 2,
+                             active.q - m + active.nb - 1):
+                _, ids = active.inequality_members()
+                kept = np.delete(ids, position)
+                active.drop(position)
+                assert np.array_equal(active.inequality_members()[1], kept)
+                self.check(active, dense_b, rng)
+                free = np.flatnonzero(active.hess.free)
+                self.add(active, rng, row_id, int(rng.choice(free)))
+                row_id += 1
+                self.check(active, dense_b, rng)
+            while active.q + active.nb > m:
+                active.drop(int(rng.integers(0, active.q - m + active.nb)))
+                self.check(active, dense_b, rng)
+            assert not (~active.hess.free).any()
 
-    def test_steps_without_drops_solve_twice_each(self, monkeypatch):
+    def test_blocked_start_meets_kkt(self):
+        # a steep gradient violates most bounds at the start, so they are
+        # fixed in one block; some of them must leave again
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = 30
+            h, dense_b = self.random_hessian(rng, n, int(rng.integers(0, 6)))
+            g = 4.0 * rng.normal(size=n)
+            a_eq = rng.normal(size=(2, n))
+            a_in = rng.normal(size=(5, n))
+            lower, upper = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+            res = solve_qp(h, g, a_eq, np.zeros(2), a_in, np.ones(5), lower,
+                           upper)
+            d = res.step
+            assert np.max(np.abs(a_eq @ d)) < 1e-9
+            assert np.max(a_in @ d - 1.0) < 1e-9
+            assert np.all(d >= lower - 1e-9) and np.all(d <= upper + 1e-9)
+            grad = (dense_b @ d + g + a_eq.T @ res.eq_multipliers
+                    + a_in.T @ res.in_multipliers - res.lower_multipliers
+                    + res.upper_multipliers)
+            assert np.max(np.abs(grad)) < 1e-8 * np.max(np.abs(g))
+            assert min(res.in_multipliers.min(), res.lower_multipliers.min(),
+                       res.upper_multipliers.min()) >= 0.0
+            assert np.max(np.abs(res.lower_multipliers * (d - lower))) < 1e-8
+
+    def test_steps_without_drops_take_one_step_each(self):
         # three orthogonal violated rows enter with one step each and none
-        # is dropped: two solves per step, none more for the additions
-        calls = self.spy_on_dtrsv(monkeypatch)
+        # is dropped: one step per row plus the main loop's k + 1
+        # most-violated checks, the count the QP's iteration limit bounds
         h = np.diag([1.0, 2.0, 3.0, 4.0])
         a_in = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         upper = np.array([np.inf, np.inf, 0.5, np.inf])
@@ -341,15 +375,163 @@ class TestResidentFactor:
                        b_in=np.array([0.5, 0.5]), upper=upper)
         assert np.allclose(res.step, [0.5, 0.5, 0.5, 1.0], atol=1e-12)
         k = 3
-        assert len(calls) == 2 * k
-        assert all(a.flags.f_contiguous and a.shape == (4, 4) for a in calls)
-        # one step per row plus the main loop's k + 1 most-violated checks,
-        # the count the QP's iteration limit bounds
         assert res.iterations == 2 * k + 1
 
     def test_unconstrained_qp_counts_one_iteration(self):
         # no step, only the most-violated check that finds nothing
         assert solve_qp(dense(np.eye(3)), np.ones(3)).iterations == 1
+
+    def test_pinned_variables_start_fixed(self):
+        # lower == upper fixes a variable before any step: a compact H
+        # with pairs, the step meets KKT against the dense H, and the
+        # pinned variable's multiplier closes its stationarity row
+        rng = np.random.default_rng(3)
+        n = 6
+        h, dense_b = self.random_hessian(rng, n, 3)
+        g = rng.normal(size=n)
+        lower, upper = np.full(n, -1.0), np.full(n, 1.0)
+        lower[2] = upper[2] = 0.25
+        a_eq = rng.normal(size=(1, n))
+        res = solve_qp(h, g, a_eq, np.zeros(1), lower=lower, upper=upper)
+        d = res.step
+        assert d[2] == 0.25
+        assert np.all(d >= lower - 1e-12) and np.all(d <= upper + 1e-12)
+        grad = (dense_b @ d + g + a_eq.T @ res.eq_multipliers
+                - res.lower_multipliers + res.upper_multipliers)
+        assert np.max(np.abs(grad)) < 1e-9
+        assert min(res.lower_multipliers.min(), res.upper_multipliers.min()) >= 0.0
+
+
+class TestQpGuards:
+    """Member skip and Bland's rule in the QP's main loop."""
+
+    def test_many_rows_through_one_degenerate_vertex(self):
+        # 300 rows a_i'd <= 0 through the origin of R^6 (a_i0 > 0), inside
+        # the box [-1, 1]^6: the solution is the origin itself, where all
+        # 300 rows are active and only a handful can be members
+        for seed in range(1, 6):
+            rng = np.random.default_rng(seed)
+            n, m = 6, 300
+            a = rng.normal(size=(m, n))
+            a[:, 0] = np.abs(a[:, 0])
+            h = np.diag(rng.uniform(1.0, 3.0, size=n))
+            g = 5.0 * rng.normal(size=n)
+            res = solve_qp(dense(h), g, a_in=a, b_in=np.zeros(m),
+                           lower=np.full(n, -1.0), upper=np.full(n, 1.0))
+            d, lam = res.step, res.in_multipliers
+            assert np.max(np.abs(d)) < 1e-12
+            grad = (h @ d + g + a.T @ lam - res.lower_multipliers
+                    + res.upper_multipliers)
+            assert np.max(np.abs(grad)) < 1e-9
+            assert np.min(lam) >= 0.0
+            assert res.iterations < 50  # the limit is 200
+
+    def test_elastic_qp_of_the_impossible_scene(self, robot):
+        # criterion 10's impossible scene: an elastic QP at its fifth SQP
+        # iterate raised "degenerate active set" although d = 0, xi = 0 is
+        # feasible. Built here from the scene and each of its first
+        # iterates, with the initial Hessian, the elastic QP must solve and
+        # keep the bounds to the QP's tolerance.
+        from cellplace.geometry import Pose
+        from cellplace.nlp import BuildOptions, build_problem
+        from cellplace.scene import PlacementBounds, ProcessPoint, Scene
+        scene = Scene(
+            robot=robot,
+            points=(ProcessPoint("a", Pose(0.0, 0.0, 0.0)),
+                    ProcessPoint("b", Pose(5_000.0, 0.0, 0.0))),
+            bounds=PlacementBounds(np.array([-500.0, -500, -500, 0, 0, 0]),
+                                   np.array([500.0, 500, 500, 0, 0, 0])))
+        problem = build_problem(scene, BuildOptions())
+        spec = problem.as_nlp_spec()
+        z0 = problem.initial_point("scene")
+        for iterations in range(1, 9):
+            z = solve(spec, SolverOptions(max_iterations=iterations), z0).z
+            c_eq, c_in = spec.constraints(z)
+            j_eq, j_in = spec.jacobians(z)
+            ws = c_in >= -solver.WORKING_SET_MARGIN
+            lo, hi = spec.lower - z, spec.upper - z
+            qp = solver._elastic_qp(DampedBfgs(spec.scales ** -2.0),
+                                    spec.gradient(z), j_eq, c_eq, j_in[ws],
+                                    c_in[ws], lo, hi)
+            slack = 1e-10 * max(1.0, np.max(np.abs(np.r_[lo, hi])))
+            assert np.all(qp.step >= lo - slack)
+            assert np.all(qp.step <= hi + slack)
+            assert np.all(qp.in_multipliers >= 0.0)
+
+
+class TestNoProgressStop:
+    def test_impossible_scene_starts_stop_without_progress(self, robot,
+                                                           monkeypatch):
+        # criterion 10's impossible scene: the merit stalls at a positive
+        # objective, so each start ends "no progress" long before the
+        # iteration limit instead of running all 500 iterations
+        from cellplace.geometry import Pose
+        from cellplace.nlp import SolveSettings, solve_placement
+        from cellplace.scene import PlacementBounds, ProcessPoint, Scene
+        scene = Scene(
+            robot=robot,
+            points=(ProcessPoint("a", Pose(0.0, 0.0, 0.0)),
+                    ProcessPoint("b", Pose(5_000.0, 0.0, 0.0))),
+            bounds=PlacementBounds(np.array([-500.0, -500, -500, 0, 0, 0]),
+                                   np.array([500.0, 500, 500, 0, 0, 0])))
+        results = []
+        real_solve = solver.solve
+
+        def spy(*args):
+            results.append(real_solve(*args))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "solve", spy)
+        report = solve_placement(scene, SolveSettings(multistart=2, seed=0))
+        assert report.verdict == "infeasible"
+        assert len(results) == 2
+        for result in results:
+            assert (result.status, result.message) == ("stalled",
+                                                       "no progress")
+            assert result.iterations < 100
+
+
+class TestPlacementQp:
+    """The first QP of a placement solve, built through the public API."""
+
+    @pytest.mark.parametrize("mode, count, seed, norm, dot", [
+        # the step as the QP computed it when every active bound was a row
+        # of its factor: its 2-norm and its product with a fixed vector
+        ("squared", 30, 300, 234.66437193984936, -73.6645886485505),
+        ("abs", 16, 304, 168.0664551866291, -72.96525427548399)],
+        ids=["squared-300", "abs-304"])
+    def test_first_qp_meets_kkt_and_keeps_its_step(self, mode, count, seed,
+                                                   norm, dot):
+        from cellplace.nlp import BuildOptions, build_problem
+        from cellplace.scene import synthesize_scene
+        problem = build_problem(synthesize_scene(count=count, seed=seed),
+                                BuildOptions(mode=mode))
+        spec = problem.as_nlp_spec()
+        z = problem.initial_point("scene")
+        g = spec.gradient(z)
+        c_eq, c_in = spec.constraints(z)
+        j_eq, j_in = spec.jacobians(z)
+        ws = c_in >= -solver.WORKING_SET_MARGIN
+        a_in, b_in = j_in[ws], -c_in[ws]
+        lo, hi = spec.lower - z, spec.upper - z
+        b0 = np.asarray(spec.scales, float) ** -2.0
+        res = solve_qp(DampedBfgs(b0), g, j_eq, -c_eq, a_in, b_in, lo, hi)
+        d = res.step
+        w = np.random.default_rng(0).normal(size=d.size)
+        assert np.linalg.norm(d) == pytest.approx(norm, rel=1e-9)
+        assert d @ w == pytest.approx(dot, rel=1e-9)
+        # KKT against the dense H = diag(b0)
+        grad = (b0 * d + g + j_eq.T @ res.eq_multipliers
+                + a_in.T @ res.in_multipliers - res.lower_multipliers
+                + res.upper_multipliers)
+        assert np.max(np.abs(grad)) <= 1e-9 * max(1.0, np.max(np.abs(g)))
+        assert np.max(np.abs(j_eq @ d + c_eq)) < 1e-8
+        assert np.max(a_in @ d - b_in) < 1e-8
+        assert np.all(d >= lo - 1e-8) and np.all(d <= hi + 1e-8)
+        assert min(res.in_multipliers.min(), res.lower_multipliers.min(),
+                   res.upper_multipliers.min()) >= 0.0
+        assert np.max(np.abs(res.in_multipliers * (a_in @ d - b_in))) < 1e-8
+        assert np.max(np.abs(res.lower_multipliers * (d - lo))) < 1e-8
 
 
 class TestSolve:
@@ -653,6 +835,15 @@ class TestCompactHessian:
         h.reset()
         assert np.array_equal(h.times(v), b0 * v)
         assert np.array_equal(h.solve(v), v / b0)
+
+    def test_pair_below_the_curvature_floor_is_skipped(self):
+        # s'Bs / s's = 1e-12 against |B| = 1: below CURVATURE_FLOOR, though
+        # above the absolute test
+        h = DampedBfgs(np.array([1.0, 1e-12]))
+        h.update(np.array([0.0, 1.0]), np.array([0.0, 5e-13]))
+        assert h.compact()[1].shape == (2, 0)
+        h.update(np.array([1.0, 1.0]), np.array([2.0, 1.0]))
+        assert h.compact()[1].shape == (2, 2)
 
     def test_tiny_step_is_skipped(self):
         h = DampedBfgs(np.ones(3))
