@@ -490,8 +490,8 @@ class TestOptions:
 
     def test_one_hessian_reset_on_a_placement_solve(self, caplog):
         # the retry with a fresh Hessian fires on real placement programs:
-        # one of this solve's later starts needs it (twice with one BLAS
-        # thread, once with two), and start 0, which needs none, wins
+        # one of this solve's later starts needs it (once with one BLAS
+        # thread, twice with two), and start 0, which needs none, wins
         scene = synthesize_scene(count=3, seed=506)
         with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
             report = solve_placement(scene, SolveSettings(
