@@ -7,17 +7,18 @@ linearized constraints, solves it with a dual active-set method
 constraints one at a time, drop blocking ones), and globalizes with an
 l1-merit backtracking line search. The Hessian is kept in the compact form of
 Byrd, Nocedal and Schnabel (1994): a diagonal plus the damped pairs of the
-accepted steps, so the QP applies its inverse in O(n r) for r pairs and never
-forms or factors an n x n matrix. As in qpOASES (Ferreau et al., 2014), an
-active bound fixes its variable instead of entering the QP's factor, which
-holds only the equality and general rows; the inverse of the Hessian over
+accepted steps, the one form the QP takes, which applies its inverse in
+O(n r) for r pairs and never forms or factors an n x n matrix. As in qpOASES
+(Ferreau et al., 2014), an active bound fixes its variable instead of
+entering the QP's factor, which holds only the equality and general rows and
+follows the active set by rank-one updates; one routine rebuilds it from the
+members, with one test for dependent rows. The inverse of the Hessian over
 the free variables is one Woodbury form of the same compact terms through
 which the QP applies the Hessian itself. The bounds that the QP's starting
-point violates are fixed in one block. Infeasible
-subproblems are retried in an elastic form where a scalar relaxation
-variable scales the constraint right-hand sides, and a QP that fails in
-both forms is retried once with a reset Hessian. A start stops when the l1
-merit stops falling.
+point violates are fixed in one block. Infeasible subproblems are retried in
+an elastic form where a scalar relaxation variable scales the constraint
+right-hand sides, and a QP that fails in both forms is retried once with a
+reset Hessian. A start stops when the l1 merit stops falling.
 
 All randomness (multistart sampling) flows through one seeded generator, so
 results are reproducible bit for bit for a fixed BLAS thread count.
@@ -152,8 +153,8 @@ class DampedBfgs:
     sum of the rank-one terms of the updates,
     B = B0 + sum_i (y_i y_i'/s_i'y_i - u_i u_i'/s_i'u_i) with u_i the
     product of s_i and the matrix before update i: ``times`` applies it and
-    ``compact`` hands its terms to the QP, whose Woodbury form of the same
-    terms (``_FreeHessian``) also applies B^-1 for ``solve``.
+    ``compact`` hands its terms to the QP, which applies B^-1 by a Woodbury
+    form of the same terms (``_FreeHessian``).
     """
 
     def __init__(self, b0: np.ndarray):
@@ -174,10 +175,6 @@ class DampedBfgs:
             out += (y @ v / sy) * y - (u @ v / su) * u
         return out
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """B^-1 V for a vector or an (n, m) block."""
-        return _FreeHessian(self.compact, self.b0.size).apply(v)
-
     def compact(self):
         """(b0, U, sign) with B = diag(b0) + U diag(sign) U': one column
         y_i / sqrt(s_i'y_i) (sign +1) and one u_i / sqrt(s_i'u_i) (sign -1)
@@ -187,15 +184,6 @@ class DampedBfgs:
         u = np.column_stack(cols) if cols else np.empty((self.b0.size, 0))
         sign = np.repeat([1.0, -1.0], len(self._s))
         return self.b0, u, sign
-
-    def augmented(self, b_extra: float) -> "DampedBfgs":
-        """blockdiag(B, b_extra) in the same compact form: one more
-        variable, on which every stored pair is zero."""
-        out = DampedBfgs(np.append(self.b0, b_extra))
-        out._s, out._y, out._u = ([np.append(v, 0.0) for v in vs]
-                                  for vs in (self._s, self._y, self._u))
-        out._sy, out._su = list(self._sy), list(self._su)
-        return out
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         """Add the pair (s, y), damped so that B stays positive definite."""
@@ -228,11 +216,11 @@ class DampedBfgs:
 class _FreeHessian:
     """B and the inverse of B over the free variables F, from one compact form.
 
-    B = diag(b0) + U diag(sign) U' (``DampedBfgs.compact``, loaded by the
-    callable ``compact`` when first needed); ``times`` applies it. A fixed
-    variable is held where it is, so the QP works with K_F, the inverse of
-    B_FF padded with zeros on the fixed rows and columns, which ``apply``
-    applies by the Woodbury form of the same terms
+    B = diag(b0) + U diag(sign) U' (``DampedBfgs.compact``); ``times``
+    applies it. ``free`` marks the free variables; a fixed variable is held
+    where it is, so the QP works with K_F, the inverse of B_FF padded with
+    zeros on the fixed rows and columns, which ``apply`` applies by the
+    Woodbury form of the same terms
 
         K_F v = h v - h U M^-1 U' h v,   M = diag(sign) + U' h U  (2r x 2r)
 
@@ -240,29 +228,18 @@ class _FreeHessian:
     Fixing or freeing variable j changes M by -/+ h_j U_j' U_j and M^-1 by
     rank one (Sherman-Morrison): its pivot is b0_j times K_F's (j, j) entry
     while j is free, so it stays positive. ``set_free`` changes many
-    variables at once and computes M^-1 afresh. Solves with M^-1 take one
-    step of iterative refinement against M.
-
-    A dense H given only through ``hinv`` (H^-1 as a callable, for small
-    problems) is applied through ``hinv`` while no variable is fixed.
+    variables at once and computes M^-1 afresh, as ``_ActiveSet.rebuild``
+    does. Solves with M^-1 take one step of iterative refinement against M.
     """
 
-    def __init__(self, compact, n, hinv=None):
-        self._compact = compact
-        self.hinv = hinv
-        self.free = np.ones(n, dtype=bool)
-        self.n_fixed = 0
-        self.b0 = None
-
-    def _load(self):
-        if self.b0 is None:
-            self.b0, self.u, self.sign = self._compact()
-            self._h = np.where(self.free, 1.0 / self.b0, 0.0)
-            self.invert()
+    def __init__(self, compact, free):
+        self.b0, self.u, self.sign = compact
+        self.free = free
+        self._h = np.where(free, 1.0 / self.b0, 0.0)
+        self.invert()
 
     def invert(self):
         """M and M^-1 afresh from the free set."""
-        self._load()
         u = self.u
         self._mid = np.asfortranarray(np.diag(self.sign)
                                       + u.T @ (self._h[:, None] * u))
@@ -279,32 +256,23 @@ class _FreeHessian:
                  overwrite_a=1)
 
     def fix(self, j):
-        if self.b0 is not None:
-            self._rank_one(j, -self._h[j])
-            self._h[j] = 0.0
+        self._rank_one(j, -self._h[j])
+        self._h[j] = 0.0
         self.free[j] = False
-        self.n_fixed += 1
 
     def release(self, j):
-        if self.b0 is not None:
-            self._h[j] = 1.0 / self.b0[j]
-            self._rank_one(j, self._h[j])
+        self._h[j] = 1.0 / self.b0[j]
+        self._rank_one(j, self._h[j])
         self.free[j] = True
-        self.n_fixed -= 1
 
     def set_free(self, var, value):
         """Free (True) or fix (False) the variables ``var`` at once."""
         self.free[var] = value
-        self.n_fixed = int(np.count_nonzero(~self.free))
-        if self.b0 is not None:
-            self._h = np.where(self.free, 1.0 / self.b0, 0.0)
-            self.invert()
+        self._h = np.where(self.free, 1.0 / self.b0, 0.0)
+        self.invert()
 
     def apply(self, v):
         """K_F v for a vector or an (n, m) block."""
-        if self.hinv is not None and not self.n_fixed:
-            return self.hinv(v)
-        self._load()
         h = self._h if v.ndim == 1 else self._h[:, None]
         hv = h * v
         if self._mid_inv is not None:
@@ -314,17 +282,7 @@ class _FreeHessian:
 
     def times(self, v):
         """B v for one vector."""
-        self._load()
         return self.b0 * v + self.u @ (self.sign * (self.u.T @ v))
-
-
-def _compact_of(hinv, n):
-    """(b0, U, sign) of a dense H given only through H^-1: with the least
-    eigenvalue l of H, B = (l/2) I + V diag(lambda - l/2) V'."""
-    h = np.linalg.inv(hinv(np.eye(n)))
-    lam, vec = np.linalg.eigh(0.5 * (h + h.T))
-    shift = 0.5 * lam[0]
-    return np.full(n, shift), vec * np.sqrt(lam - shift), np.ones(n)
 
 
 class _ActiveSet:
@@ -332,10 +290,11 @@ class _ActiveSet:
 
     Each member is one row n'd >= rhs, kept with its integer row id (see
     ``solve_qp``). A bound member (normal e_j or -e_j) fixes variable j in
-    ``hess`` and never enters S below. It keeps its multiplier, and its dual
-    direction comes from row j of the stationarity condition
-    (``directions``). The general members E, the ``n_eq`` equality rows
-    first (installed by ``batch_init_equalities``, never dropped), keep
+    ``hess`` at the value where its row holds, and never enters S below.
+    It keeps its multiplier, and its dual direction comes from row j of the
+    stationarity condition (``directions``). The general members E, the
+    ``n_eq`` equality rows first (installed by ``batch_init_equalities``,
+    never dropped), keep
 
         B_E = K_F N_E'  (one column per member),  S = N_E K_F N_E'  and  S^-1
 
@@ -352,17 +311,19 @@ class _ActiveSet:
     Sherman-Morrison update (a Python loop of Givens rotations: 0.6-1 ms).
     Rank-one downdates of S lose digits when they cancel (S^-1 adds no
     error of its own: solves refined against S come out the same);
-    ``refresh`` and ``resolve`` recompute everything from the members when
-    that shows.
+    ``rebuild`` recomputes everything from the members when that shows.
     """
 
-    def __init__(self, hess, n, capacity):
+    def __init__(self, hess, fixed, capacity):
+        n = fixed.size
         self.hess = hess
+        self._at = fixed  # fixed variables' values; bound members set theirs
         self.q = self.n_eq = 0  # general members, equality rows first
         self._normals = np.empty((capacity, n))
         self._b = np.empty((n, capacity), order="F")
         self._gram = np.empty((0, 0), order="F")  # S
         self._inv = np.empty((0, 0), order="F")  # S^-1
+        self._rhs = np.empty(capacity)
         self._mult = np.empty(capacity)
         self._ids = np.empty(capacity, dtype=np.intp)
         self.nb = 0  # bound members: variable, +1 lower / -1 upper, id
@@ -376,7 +337,8 @@ class _ActiveSet:
         return self._normals[:self.q]
 
     @property
-    def hinv_nt(self):
+    def k_nt(self):
+        """B_E = K_F N_E'."""
         return self._b[:, :self.q]
 
     @property
@@ -386,6 +348,10 @@ class _ActiveSet:
     @property
     def gram_inverse(self):
         return self._inv
+
+    @property
+    def rhs(self):
+        return self._rhs[:self.q]
 
     @property
     def multipliers(self):
@@ -416,7 +382,7 @@ class _ActiveSet:
         ny = N_E y. Row j of H z = normal - N_E'r - side_j r_b,j e_j gives
         r_b."""
         r = self._inv @ ny
-        z = y - self.hinv_nt @ r
+        z = y - self.k_nt @ r
         var, side, _, _ = self.bounds
         r_b = side * (normal - r @ self.normals - self.hess.times(z))[var] \
             if self.nb else np.zeros(0)
@@ -433,11 +399,12 @@ class _ActiveSet:
         self._mult[:self.q] -= t * r
         self._bmult[:self.nb] -= t * r_b
 
-    def try_add(self, row_id, normal, multiplier, y, ny, r, rho_sq,
+    def try_add(self, row_id, normal, row_rhs, multiplier, y, ny, r, rho_sq,
                 var=None) -> bool:
-        """Add a row given y = K_F normal, ny = N_E y, r = S^-1 ny and its
-        pivot rho_sq = normal'y - ny'r; a bound on variable ``var`` fixes
-        it. False if the row depends on the members."""
+        """Add the row normal'd >= row_rhs given y = K_F normal,
+        ny = N_E y, r = S^-1 ny and its pivot rho_sq = normal'y - ny'r; a
+        bound on variable ``var`` fixes it. False if the row depends on the
+        members."""
         q = self.q
         if rho_sq <= DEPENDENT_PIVOT * max(1.0, float(normal @ normal)):
             return False
@@ -446,6 +413,7 @@ class _ActiveSet:
             self._rank_one(-1.0 / float(normal @ y), y, ny, r)
             self._b[var, :q] = 0.0
             self.hess.fix(var)
+            self._at[var] = normal[var] * row_rhs
             nb = self.nb
             self._var[nb], self._side[nb] = var, normal[var]
             self._bid[nb], self._bmult[nb] = row_id, multiplier
@@ -465,6 +433,7 @@ class _ActiveSet:
         self._inv = inv
         self._normals[q] = normal
         self._b[:, q] = y
+        self._rhs[q] = row_rhs
         self._mult[q] = multiplier
         self._ids[q] = row_id
         self.q = q + 1
@@ -478,7 +447,7 @@ class _ActiveSet:
         if position < general:
             p = self.n_eq + position
             row_id = int(self._ids[p])
-            for a in (self._normals, self._mult, self._ids):
+            for a in (self._normals, self._rhs, self._mult, self._ids):
                 a[p:q - 1] = a[p + 1:q]
             self._b[:, p:q - 1] = self._b[:, p + 1:q]
             keep = np.delete(np.arange(q), p)
@@ -501,69 +470,68 @@ class _ActiveSet:
         self._rank_one(1.0 / k[var], k, nk, self._inv @ nk)
         return row_id, var
 
-    def refresh(self):
-        """Recompute B_E, S and S^-1 from the members; returns S's upper
-        Cholesky factor, or None with nothing changed if S is numerically
-        singular. Rank-one updates lose digits when they cancel (a pivot
-        far below its row's K_F diagonal); this restores them."""
-        q = self.q
-        self.hess.invert()
-        b = self.hess.apply(np.ascontiguousarray(self.normals.T))
-        s = self.normals @ b
-        s = 0.5 * (s + s.T)
-        chol, info = dpotrf(s, lower=0, clean=1)
-        if info:
-            return None
-        self._b[:, :q] = b
-        self._gram = np.asfortranarray(s)
-        self._inv = _spd_inverse(chol=chol)
-        return chol
+    def rebuild(self, g=None):
+        """M^-1 (see ``_FreeHessian``), B_E, S and S^-1 afresh from the
+        general members, if any, by one Cholesky factor of S with try_add's
+        test on its pivots; returns (dependent, d).
 
-    def dependent(self):
-        """Positions of the general members outside the rank of S, by a
-        pivoted Cholesky (LAPACK dpstrf) with try_add's relative test."""
-        s = self.normals @ self.hess.apply(np.ascontiguousarray(self.normals.T))
-        scale = np.sqrt(np.maximum(1.0, np.einsum("ij,ij->i", self.normals,
-                                                  self.normals)))
-        _, piv, rank, _ = dpstrf(0.5 * (s + s.T) / np.outer(scale, scale),
-                                 tol=DEPENDENT_PIVOT)
-        return np.sort(piv[rank:] - 1)
-
-    def resolve(self, g, d_fixed, rhs):
-        """Solve afresh for the current members: the minimizer with the
-        fixed variables at d_fixed and each general member n'd = rhs, with
-        new B_E, S, S^-1 and multipliers; returns it, or None with nothing
-        changed if S is numerically singular."""
+        If a pivot fails, B_E, S and S^-1 stay and ``dependent`` holds the
+        positions of the general members outside the rank of S, by a pivoted
+        Cholesky (LAPACK dpstrf) with the same test; more members than free
+        variables are dependent, though rounding may pass them. Else it is
+        None and, given the QP's g, d is the minimizer with the fixed
+        variables at their values and each general member n'd = rhs, with
+        the members' multipliers re-solved to match.
+        """
         hess, q = self.hess, self.q
-        d = d_fixed - hess.apply(g + hess.times(d_fixed) if hess.n_fixed
-                                 else g)
         if q:
-            chol = self.refresh()
-            if chol is None:
-                return None
-            lam = scipy.linalg.cho_solve((chol, False), rhs - self.normals @ d,
+            normals = self.normals
+            hess.invert()
+            b = hess.apply(np.ascontiguousarray(normals.T))
+            s = normals @ b
+            s = 0.5 * (s + s.T)
+            scale = np.maximum(1.0, np.einsum("ij,ij->i", normals, normals))
+            n_free = np.count_nonzero(hess.free)
+            chol, info = dpotrf(s, lower=0, clean=1)
+            if info or q > n_free \
+                    or np.any(np.diag(chol) ** 2 <= DEPENDENT_PIVOT * scale):
+                # on s / sqrt(scale scale'), dpstrf's absolute stop on the
+                # squared pivots is the same relative test
+                _, piv, rank, _ = dpstrf(s / np.sqrt(np.outer(scale, scale)),
+                                         tol=DEPENDENT_PIVOT)
+                return np.sort(piv[min(rank, n_free):] - 1), None
+            self._b[:, :q] = b
+            self._gram = np.asfortranarray(s)
+            self._inv = _spd_inverse(chol=chol)
+        if g is None:
+            return None, None
+        d = np.where(hess.free, 0.0, self._at)
+        d -= hess.apply(g + hess.times(d))
+        if q:
+            lam = scipy.linalg.cho_solve((chol, False), self.rhs - normals @ d,
                                          check_finite=False)
-            d = d + self.hinv_nt @ lam
+            d += self.k_nt @ lam
             self._mult[:q] = lam
         if self.nb:
             var, side, _, _ = self.bounds
             self._bmult[:self.nb] = side * (
                 hess.times(d) + g - self.multipliers @ self.normals)[var]
-        return d
+        return None, d
 
-    def fix_bounds(self, var, side, ids):
-        """Make bound members of the variables ``var`` (sides +1 lower,
-        -1 upper, row ids ``ids``) at once, leaving B_E, S, S^-1 and the
-        multipliers to ``resolve``."""
+    def fix_bounds(self, var, side, ids, rhs):
+        """Make bound members of the variables ``var`` (rows
+        side * d_var >= rhs, sides +1 lower, -1 upper, row ids ``ids``) at
+        once, leaving B_E, S, S^-1 and the multipliers to ``rebuild``."""
         nb, k = self.nb, var.size
         self._var[nb:nb + k], self._side[nb:nb + k] = var, side
         self._bid[nb:nb + k], self._bmult[nb:nb + k] = ids, 0.0
         self.nb = nb + k
+        self._at[var] = side * rhs
         self.hess.set_free(var, False)
 
     def release_bounds(self, positions):
         """Drop the bound members at these positions among the bound
-        members at once, leaving the rest to ``resolve``; returns their row
+        members at once, leaving the rest to ``rebuild``; returns their row
         ids and variables."""
         gone = self._bid[positions].copy(), self._var[positions].copy()
         keep = np.delete(np.arange(self.nb), positions)
@@ -580,46 +548,24 @@ class _ActiveSet:
                    out=self._mult[self.n_eq:self.q])
         np.maximum(self._bmult[:self.nb], 0.0, out=self._bmult[:self.nb])
 
-    def batch_init_equalities(self, a_eq, b_eq, d):
-        """Install the equality rows in one blocked step; returns the
-        equality-feasible minimizer. Must be called on a set with no members.
-
-        If a row is dependent, a pivoted Cholesky (LAPACK dpstrf) picks a
-        largest independent subset, installed in row order the same way
-        (``ids`` names the rows kept; the caller checks the others). Raises
-        InfeasibleSubproblem if that subset's factor is refused too.
-        """
-        b_block = self.hess.apply(a_eq.T)
-        s = a_eq @ b_block
-        s = 0.5 * (s + s.T)
-        scale = np.maximum(1.0, np.einsum("ij,ij->i", a_eq, a_eq))
-        capacity = self._mult.size
-        # more than n rows in R^n are dependent, though rounding may pass them
-        chol = (_independent_factor(s, scale)
-                if a_eq.shape[0] <= capacity else None)
-        ids = None
-        if chol is None:
-            # on s / sqrt(scale scale'), dpstrf's absolute stop on the
-            # squared pivots is the relative DEPENDENT_PIVOT test
-            _, piv, rank, _ = dpstrf(s / np.sqrt(np.outer(scale, scale)),
-                                     tol=DEPENDENT_PIVOT)
-            ids = np.sort(piv[:min(rank, capacity)] - 1)
-            a_eq, b_eq, b_block = a_eq[ids], b_eq[ids], b_block[:, ids]
-            s = s[np.ix_(ids, ids)]
-            chol = _independent_factor(s, scale[ids])
-            if chol is None:
+    def batch_init_equalities(self, a_eq, b_eq, g):
+        """Install the rows a_eq d = b_eq as the first members of an empty
+        set and return the minimizer over them (see ``rebuild``). Rows that
+        the rebuild finds dependent are left out (``ids`` names the rows
+        kept; the caller checks the others) and the rest rebuilt once more;
+        raises InfeasibleSubproblem if that is refused too."""
+        keep = np.arange(a_eq.shape[0])
+        while True:
+            m = keep.size
+            self._normals[:m], self._rhs[:m] = a_eq[keep], b_eq[keep]
+            self._ids[:m] = keep
+            self.q = self.n_eq = m
+            dependent, d = self.rebuild(g)
+            if dependent is None:
+                return d
+            if m < a_eq.shape[0]:
                 raise InfeasibleSubproblem("dependent equality rows")
-        m = a_eq.shape[0]
-        self._normals[:m] = a_eq
-        self._b[:, :m] = b_block
-        self._gram = np.asfortranarray(s)
-        self._inv = _spd_inverse(chol=chol)
-        self._ids[:m] = np.arange(m) if ids is None else ids
-        self.q = self.n_eq = m
-        lam = scipy.linalg.cho_solve((chol, False), b_eq - a_eq @ d,
-                                     check_finite=False)
-        self._mult[:m] = lam
-        return d + b_block @ lam
+            keep = np.delete(keep, dependent)
 
 
 def _refined_solve(inv, mat, b):
@@ -640,18 +586,6 @@ def _spd_inverse(s=None, chol=None):
     return np.asfortranarray(np.triu(inv) + np.triu(inv, 1).T)
 
 
-def _independent_factor(s, scale):
-    """Upper Cholesky factor of s, or None if a row is dependent: chol[i, i]^2
-    is row i's pivot given the rows before it, tested as in try_add."""
-    try:
-        chol = scipy.linalg.cholesky(s, lower=False, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(np.diag(chol) ** 2 <= DEPENDENT_PIVOT * scale):
-        return None
-    return chol
-
-
 def solve_qp(hessian, g: np.ndarray,
              a_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
              a_in: np.ndarray | None = None, b_in: np.ndarray | None = None,
@@ -659,10 +593,10 @@ def solve_qp(hessian, g: np.ndarray,
              ) -> QpResult:
     """Minimize 0.5 d'Hd + g'd s.t. A_eq d = b_eq, A_in d <= b_in, lower <= d <= upper.
 
-    H is positive definite, given as a DampedBfgs or as a callable mapping a
-    vector or an (n, m) block V to H^-1 V. A callable serves small dense
-    problems: its compact form is built from H^-1 once a variable is fixed.
-    Raises InfeasibleSubproblem when the constraints admit no point.
+    H is positive definite, given in compact form as the triple
+    (b0, U, sign) with H = diag(b0) + U diag(sign) U' that
+    ``DampedBfgs.compact`` returns. Raises InfeasibleSubproblem when the
+    constraints admit no point.
 
     Every inequality is one row n_i'd >= rhs_i with an integer id i: the
     general rows -A_in d >= -b_in take ids [0, n_in), the lower bounds
@@ -690,21 +624,16 @@ def solve_qp(hessian, g: np.ndarray,
     hi_vec = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
     rhs = np.concatenate([-b_in, lo_vec, -hi_vec])
 
-    if isinstance(hessian, DampedBfgs):
-        hess = _FreeHessian(hessian.compact, n)
-    else:
-        hess = _FreeHessian(lambda: _compact_of(hessian, n), n, hessian)
+    hess = _FreeHessian(hessian, lo_vec != hi_vec)
+    pinned = np.flatnonzero(~hess.free)
     # members, which the main loop never enters again: the general rows by
     # id, a fixed variable by both of its bound ids
     member = np.zeros(n_in + 2 * n, dtype=bool)
-    pinned = np.flatnonzero(lo_vec == hi_vec)
     member[n_in + pinned] = member[n_in + n + pinned] = True
-    if pinned.size:
-        hess.set_free(pinned, False)
-    d = np.zeros(n)
-    d[pinned] = lo_vec[pinned]
-    d = d - hess.apply(g + hess.times(d) if pinned.size else g)
-    active = _ActiveSet(hess, n, min(n, n_eq + n_in))
+    # room for every equality row, which the install loads before it
+    # leaves out the dependent ones
+    active = _ActiveSet(hess, np.where(hess.free, 0.0, lo_vec),
+                        max(n_eq, min(n, n_eq + n_in)))
 
     b_all = np.abs(np.concatenate([b_eq, rhs]))
     tol = 1e-10 * max(1.0, float(np.max(b_all[np.isfinite(b_all)], initial=0.0)))
@@ -720,10 +649,6 @@ def solve_qp(hessian, g: np.ndarray,
         else:
             member[n_in + var] = member[n_in + n + var] = value
 
-    def member_rhs():
-        k, ids = active.n_eq, active.ids
-        return np.concatenate([b_eq[ids[:k]], rhs[ids[k:]]])
-
     def step_to(row_id, normal, row_rhs, var):
         nonlocal d, iterations, degenerate
         # K_F normal and its products with E, renewed on a drop
@@ -731,7 +656,7 @@ def solve_qp(hessian, g: np.ndarray,
         y = hess.apply(normal)
         ny = active.normals @ y
         u_plus = 0.0  # multiplier of the incoming constraint, built up stepwise
-        refreshed = False
+        rebuilt = False
         while True:
             iterations += 1
             if iterations > limit:
@@ -741,12 +666,18 @@ def solve_qp(hessian, g: np.ndarray,
                 # u_plus > 0 here only after a drop, so S^-1 ny is renewed
                 if u_plus > 0.0:
                     r = active.gram_inverse @ ny
-                    if not active.try_add(row_id, normal, u_plus, y, ny, r,
-                                          float(normal @ y - ny @ r), var):
+                    if not active.try_add(row_id, normal, row_rhs, u_plus, y,
+                                          ny, r, float(normal @ y - ny @ r),
+                                          var):
                         raise InfeasibleSubproblem("degenerate active set")
                 mark(row_id, var, u_plus > 0.0)
                 return
             z, r, r_b = active.directions(normal, y, ny)
+            z_max = float(np.max(np.abs(z), initial=0.0))
+            if not math.isfinite(z_max):
+                # y = K_F normal (part of z) overflowed as M^-1 grew through
+                # rank-one updates: no proof of infeasibility
+                raise InfeasibleSubproblem("non-finite step")
             # the pivot of the row, the same number try_add tests
             z_dot = float(normal @ z)
             # Dual blocking test over the droppable members: the smallest
@@ -762,22 +693,22 @@ def solve_qp(hessian, g: np.ndarray,
             if not math.isfinite(t):
                 # proof of infeasibility, unless rounding faked it: check
                 # once more against freshly computed factors
-                if refreshed or active.q == 0 or active.refresh() is None:
+                if rebuilt or active.q == 0 or active.rebuild()[0] is not None:
                     raise InfeasibleSubproblem(
                         "no feasible point for QP constraints")
-                refreshed = True
+                rebuilt = True
+                y = hess.apply(normal)
                 ny = active.normals @ y
                 continue
-            if not math.isfinite(t * float(np.max(np.abs(z), initial=0.0))):
-                # a pivot that rounding kept just above DEPENDENT_PIVOT
+            if not math.isfinite(t * z_max):
                 raise InfeasibleSubproblem("non-finite step")
             degenerate = t == 0.0
             d = d + t * z
             u_plus += t
             active.step_multipliers(t, r, r_b)
             if t2 <= t1:
-                if not active.try_add(row_id, normal, u_plus, y, ny, r, z_dot,
-                                      var):
+                if not active.try_add(row_id, normal, row_rhs, u_plus, y, ny,
+                                      r, z_dot, var):
                     raise InfeasibleSubproblem("degenerate active set")
                 mark(row_id, var, True)
                 return
@@ -788,27 +719,17 @@ def solve_qp(hessian, g: np.ndarray,
                 y = hess.apply(normal)
             ny = active.normals @ y
 
-    if n_eq:
-        d = active.batch_init_equalities(a_eq, b_eq, d)
-        if active.n_eq < n_eq:  # rows left out as dependent must hold too
-            kept, gap = active.ids, a_eq @ d - b_eq
-            left = np.delete(np.arange(n_eq), kept)
-            # on the free columns a left-out row is c'(kept rows): net of
-            # c'(their gaps), the rounding that d carries in every row cancels
-            free = hess.free
-            c = np.linalg.lstsq(a_eq[kept][:, free].T, a_eq[left][:, free].T,
-                                rcond=None)[0]
-            if np.max(np.abs(gap[left] - c.T @ gap[kept])) > tol:
-                raise InfeasibleSubproblem("inconsistent equality rows")
-
-    def resolve():
-        """``_ActiveSet.resolve`` for the members: d and the multipliers
-        afresh, or None with nothing changed."""
-        var, side, _, _ = active.bounds
-        d_fixed = np.zeros(n)
-        d_fixed[pinned] = lo_vec[pinned]
-        d_fixed[var] = np.where(side > 0.0, lo_vec[var], hi_vec[var])
-        return active.resolve(g, d_fixed, member_rhs())
+    d = active.batch_init_equalities(a_eq, b_eq, g)
+    if active.n_eq < n_eq:  # rows left out as dependent must hold too
+        kept, gap = active.ids, a_eq @ d - b_eq
+        left = np.delete(np.arange(n_eq), kept)
+        # on the free columns a left-out row is c'(kept rows): net of
+        # c'(their gaps), the rounding that d carries in every row cancels
+        free = hess.free
+        c = np.linalg.lstsq(a_eq[kept][:, free].T, a_eq[left][:, free].T,
+                            rcond=None)[0]
+        if np.max(np.abs(gap[left] - c.T @ gap[kept])) > tol:
+            raise InfeasibleSubproblem("inconsistent equality rows")
 
     # Blocked start: the equality-feasible minimizer's violated bounds are
     # nearly all active at the solution (188 of 194 on the first QP of a
@@ -822,25 +743,22 @@ def solve_qp(hessian, g: np.ndarray,
     if start.size > 1:
         side = np.where(d[start] < lo_vec[start], 1.0, -1.0)
         ids = np.where(side > 0.0, n_in + start, n_in + n + start)
-        active.fix_bounds(start, side, ids)
+        active.fix_bounds(start, side, ids, rhs[ids])
         mark(None, start, True)
         while True:
             iterations += 1
-            d_new = resolve()
-            if d_new is None:
+            dependent, d_new = active.rebuild(g)
+            if dependent is not None:
                 # the fixed variables leave some members dependent: free
                 # those that appear in them, or all if none does
-                var = active.bounds[0]
-                rows = active.normals[active.dependent()]
-                out = np.flatnonzero(np.any(rows[:, var] != 0.0, axis=0))
+                if not active.nb:
+                    raise InfeasibleSubproblem("degenerate active set")
+                rows = active.normals[dependent]
+                out = np.flatnonzero(np.any(rows[:, active.bounds[0]] != 0.0,
+                                            axis=0))
                 if not out.size:
                     out = np.arange(active.nb)
                 mark(None, active.release_bounds(out)[1], False)
-                if not active.nb:
-                    d = resolve()
-                    if d is None:
-                        raise InfeasibleSubproblem("degenerate active set")
-                    break
                 continue
             d = d_new
             mult = active.bounds[3]
@@ -865,13 +783,13 @@ def solve_qp(hessian, g: np.ndarray,
         if not resid[i] > tol:
             # the members must hold as equalities: once per QP, re-solve if
             # they drifted by more than DRIFT_FACTOR * tol
-            drift = active.normals @ d - member_rhs()
+            drift = active.normals @ d - active.rhs
             if settled or not np.max(np.abs(drift), initial=0.0) > \
                     DRIFT_FACTOR * tol:
                 break
             settled = True
-            d_new = resolve()
-            if d_new is not None:
+            dependent, d_new = active.rebuild(g)
+            if dependent is None:
                 d = d_new
                 active.clip_multipliers()
             continue
@@ -968,18 +886,22 @@ def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):
     return max(stat, comp)
 
 
-def _elastic_qp(h, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
+def _elastic_qp(hessian, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
     """Relaxed QP: scale constraint right-hand sides by xi in [0, 1].
 
     Variable vector (d, xi); xi = 0 is always feasible, the penalty pushes xi
-    toward 1 (the original subproblem). Its Hessian is blockdiag(H, 2 rho).
+    toward 1 (the original subproblem). Its Hessian blockdiag(H, 2 rho) is
+    H's compact form with one more entry of b0 and a zero row of U.
     """
     n = g.shape[0]
+    b0, u, sign = hessian
     rho = 1e4 * max(1.0, float(np.max(np.abs(g))))
     g_aug = np.append(g, -2.0 * rho)  # from rho * (1 - xi)^2
     a_eq = np.hstack([j_eq, c_eq[:, None]])
     a_in = np.hstack([j_in, np.maximum(c_in, 0.0)[:, None]])
-    result = solve_qp(h.augmented(2.0 * rho), g_aug, a_eq,
+    augmented = (np.append(b0, 2.0 * rho),
+                 np.vstack([u, np.zeros((1, u.shape[1]))]), sign)
+    result = solve_qp(augmented, g_aug, a_eq,
                       np.zeros(c_eq.shape[0]), a_in, -np.minimum(c_in, 0.0),
                       np.append(lo_step, 0.0), np.append(hi_step, 1.0))
     return QpResult(result.step[:n], result.eq_multipliers,
@@ -1044,11 +966,12 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         fresh_hessian = False
         while True:  # at most two passes: current Hessian, then a reset one
             try:
-                qp = solve_qp(h, g, j_eq, -c_eq, j_ws, -c_ws, lo_step, hi_step)
+                qp = solve_qp(h.compact(), g, j_eq, -c_eq, j_ws, -c_ws,
+                              lo_step, hi_step)
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
                 logger.debug("elastic fallback at iteration %d", iteration)
                 try:
-                    qp = _elastic_qp(h, g, j_eq, c_eq, j_ws, c_ws,
+                    qp = _elastic_qp(h.compact(), g, j_eq, c_eq, j_ws, c_ws,
                                      lo_step, hi_step)
                 except (InfeasibleSubproblem, np.linalg.LinAlgError):
                     if not fresh_hessian:

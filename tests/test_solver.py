@@ -25,8 +25,18 @@ def quadratic_bowl():
 
 
 def dense(h):
-    """The QP's H^-1 operator for a dense positive definite H."""
-    return lambda v: np.linalg.solve(h, v)
+    """The compact form (b0, U, sign) of a dense positive definite H: with
+    the least eigenvalue l of H, H = (l/2) I + V diag(lambda - l/2) V'."""
+    lam, vec = np.linalg.eigh(0.5 * (h + h.T))
+    shift = 0.5 * lam[0]
+    return np.full(h.shape[0], shift), vec * np.sqrt(lam - shift), \
+        np.ones(h.shape[0])
+
+
+def inverse(h, v):
+    """H^-1 v by the QP's Woodbury form of a compact H with every variable
+    free."""
+    return solver._FreeHessian(h.compact(), np.ones(h.b0.size, bool)).apply(v)
 
 
 class TestQp:
@@ -194,22 +204,24 @@ class TestQp:
             sizes.add(int(np.count_nonzero(lam)))
         assert max(sizes) == 2  # the vertex itself is reached
 
-    def test_each_step_projects_its_row_once(self):
+    def test_each_step_projects_its_row_once(self, monkeypatch):
         # the unconstrained optimum (1, 1, 1, 1) violates three orthogonal
         # rows (two general rows and an upper bound); each enters with one
         # step and none is dropped, so H^-1 is applied to g and then once
         # per row: the step's projection also serves the row's addition
         h = np.diag([1.0, 2.0, 3.0, 4.0])
         calls = []
+        real_apply = solver._FreeHessian.apply
 
-        def hinv(v):
+        def apply(self, v):
             calls.append(v.shape)
-            return np.linalg.solve(h, v)
+            return real_apply(self, v)
 
+        monkeypatch.setattr(solver._FreeHessian, "apply", apply)
         a_in = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         g = -h @ np.ones(4)
         upper = np.array([np.inf, np.inf, 0.5, np.inf])
-        res = solve_qp(hinv, g, a_in=a_in, b_in=np.array([0.5, 0.5]),
+        res = solve_qp(dense(h), g, a_in=a_in, b_in=np.array([0.5, 0.5]),
                        upper=upper)
         assert np.allclose(res.step, [0.5, 0.5, 0.5, 1.0], atol=1e-12)
         assert np.all(res.in_multipliers > 0.0)
@@ -220,8 +232,8 @@ class TestQp:
 
 class TestResidentFactor:
     """The active set's S = N_E K_F N_E', S^-1 and B_E = K_F N_E' against
-    dense references after every fix, free, add and drop, where K_F is the
-    inverse of B over the free variables, padded with zeros."""
+    dense references after every fix, free, add, drop and rebuild, where K_F
+    is the inverse of B over the free variables, padded with zeros."""
 
     def random_hessian(self, rng, n, pairs):
         """A compact H with the given number of pairs, and B as a matrix."""
@@ -233,19 +245,17 @@ class TestResidentFactor:
 
     def new_set(self, rng, n, compact):
         """An empty active set over a compact H with n // 2 pairs (more
-        than the free variables once most are fixed), or over a dense H
-        given as a callable, whose compact form the QP builds from H^-1;
-        and B."""
+        than the free variables once most are fixed), or over the
+        eigenvalue compact form of a dense H; and B."""
         if compact:
             h, dense_b = self.random_hessian(rng, n, n // 2)
-            hess = solver._FreeHessian(h.compact, n)
+            hessian = h.compact()
         else:
             root = rng.normal(size=(n, n))
             dense_b = root @ root.T / n + np.eye(n)
-            hinv = dense(dense_b)
-            hess = solver._FreeHessian(lambda: solver._compact_of(hinv, n), n,
-                                       hinv)
-        return solver._ActiveSet(hess, n, n), dense_b
+            hessian = dense(dense_b)
+        hess = solver._FreeHessian(hessian, np.ones(n, bool))
+        return solver._ActiveSet(hess, np.zeros(n), n), dense_b
 
     def check(self, active, dense_b, rng):
         n = dense_b.shape[0]
@@ -256,7 +266,7 @@ class TestResidentFactor:
         s = normals @ k @ normals.T
         assert np.linalg.norm(active.gram - s) <= \
             1e-11 * max(1.0, np.linalg.norm(s))
-        assert np.linalg.norm(active.hinv_nt - k @ normals.T) <= \
+        assert np.linalg.norm(active.k_nt - k @ normals.T) <= \
             1e-11 * max(1.0, np.linalg.norm(k @ normals.T))
         if active.q:
             assert active.gram.flags.f_contiguous
@@ -278,6 +288,8 @@ class TestResidentFactor:
         assert np.linalg.norm(r_b - want_rb) <= \
             1e-10 * max(1.0, np.linalg.norm(normal))
 
+    RHS = 0.5  # right-hand side of the rows ``add`` makes members
+
     def add(self, active, rng, row_id, var=None, side=1.0):
         n = active.hess.free.size
         if var is None:
@@ -288,13 +300,44 @@ class TestResidentFactor:
         y = active.hess.apply(normal)
         ny = active.normals @ y
         r = active.gram_inverse @ ny
-        assert active.try_add(row_id, normal, 1.0, y, ny, r,
+        assert active.try_add(row_id, normal, self.RHS, 1.0, y, ny, r,
                               float(normal @ y - ny @ r), var)
+
+    def rebuild(self, active, dense_b, probe):
+        """Rebuild from the members: the factors as ``check`` wants them
+        after an update, and the re-solve for a random g against the dense
+        KKT system, with each bound member's variable at side * RHS.
+        ``probe`` draws apart from the sequence's own generator."""
+        n = dense_b.shape[0]
+        g = probe.normal(size=n)
+        dependent, d = active.rebuild(g)
+        assert dependent is None
+        self.check(active, dense_b, probe)
+        free = active.hess.free
+        var, side, _, bound_mult = active.bounds
+        x = np.zeros(n)
+        x[var] = side * self.RHS
+        assert np.array_equal(d[~free], x[~free])
+        normals, q = active.normals, active.q
+        kkt = np.block([[dense_b[np.ix_(free, free)], -normals[:, free].T],
+                        [normals[:, free], np.zeros((q, q))]])
+        sol = np.linalg.solve(kkt, np.concatenate([
+            -g[free] - dense_b[np.ix_(free, ~free)] @ x[~free],
+            active.rhs - normals[:, ~free] @ x[~free]]))
+        k = np.count_nonzero(free)
+        x[free], lam = sol[:k], sol[k:]
+        assert np.linalg.norm(d - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
+        assert np.linalg.norm(active.multipliers - lam) <= \
+            1e-10 * max(1.0, np.linalg.norm(lam))
+        want = side * (dense_b @ x + g - normals.T @ lam)[var]
+        assert np.linalg.norm(bound_mult - want) <= \
+            1e-10 * max(1.0, np.linalg.norm(g))
 
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("blocked", [True, False])
     def test_factor_matches_dense_reference(self, compact, blocked):
         rng = np.random.default_rng(17)
+        probe = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(8, 30))
             m = int(rng.integers(1, 4))
@@ -308,10 +351,11 @@ class TestResidentFactor:
                     y = active.hess.apply(a_eq[i])
                     ny = active.normals @ y
                     r = active.gram_inverse @ ny
-                    assert active.try_add(i, a_eq[i], 0.0, y, ny, r,
+                    assert active.try_add(i, a_eq[i], 0.0, 0.0, y, ny, r,
                                           float(a_eq[i] @ y - ny @ r))
                 active.n_eq = m
             self.check(active, dense_b, rng)
+            self.rebuild(active, dense_b, probe)
             row_id = 0
             # fix variables until 3 + m stay free, fewer than the pairs
             for var in rng.permutation(n)[:n - m - 3]:
@@ -321,6 +365,7 @@ class TestResidentFactor:
             self.add(active, rng, row_id)
             row_id += 1
             self.check(active, dense_b, rng)
+            self.rebuild(active, dense_b, probe)
             # drop a general member, the first, a middle and the last bound
             # member, each followed by an addition
             for position in (0, 1, (active.q - m + active.nb) // 2,
@@ -334,10 +379,64 @@ class TestResidentFactor:
                 self.add(active, rng, row_id, int(rng.choice(free)))
                 row_id += 1
                 self.check(active, dense_b, rng)
+            self.rebuild(active, dense_b, probe)
             while active.q + active.nb > m:
                 active.drop(int(rng.integers(0, active.q - m + active.nb)))
                 self.check(active, dense_b, rng)
             assert not (~active.hess.free).any()
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("n_x", [2, 6])
+    def test_rebuild_finds_members_dependent_through_fixed_columns(
+            self, compact, n_x):
+        # the abs-mode split: row i is c_i'x + v+_i - v-_i with its own
+        # columns v+_i, v-_i, so the rows are independent while those are
+        # free; fixing every v column leaves the rows c_i in R^n_x, more
+        # of them than free variables (n_x = 2), or one the difference of
+        # two others (n_x = 6). The rebuild names the rows outside the rank
+        # of the dense S and changes nothing; freeing the columns again
+        # makes the same members independent.
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            m = 4
+            n = n_x + 2 * m
+            active, dense_b = self.new_set(rng, n, compact)
+            rows = np.zeros((m, n))
+            rows[:, :n_x] = rng.normal(size=(m, n_x))
+            rows[m - 1, :n_x] = rows[0, :n_x] - rows[1, :n_x]
+            split = np.arange(n_x, n)
+            rows[np.arange(m), split[:m]] = 1.0
+            rows[np.arange(m), split[m:]] = -1.0
+            for i, normal in enumerate(rows):
+                y = active.hess.apply(normal)
+                ny = active.normals @ y
+                r = active.gram_inverse @ ny
+                assert active.try_add(i, normal, 0.0, 1.0, y, ny, r,
+                                      float(normal @ y - ny @ r))
+            active.fix_bounds(split, np.ones(split.size), split,
+                              np.zeros(split.size))
+            state = [a.copy() for a in (active.normals, active.k_nt,
+                                        active.gram, active.gram_inverse,
+                                        active.multipliers, active.ids,
+                                        active.rhs)]
+            dependent, d = active.rebuild(np.zeros(n))
+            assert d is None
+            free = active.hess.free
+            k = np.linalg.inv(dense_b[np.ix_(free, free)])
+            s = rows[:, free] @ k @ rows[:, free].T
+            rank = np.linalg.matrix_rank(s)
+            assert rank == min(n_x, m - 1)
+            assert dependent.size == m - rank
+            keep = np.delete(np.arange(m), dependent)
+            assert np.linalg.matrix_rank(s[np.ix_(keep, keep)]) == keep.size
+            for before, after in zip(state, (
+                    active.normals, active.k_nt, active.gram,
+                    active.gram_inverse, active.multipliers, active.ids,
+                    active.rhs)):
+                assert np.array_equal(before, after)
+            active.release_bounds(np.arange(active.nb))
+            assert active.rebuild()[0] is None
+            self.check(active, dense_b, rng)
 
     def test_blocked_start_meets_kkt(self):
         # a steep gradient violates most bounds at the start, so they are
@@ -350,8 +449,8 @@ class TestResidentFactor:
             a_eq = rng.normal(size=(2, n))
             a_in = rng.normal(size=(5, n))
             lower, upper = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
-            res = solve_qp(h, g, a_eq, np.zeros(2), a_in, np.ones(5), lower,
-                           upper)
+            res = solve_qp(h.compact(), g, a_eq, np.zeros(2), a_in,
+                           np.ones(5), lower, upper)
             d = res.step
             assert np.max(np.abs(a_eq @ d)) < 1e-9
             assert np.max(a_in @ d - 1.0) < 1e-9
@@ -392,7 +491,8 @@ class TestResidentFactor:
         lower, upper = np.full(n, -1.0), np.full(n, 1.0)
         lower[2] = upper[2] = 0.25
         a_eq = rng.normal(size=(1, n))
-        res = solve_qp(h, g, a_eq, np.zeros(1), lower=lower, upper=upper)
+        res = solve_qp(h.compact(), g, a_eq, np.zeros(1), lower=lower,
+                       upper=upper)
         d = res.step
         assert d[2] == 0.25
         assert np.all(d >= lower - 1e-12) and np.all(d <= upper + 1e-12)
@@ -426,6 +526,45 @@ class TestQpGuards:
             assert np.min(lam) >= 0.0
             assert res.iterations < 50  # the limit is 200
 
+    @pytest.mark.parametrize("spoil", [-1.0, np.nan])
+    def test_recheck_projects_the_entering_row_afresh(self, monkeypatch,
+                                                      spoil):
+        # K_F n for the entering row comes out spoiled once, as a K_F whose
+        # M^-1 grew through rank-one updates spoils it (to 1e217 on the
+        # K=3 abs scene 506). Negated, it fakes a proof of infeasibility,
+        # and the check against rebuilt factors must project the row afresh
+        # and solve the QP; not finite, it proves nothing and the QP must
+        # say so instead of claiming infeasibility.
+        h = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        g = np.array([1.0, -2.0, 0.5])
+        a_eq, b_eq = np.array([[1.0, 1.0, 1.0]]), np.array([1.0])
+        a_in, b_in = np.array([[-1.0, 1.0, 0.0]]), np.array([1.0])
+        real_apply = solver._FreeHessian.apply
+        spoiled = []
+
+        def apply(self, v):
+            out = real_apply(self, v)
+            if not spoiled and np.array_equal(v, -a_in[0]):
+                spoiled.append(v)
+                return spoil * out
+            return out
+
+        monkeypatch.setattr(solver._FreeHessian, "apply", apply)
+        if np.isnan(spoil):
+            with pytest.raises(InfeasibleSubproblem, match="non-finite step"):
+                solve_qp(dense(h), g, a_eq, b_eq, a_in, b_in)
+            assert spoiled
+            return
+        res = solve_qp(dense(h), g, a_eq, b_eq, a_in, b_in)
+        assert spoiled
+        kkt = np.linalg.solve(np.block([[h, -a_eq.T, a_in.T],
+                                        [a_eq, np.zeros((1, 2))],
+                                        [a_in, np.zeros((1, 2))]]),
+                              np.concatenate([-g, b_eq, b_in]))
+        assert np.allclose(res.step, kkt[:3], atol=1e-12)
+        assert res.in_multipliers[0] == pytest.approx(kkt[4], abs=1e-12)
+        assert res.in_multipliers[0] > 0.0
+
     def test_elastic_qp_of_the_impossible_scene(self, robot):
         # criterion 10's impossible scene: an elastic QP at its fifth SQP
         # iterate raised "degenerate active set" although d = 0, xi = 0 is
@@ -450,7 +589,7 @@ class TestQpGuards:
             j_eq, j_in = spec.jacobians(z)
             ws = c_in >= -solver.WORKING_SET_MARGIN
             lo, hi = spec.lower - z, spec.upper - z
-            qp = solver._elastic_qp(DampedBfgs(spec.scales ** -2.0),
+            qp = solver._elastic_qp(DampedBfgs(spec.scales ** -2.0).compact(),
                                     spec.gradient(z), j_eq, c_eq, j_in[ws],
                                     c_in[ws], lo, hi)
             slack = 1e-10 * max(1.0, np.max(np.abs(np.r_[lo, hi])))
@@ -515,7 +654,8 @@ class TestPlacementQp:
         a_in, b_in = j_in[ws], -c_in[ws]
         lo, hi = spec.lower - z, spec.upper - z
         b0 = np.asarray(spec.scales, float) ** -2.0
-        res = solve_qp(DampedBfgs(b0), g, j_eq, -c_eq, a_in, b_in, lo, hi)
+        res = solve_qp(DampedBfgs(b0).compact(), g, j_eq, -c_eq, a_in, b_in,
+                       lo, hi)
         d = res.step
         w = np.random.default_rng(0).normal(size=d.size)
         assert np.linalg.norm(d) == pytest.approx(norm, rel=1e-9)
@@ -816,12 +956,12 @@ class TestCompactHessian:
             dense_h = dense_damped_bfgs(b0, pairs)
             block = rng.normal(size=(n, 3))
             want = np.linalg.solve(dense_h, block)
-            got = h.solve(block)
+            got = inverse(h, block)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
             v = block[:, 0]
-            assert np.linalg.norm(h.solve(v) - want[:, 0]) <= \
+            assert np.linalg.norm(inverse(h, v) - want[:, 0]) <= \
                 1e-10 * np.linalg.norm(want[:, 0])
-            back = h.times(h.solve(v))
+            back = h.times(inverse(h, v))
             assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
 
     def test_reset_returns_b0(self):
@@ -834,7 +974,7 @@ class TestCompactHessian:
         assert not np.allclose(h.times(v), b0 * v)
         h.reset()
         assert np.array_equal(h.times(v), b0 * v)
-        assert np.array_equal(h.solve(v), v / b0)
+        assert np.array_equal(inverse(h, v), v / b0)
 
     def test_pair_below_the_curvature_floor_is_skipped(self):
         # s'Bs / s's = 1e-12 against |B| = 1: below CURVATURE_FLOOR, though
@@ -849,7 +989,7 @@ class TestCompactHessian:
         h = DampedBfgs(np.ones(3))
         h.update(np.full(3, 1e-9), np.ones(3))
         v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(h.solve(v), v)
+        assert np.array_equal(inverse(h, v), v)
 
 
 class TestMultistart:
