@@ -6,19 +6,18 @@ linearized constraints, solves it with a dual active-set method
 (Goldfarb-Idnani flavour: start at the unconstrained optimum, add violated
 constraints one at a time, drop blocking ones), and globalizes with an
 l1-merit backtracking line search. The Hessian is kept in the compact form of
-Byrd, Nocedal and Schnabel (1994): a diagonal plus the damped pairs of the
-accepted steps, the one form the QP takes, which applies its inverse in
-O(n r) for r pairs and never forms or factors an n x n matrix. As in qpOASES
-(Ferreau et al., 2014), an active bound fixes its variable instead of
-entering the QP's factor, which holds only the equality and general rows and
-follows the active set by rank-one updates; one routine rebuilds it from the
-members, with one test for dependent rows. The inverse of the Hessian over
-the free variables is one Woodbury form of the same compact terms through
-which the QP applies the Hessian itself. The bounds that the QP's starting
-point violates are fixed in one block. Infeasible subproblems are retried in
-an elastic form where a scalar relaxation variable scales the constraint
-right-hand sides, and a QP that fails in both forms is retried once with a
-reset Hessian. A start stops when the l1 merit stops falling.
+Byrd, Nocedal and Schnabel (1994): a diagonal plus m = 2r columns for the
+damped pairs of the accepted steps, the one form the QP takes; it is never
+formed or factored as an n x n matrix. As in qpOASES (Ferreau et al., 2014),
+an active bound fixes its variable. The QP keeps one inverse, of a matrix of
+order m + q that couples the Hessian's columns with the q general active
+rows, and follows the active set by rank-one updates of it; one routine
+rebuilds it from the members, with one test for dependent rows. The bounds
+that the QP's starting point violates are fixed in one block. Infeasible
+subproblems are retried in an elastic form where a scalar relaxation
+variable scales the constraint right-hand sides, and a QP that fails in both
+forms is retried once with a reset Hessian. A start stops when the l1 merit
+stops falling.
 
 All randomness (multistart sampling) flows through one seeded generator, so
 results are reproducible bit for bit for a fixed BLAS thread count.
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
 
@@ -146,15 +144,23 @@ class QpResult:
 # quasi-Newton Hessian
 # ---------------------------------------------------------------------------
 
+def _times(hessian, v):
+    """H v for the compact H = diag(b0) + U diag(sign) U' given as the
+    triple (b0, U, sign)."""
+    b0, u, sign = hessian
+    return b0 * v + u @ (sign * (u.T @ v))
+
+
 class DampedBfgs:
     """Powell-damped BFGS matrix B in compact form, with B0 = diag(b0).
 
     Every accepted pair (s, y) is kept; ``reset`` drops them all. B is the
     sum of the rank-one terms of the updates,
     B = B0 + sum_i (y_i y_i'/s_i'y_i - u_i u_i'/s_i'u_i) with u_i the
-    product of s_i and the matrix before update i: ``times`` applies it and
-    ``compact`` hands its terms to the QP, which applies B^-1 by a Woodbury
-    form of the same terms (``_FreeHessian``).
+    product of s_i and the matrix before update i, kept as
+    B = diag(b0) + U diag(sign) U': the columns y_i / sqrt(s_i'y_i)
+    (sign +1) of all pairs, then the columns u_i / sqrt(s_i'u_i) (sign -1).
+    ``compact`` hands the triple to the QP; ``times`` applies it.
     """
 
     def __init__(self, b0: np.ndarray):
@@ -162,38 +168,27 @@ class DampedBfgs:
         self.reset()
 
     def reset(self) -> None:
-        self._s: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
-        self._u: list[np.ndarray] = []
-        self._sy: list[float] = []
-        self._su: list[float] = []
+        self.u = np.empty((self.b0.size, 0))
+        self.sign = np.empty(0)
 
     def times(self, v: np.ndarray) -> np.ndarray:
         """B v for one vector."""
-        out = self.b0 * v
-        for y, u, sy, su in zip(self._y, self._u, self._sy, self._su):
-            out += (y @ v / sy) * y - (u @ v / su) * u
-        return out
+        return _times(self.compact(), v)
 
     def compact(self):
-        """(b0, U, sign) with B = diag(b0) + U diag(sign) U': one column
-        y_i / sqrt(s_i'y_i) (sign +1) and one u_i / sqrt(s_i'u_i) (sign -1)
-        per pair, the terms ``times`` sums."""
-        cols = ([y / math.sqrt(sy) for y, sy in zip(self._y, self._sy)]
-                + [u / math.sqrt(su) for u, su in zip(self._u, self._su)])
-        u = np.column_stack(cols) if cols else np.empty((self.b0.size, 0))
-        sign = np.repeat([1.0, -1.0], len(self._s))
-        return self.b0, u, sign
+        """(b0, U, sign) with B = diag(b0) + U diag(sign) U'."""
+        return self.b0, self.u, self.sign
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         """Add the pair (s, y), damped so that B stays positive definite."""
         bs = self.times(s)
         shs = float(s @ bs)
         sy = float(s @ y)
-        # sum(y y'/s'y) bounds the terms that B adds to B0, so the bracket
+        # the +1 columns' terms bound what B adds to B0, so the bracket
         # bounds |B|: the pair's curvature must stand above its floor
-        b_norm = float(np.max(self.b0)) + sum(
-            float(v @ v) / v_sy for v, v_sy in zip(self._y, self._sy))
+        r = self.sign.size // 2
+        plus = self.u[:, :r]
+        b_norm = float(np.max(self.b0)) + float(np.sum(plus * plus))
         if shs <= max(1e-14, CURVATURE_FLOOR * b_norm * float(s @ s)):
             return
         if sy < 0.2 * shs:
@@ -202,127 +197,62 @@ class DampedBfgs:
             sy = float(s @ y)
         if sy <= 1e-14:
             return
-        self._s.append(s)
-        self._y.append(y)
-        self._u.append(bs)
-        self._sy.append(sy)
-        self._su.append(shs)
+        self.u = np.column_stack([plus, y / math.sqrt(sy), self.u[:, r:],
+                                  bs / math.sqrt(shs)])
+        self.sign = np.repeat([1.0, -1.0], r + 1)
 
 
 # ---------------------------------------------------------------------------
 # dual active-set QP
 # ---------------------------------------------------------------------------
 
-class _FreeHessian:
-    """B and the inverse of B over the free variables F, from one compact form.
-
-    B = diag(b0) + U diag(sign) U' (``DampedBfgs.compact``); ``times``
-    applies it. ``free`` marks the free variables; a fixed variable is held
-    where it is, so the QP works with K_F, the inverse of B_FF padded with
-    zeros on the fixed rows and columns, which ``apply`` applies by the
-    Woodbury form of the same terms
-
-        K_F v = h v - h U M^-1 U' h v,   M = diag(sign) + U' h U  (2r x 2r)
-
-    with h = 1/b0 on F and 0 on the fixed variables. M is indefinite.
-    Fixing or freeing variable j changes M by -/+ h_j U_j' U_j and M^-1 by
-    rank one (Sherman-Morrison): its pivot is b0_j times K_F's (j, j) entry
-    while j is free, so it stays positive. ``set_free`` changes many
-    variables at once and computes M^-1 afresh, as ``_ActiveSet.rebuild``
-    does. Solves with M^-1 take one step of iterative refinement against M.
-    """
-
-    def __init__(self, compact, free):
-        self.b0, self.u, self.sign = compact
-        self.free = free
-        self._h = np.where(free, 1.0 / self.b0, 0.0)
-        self.invert()
-
-    def invert(self):
-        """M and M^-1 afresh from the free set."""
-        u = self.u
-        self._mid = np.asfortranarray(np.diag(self.sign)
-                                      + u.T @ (self._h[:, None] * u))
-        self._mid_inv = np.asfortranarray(np.linalg.inv(self._mid)) \
-            if self.sign.size else None
-
-    def _rank_one(self, j, c):
-        """M += c U_j' U_j, with M^-1 following by Sherman-Morrison."""
-        if self._mid_inv is not None:
-            uj = self.u[j]
-            w = _refined_solve(self._mid_inv, self._mid, uj)
-            dger(c, uj, uj, a=self._mid, overwrite_a=1)
-            dger(-c / (1.0 + c * float(uj @ w)), w, w, a=self._mid_inv,
-                 overwrite_a=1)
-
-    def fix(self, j):
-        self._rank_one(j, -self._h[j])
-        self._h[j] = 0.0
-        self.free[j] = False
-
-    def release(self, j):
-        self._h[j] = 1.0 / self.b0[j]
-        self._rank_one(j, self._h[j])
-        self.free[j] = True
-
-    def set_free(self, var, value):
-        """Free (True) or fix (False) the variables ``var`` at once."""
-        self.free[var] = value
-        self._h = np.where(self.free, 1.0 / self.b0, 0.0)
-        self.invert()
-
-    def apply(self, v):
-        """K_F v for a vector or an (n, m) block."""
-        h = self._h if v.ndim == 1 else self._h[:, None]
-        hv = h * v
-        if self._mid_inv is not None:
-            hv -= h * (self.u @ _refined_solve(self._mid_inv, self._mid,
-                                               self.u.T @ hv))
-        return hv
-
-    def times(self, v):
-        """B v for one vector."""
-        return self.b0 * v + self.u @ (self.sign * (self.u.T @ v))
-
-
 class _ActiveSet:
-    """Active rows of the dual QP: bounds fix variables, the rest keep S^-1.
+    """Active rows of the dual QP, with one inverse that follows them.
 
     Each member is one row n'd >= rhs, kept with its integer row id (see
-    ``solve_qp``). A bound member (normal e_j or -e_j) fixes variable j in
-    ``hess`` at the value where its row holds, and never enters S below.
-    It keeps its multiplier, and its dual direction comes from row j of the
-    stationarity condition (``directions``). The general members E, the
-    ``n_eq`` equality rows first (installed by ``batch_init_equalities``,
-    never dropped), keep
+    ``solve_qp``). A bound member (normal e_j or -e_j) fixes variable j at
+    the value where its row holds; it keeps its multiplier, and its dual
+    direction comes from row j of the stationarity condition. The general
+    members E, the ``n_eq`` equality rows first (installed by
+    ``batch_init_equalities``, never dropped), are the last q columns of
 
-        B_E = K_F N_E'  (one column per member),  S = N_E K_F N_E'  and  S^-1
+        G = [U, N_E']   (one n x (m + capacity) Fortran buffer)
 
-    with K_F from ``hess``; S and S^-1 are q x q, in Fortran order. Fixing
-    variable j changes K_F by -k k'/k_j with k = K_F e_j, so B_E, S and S^-1
-    change by rank one in place (BLAS dger; S^-1 gains r r'/rho^2 with
-    r = S^-1 N_E k and rho^2 the pivot). Freeing j changes them back and
-    adding a general member borders them. Dropping a general member removes
-    a row and a column of S and recomputes S^-1 from its Cholesky factor.
+    after the m columns of the compact H = diag(b0) + U diag(sign) U'. With
+    h = 1/b0 on the free variables and 0 on the fixed ones, the set keeps
+    only P = T^-1, where
 
-    S^-1 is kept instead of a factor of S because every fix or free would
-    refactor S: LAPACK dpotrf takes 50-230 us at q = 100-180 and scipy's
-    qr_update with an identity Q 110-130 us, against 25-70 us for the
-    Sherman-Morrison update (a Python loop of Givens rotations: 0.6-1 ms).
-    Rank-one downdates of S lose digits when they cancel (S^-1 adds no
-    error of its own: solves refined against S come out the same);
-    ``rebuild`` recomputes everything from the members when that shows.
+        T = blockdiag(diag(sign), 0) + G' diag(h) G   ((m + q)-square).
+
+    T is the KKT matrix of the QP over the free variables once H's columns
+    are extra unknowns: for an entering row a, xi = T^-1 G' h a gives the
+    primal direction z = h (a - G xi), the dual directions xi[m:] over E
+    and, for a bound member on variable j, side_j (a - G xi)_j
+    (``directions``). T is indefinite; the trailing q x q block of P is
+    S^-1, S = N_E K_F N_E' with K_F the inverse of H over the free
+    variables, positive definite while the members are independent.
+
+    Each change of the set is one update of P. Fixing j (h_j -> 0) and
+    adding a general row a both give P += xi xi'/rho with rho = a'z, the
+    pivot ``try_add`` tests; the addition then borders P by -xi/rho and
+    1/rho. Freeing j is a Sherman-Morrison update with G's row j, and
+    dropping a general member deletes its row and column of P by the Schur
+    formula. Solves with P take one step of iterative refinement against T,
+    applied through G, which restores the digits the updates lose.
+    ``rebuild`` forms P afresh from the members, and a solve calls it when
+    its refinement step shows that P no longer inverts T.
     """
 
-    def __init__(self, hess, fixed, capacity):
-        n = fixed.size
-        self.hess = hess
-        self._at = fixed  # fixed variables' values; bound members set theirs
+    def __init__(self, hessian, free, at, capacity):
+        b0, u, self._sign = hessian
+        n, self.m = u.shape
+        self.hessian = hessian
+        self._h = np.where(free, 1.0 / b0, 0.0)
+        self._at = at  # fixed variables' values; bound members set theirs
         self.q = self.n_eq = 0  # general members, equality rows first
-        self._normals = np.empty((capacity, n))
-        self._b = np.empty((n, capacity), order="F")
-        self._gram = np.empty((0, 0), order="F")  # S
-        self._inv = np.empty((0, 0), order="F")  # S^-1
+        self._g = np.empty((n, self.m + capacity), order="F")
+        self._g[:, :self.m] = u
+        self._p = None  # P, formed by the first rebuild
         self._rhs = np.empty(capacity)
         self._mult = np.empty(capacity)
         self._ids = np.empty(capacity, dtype=np.intp)
@@ -333,21 +263,22 @@ class _ActiveSet:
         self._bmult = np.empty(n)
 
     @property
+    def free(self):
+        return self._h > 0.0
+
+    @property
+    def columns(self):
+        """G = [U, N_E']."""
+        return self._g[:, :self.m + self.q]
+
+    @property
+    def inverse(self):
+        """P = T^-1, in Fortran order."""
+        return self._p
+
+    @property
     def normals(self):
-        return self._normals[:self.q]
-
-    @property
-    def k_nt(self):
-        """B_E = K_F N_E'."""
-        return self._b[:, :self.q]
-
-    @property
-    def gram(self):
-        return self._gram
-
-    @property
-    def gram_inverse(self):
-        return self._inv
+        return self._g[:, self.m:self.m + self.q].T
 
     @property
     def rhs(self):
@@ -367,26 +298,37 @@ class _ActiveSet:
         nb = self.nb
         return self._var[:nb], self._side[:nb], self._bid[:nb], self._bmult[:nb]
 
-    def _rank_one(self, alpha, k, nk, r):
-        """K_F += alpha k k' (k = K_F e_j up to a factor, nk = N_E k,
-        r = S^-1 nk), in place."""
-        if self.q:
-            dger(alpha, nk, nk, a=self._gram, overwrite_a=1)
-            dger(alpha, k, nk, a=self._b[:, :self.q], overwrite_a=1)
-            dger(-alpha / (1.0 + alpha * float(nk @ r)), r, r, a=self._inv,
-                 overwrite_a=1)
+    def solve(self, b):
+        """T^-1 b by P, with one step of iterative refinement against T.
+        A refinement step longer than the solution shows that P no longer
+        inverts T; P is then formed afresh, once."""
+        g, m = self.columns, self.m
+        for fresh in (False, True):
+            x = self._p @ b
+            tx = g.T @ (self._h * (g @ x))
+            tx[:m] += self._sign * x[:m]
+            dx = self._p @ (b - tx)
+            if fresh or not float(dx @ dx) > float(x @ x):
+                return x + dx
+            if self.rebuild()[0] is not None:
+                raise InfeasibleSubproblem("degenerate active set")
 
-    def directions(self, normal, y, ny):
-        """Primal direction z and dual directions r over E and r_b over the
-        bound members for a candidate normal, given y = K_F normal and
-        ny = N_E y. Row j of H z = normal - N_E'r - side_j r_b,j e_j gives
-        r_b."""
-        r = self._inv @ ny
-        z = y - self.k_nt @ r
+    def _project(self, v, e=None):
+        """xi = T^-1 (G' h v - [0; e]) and v - G xi."""
+        g = self.columns
+        b = g.T @ (self._h * v)
+        if e is not None:
+            b[self.m:] -= e
+        xi = self.solve(b)
+        return xi, v - g @ xi
+
+    def directions(self, normal):
+        """xi (see the class), the primal direction z and the dual
+        directions r over E and r_b over the bound members for a candidate
+        normal."""
+        xi, v = self._project(normal)
         var, side, _, _ = self.bounds
-        r_b = side * (normal - r @ self.normals - self.hess.times(z))[var] \
-            if self.nb else np.zeros(0)
-        return z, r, r_b
+        return xi, self._h * v, xi[self.m:], side * v[var]
 
     def inequality_members(self):
         """Multipliers and ids of the droppable members, general first: the
@@ -399,40 +341,33 @@ class _ActiveSet:
         self._mult[:self.q] -= t * r
         self._bmult[:self.nb] -= t * r_b
 
-    def try_add(self, row_id, normal, row_rhs, multiplier, y, ny, r, rho_sq,
+    def try_add(self, row_id, normal, row_rhs, multiplier, xi, rho,
                 var=None) -> bool:
-        """Add the row normal'd >= row_rhs given y = K_F normal,
-        ny = N_E y, r = S^-1 ny and its pivot rho_sq = normal'y - ny'r; a
-        bound on variable ``var`` fixes it. False if the row depends on the
-        members."""
-        q = self.q
-        if rho_sq <= DEPENDENT_PIVOT * max(1.0, float(normal @ normal)):
+        """Add the row normal'd >= row_rhs given its xi and pivot rho = a'z
+        (``directions``); a bound on variable ``var`` fixes it. False if the
+        row depends on the members."""
+        k = self.m + self.q
+        if rho <= DEPENDENT_PIVOT * max(1.0, float(normal @ normal)):
             return False
+        if var is None and self.q == self._mult.size:
+            return False
+        if k:
+            dger(1.0 / rho, xi, xi, a=self._p, overwrite_a=1)
         if var is not None:
-            # K_F loses k k'/k_j, k = K_F e_j = side * y, k_j = normal'y
-            self._rank_one(-1.0 / float(normal @ y), y, ny, r)
-            self._b[var, :q] = 0.0
-            self.hess.fix(var)
+            self._h[var] = 0.0
             self._at[var] = normal[var] * row_rhs
             nb = self.nb
             self._var[nb], self._side[nb] = var, normal[var]
             self._bid[nb], self._bmult[nb] = row_id, multiplier
             self.nb = nb + 1
             return True
-        if q == self._mult.size:
-            return False
-        gram = np.empty((q + 1, q + 1), order="F")
-        gram[:q, :q] = self._gram
-        gram[q, :q] = gram[:q, q] = ny
-        gram[q, q] = float(normal @ y)
-        self._gram = gram
-        inv = np.empty((q + 1, q + 1), order="F")
-        inv[:q, :q] = self._inv + np.outer(r, r / rho_sq)
-        inv[q, :q] = inv[:q, q] = -r / rho_sq
-        inv[q, q] = 1.0 / rho_sq
-        self._inv = inv
-        self._normals[q] = normal
-        self._b[:, q] = y
+        p = np.empty((k + 1, k + 1), order="F")
+        p[:k, :k] = self._p
+        p[k, :k] = p[:k, k] = -xi / rho
+        p[k, k] = 1.0 / rho
+        self._p = p
+        q = self.q
+        self._g[:, k] = normal
         self._rhs[q] = row_rhs
         self._mult[q] = multiplier
         self._ids[q] = row_id
@@ -444,54 +379,66 @@ class _ActiveSet:
         ``inequality_members``); returns its row id and, for a bound, its
         variable (else None)."""
         q, general = self.q, self.q - self.n_eq
+        k = self.m + q
         if position < general:
             p = self.n_eq + position
             row_id = int(self._ids[p])
-            for a in (self._normals, self._rhs, self._mult, self._ids):
+            for a in (self._rhs, self._mult, self._ids):
                 a[p:q - 1] = a[p + 1:q]
-            self._b[:, p:q - 1] = self._b[:, p + 1:q]
-            keep = np.delete(np.arange(q), p)
-            self._gram = np.asfortranarray(self._gram[np.ix_(keep, keep)])
+            i = self.m + p
+            self._g[:, i:k - 1] = self._g[:, i + 1:k]
+            keep = np.delete(np.arange(k), i)
+            col = self._p[keep, i]
+            inv = np.asfortranarray(self._p[np.ix_(keep, keep)])
+            if keep.size:
+                dger(-1.0 / self._p[i, i], col, col, a=inv, overwrite_a=1)
+            self._p = inv
             self.q = q - 1
-            self._inv = _spd_inverse(self._gram) if self.q else \
-                np.empty((0, 0), order="F")
             return row_id, None
         b, nb = position - general, self.nb
         var, row_id = int(self._var[b]), int(self._bid[b])
         for a in (self._var, self._side, self._bid, self._bmult):
             a[b:nb - 1] = a[b + 1:nb]
         self.nb = nb - 1
-        # K_F gains k k'/k_j, k = K_F e_j with j free again
-        self.hess.release(var)
-        unit = np.zeros(self._b.shape[0])
-        unit[var] = 1.0
-        k = self.hess.apply(unit)
-        nk = self.normals @ k
-        self._rank_one(1.0 / k[var], k, nk, self._inv @ nk)
+        # T gains c g g' with g G's row j and c = 1/b0_j
+        c = 1.0 / self.hessian[0][var]
+        if k:
+            gj = self._g[var, :k]
+            w = self.solve(gj)
+            dger(-c / (1.0 + c * float(gj @ w)), w, w, a=self._p,
+                 overwrite_a=1)
+        self._h[var] = c
         return row_id, var
 
     def rebuild(self, g=None):
-        """M^-1 (see ``_FreeHessian``), B_E, S and S^-1 afresh from the
-        general members, if any, by one Cholesky factor of S with try_add's
-        test on its pivots; returns (dependent, d).
+        """P afresh from the free set and the general members, by M^-1 for
+        M = diag(sign) + U' h U, T's leading block, and one Cholesky factor
+        of S with try_add's test on its pivots; returns (dependent, d).
 
-        If a pivot fails, B_E, S and S^-1 stay and ``dependent`` holds the
-        positions of the general members outside the rank of S, by a pivoted
-        Cholesky (LAPACK dpstrf) with the same test; more members than free
+        If a pivot fails, P stays and ``dependent`` holds the positions of
+        the general members outside the rank of S, by a pivoted Cholesky
+        (LAPACK dpstrf) with the same test; more members than free
         variables are dependent, though rounding may pass them. Else it is
         None and, given the QP's g, d is the minimizer with the fixed
         variables at their values and each general member n'd = rhs, with
         the members' multipliers re-solved to match.
         """
-        hess, q = self.hess, self.q
+        _, u, sign = self.hessian
+        h, m, q = self._h, self.m, self.q
+        mid = u.T @ (h[:, None] * u)
+        mid[np.diag_indices(m)] += sign
+        mid_inv = np.linalg.inv(mid) if m else mid
         if q:
             normals = self.normals
-            hess.invert()
-            b = hess.apply(np.ascontiguousarray(normals.T))
-            s = normals @ b
+            nh = normals * h
+            x = nh @ u
+            # M^-1 (U' h N_E'), refined once against M
+            w = mid_inv @ x.T
+            w += mid_inv @ (x.T - mid @ w)
+            s = nh @ normals.T - x @ w
             s = 0.5 * (s + s.T)
             scale = np.maximum(1.0, np.einsum("ij,ij->i", normals, normals))
-            n_free = np.count_nonzero(hess.free)
+            n_free = np.count_nonzero(h)
             chol, info = dpotrf(s, lower=0, clean=1)
             if info or q > n_free \
                     or np.any(np.diag(chol) ** 2 <= DEPENDENT_PIVOT * scale):
@@ -500,45 +447,48 @@ class _ActiveSet:
                 _, piv, rank, _ = dpstrf(s / np.sqrt(np.outer(scale, scale)),
                                          tol=DEPENDENT_PIVOT)
                 return np.sort(piv[min(rank, n_free):] - 1), None
-            self._b[:, :q] = b
-            self._gram = np.asfortranarray(s)
-            self._inv = _spd_inverse(chol=chol)
+            s_inv, _ = dpotri(chol, lower=0)
+            s_inv = np.triu(s_inv) + np.triu(s_inv, 1).T
+            ws = w @ s_inv
+            self._p = np.asfortranarray(np.block([[mid_inv + ws @ w.T, -ws],
+                                                  [-ws.T, s_inv]]))
+        else:
+            self._p = np.asfortranarray(mid_inv)
         if g is None:
             return None, None
-        d = np.where(hess.free, 0.0, self._at)
-        d -= hess.apply(g + hess.times(d))
-        if q:
-            lam = scipy.linalg.cho_solve((chol, False), self.rhs - normals @ d,
-                                         check_finite=False)
-            d += self.k_nt @ lam
-            self._mult[:q] = lam
-        if self.nb:
-            var, side, _, _ = self.bounds
-            self._bmult[:self.nb] = side * (
-                hess.times(d) + g - self.multipliers @ self.normals)[var]
+        # d = d0 + h (c - G xi) with d0 the fixed values: the members'
+        # multipliers are -xi[m:], and row j of the stationarity condition
+        # gives a bound member's
+        d = np.where(h > 0.0, 0.0, self._at)
+        xi, v = self._project(-(g + _times(self.hessian, d)),
+                              self.rhs - self.normals @ d)
+        d += h * v
+        self._mult[:q] = -xi[m:]
+        var, side, _, _ = self.bounds
+        self._bmult[:self.nb] = -side * v[var]
         return None, d
 
     def fix_bounds(self, var, side, ids, rhs):
         """Make bound members of the variables ``var`` (rows
         side * d_var >= rhs, sides +1 lower, -1 upper, row ids ``ids``) at
-        once, leaving B_E, S, S^-1 and the multipliers to ``rebuild``."""
+        once, leaving P and the multipliers to ``rebuild``."""
         nb, k = self.nb, var.size
         self._var[nb:nb + k], self._side[nb:nb + k] = var, side
         self._bid[nb:nb + k], self._bmult[nb:nb + k] = ids, 0.0
         self.nb = nb + k
         self._at[var] = side * rhs
-        self.hess.set_free(var, False)
+        self._h[var] = 0.0
 
     def release_bounds(self, positions):
         """Drop the bound members at these positions among the bound
-        members at once, leaving the rest to ``rebuild``; returns their row
-        ids and variables."""
+        members at once, leaving P and the rest to ``rebuild``; returns
+        their row ids and variables."""
         gone = self._bid[positions].copy(), self._var[positions].copy()
         keep = np.delete(np.arange(self.nb), positions)
         for a in (self._var, self._side, self._bid, self._bmult):
             a[:keep.size] = a[keep]
         self.nb = keep.size
-        self.hess.set_free(gone[1], True)
+        self._h[gone[1]] = 1.0 / self.hessian[0][gone[1]]
         return gone
 
     def clip_multipliers(self):
@@ -555,35 +505,19 @@ class _ActiveSet:
         kept; the caller checks the others) and the rest rebuilt once more;
         raises InfeasibleSubproblem if that is refused too."""
         keep = np.arange(a_eq.shape[0])
+        m = self.m
         while True:
-            m = keep.size
-            self._normals[:m], self._rhs[:m] = a_eq[keep], b_eq[keep]
-            self._ids[:m] = keep
-            self.q = self.n_eq = m
+            k = keep.size
+            self._g[:, m:m + k] = a_eq[keep].T
+            self._rhs[:k] = b_eq[keep]
+            self._ids[:k] = keep
+            self.q = self.n_eq = k
             dependent, d = self.rebuild(g)
             if dependent is None:
                 return d
-            if m < a_eq.shape[0]:
+            if k < a_eq.shape[0]:
                 raise InfeasibleSubproblem("dependent equality rows")
             keep = np.delete(keep, dependent)
-
-
-def _refined_solve(inv, mat, b):
-    """mat^-1 b through an explicit inverse, with one step of iterative
-    refinement: the inverse follows mat through rank-one updates and loses
-    digits that the residual against mat restores."""
-    x = inv @ b
-    return x + inv @ (b - mat @ x)
-
-
-def _spd_inverse(s=None, chol=None):
-    """S^-1 in Fortran order from S or from its upper Cholesky factor."""
-    if chol is None:
-        chol, info = dpotrf(s, lower=0, clean=1)
-        if info:
-            raise InfeasibleSubproblem("degenerate active set")
-    inv, _ = dpotri(chol, lower=0)
-    return np.asfortranarray(np.triu(inv) + np.triu(inv, 1).T)
 
 
 def solve_qp(hessian, g: np.ndarray,
@@ -601,10 +535,14 @@ def solve_qp(hessian, g: np.ndarray,
     Every inequality is one row n_i'd >= rhs_i with an integer id i: the
     general rows -A_in d >= -b_in take ids [0, n_in), the lower bounds
     d >= lower [n_in, n_in + n) and the upper bounds -d >= -upper
-    [n_in + n, n_in + 2n). An active bound fixes its variable (see
-    ``_ActiveSet``), and a variable whose bounds coincide is fixed from the
-    start. The equality rows, by their index in A_eq, form a prefix of the
-    active set that is never dropped. They enter in one blocked step, which
+    [n_in + n, n_in + 2n). An active bound fixes its variable, and a
+    variable whose bounds coincide is fixed from the start. The other
+    members are the columns of G = [U, N_E'] next to U, and the QP keeps one
+    inverse P of T = blockdiag(diag(sign), 0) + G' diag(h) G, with h = 1/b0
+    on the free variables and 0 on the fixed ones, through which every step
+    computes its primal and dual directions (see ``_ActiveSet``). The
+    equality rows, by their index in A_eq, form a prefix of the active set
+    that is never dropped. They enter in one blocked step, which
     leaves out dependent rows; those must hold within the QP's tolerance as
     far as the kept rows do, and get multiplier 0.
 
@@ -624,15 +562,15 @@ def solve_qp(hessian, g: np.ndarray,
     hi_vec = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
     rhs = np.concatenate([-b_in, lo_vec, -hi_vec])
 
-    hess = _FreeHessian(hessian, lo_vec != hi_vec)
-    pinned = np.flatnonzero(~hess.free)
+    free = lo_vec != hi_vec
+    pinned = np.flatnonzero(~free)
     # members, which the main loop never enters again: the general rows by
     # id, a fixed variable by both of its bound ids
     member = np.zeros(n_in + 2 * n, dtype=bool)
     member[n_in + pinned] = member[n_in + n + pinned] = True
     # room for every equality row, which the install loads before it
     # leaves out the dependent ones
-    active = _ActiveSet(hess, np.where(hess.free, 0.0, lo_vec),
+    active = _ActiveSet(hessian, free, np.where(free, 0.0, lo_vec),
                         max(n_eq, min(n, n_eq + n_in)))
 
     b_all = np.abs(np.concatenate([b_eq, rhs]))
@@ -651,10 +589,7 @@ def solve_qp(hessian, g: np.ndarray,
 
     def step_to(row_id, normal, row_rhs, var):
         nonlocal d, iterations, degenerate
-        # K_F normal and its products with E, renewed on a drop
         dependent = DEPENDENT_PIVOT * max(1.0, float(normal @ normal))
-        y = hess.apply(normal)
-        ny = active.normals @ y
         u_plus = 0.0  # multiplier of the incoming constraint, built up stepwise
         rebuilt = False
         while True:
@@ -663,20 +598,19 @@ def solve_qp(hessian, g: np.ndarray,
                 raise InfeasibleSubproblem("active-set iteration limit")
             slack = row_rhs - float(normal @ d)
             if slack <= tol:
-                # u_plus > 0 here only after a drop, so S^-1 ny is renewed
+                # u_plus > 0 here only after a drop, which changed P
                 if u_plus > 0.0:
-                    r = active.gram_inverse @ ny
-                    if not active.try_add(row_id, normal, row_rhs, u_plus, y,
-                                          ny, r, float(normal @ y - ny @ r),
-                                          var):
+                    xi, z, _, _ = active.directions(normal)
+                    if not active.try_add(row_id, normal, row_rhs, u_plus, xi,
+                                          float(normal @ z), var):
                         raise InfeasibleSubproblem("degenerate active set")
                 mark(row_id, var, u_plus > 0.0)
                 return
-            z, r, r_b = active.directions(normal, y, ny)
+            xi, z, r, r_b = active.directions(normal)
             z_max = float(np.max(np.abs(z), initial=0.0))
             if not math.isfinite(z_max):
-                # y = K_F normal (part of z) overflowed as M^-1 grew through
-                # rank-one updates: no proof of infeasibility
+                # z overflowed as P grew through rank-one updates: no proof
+                # of infeasibility
                 raise InfeasibleSubproblem("non-finite step")
             # the pivot of the row, the same number try_add tests
             z_dot = float(normal @ z)
@@ -692,13 +626,11 @@ def solve_qp(hessian, g: np.ndarray,
             t = min(t1, t2)
             if not math.isfinite(t):
                 # proof of infeasibility, unless rounding faked it: check
-                # once more against freshly computed factors
-                if rebuilt or active.q == 0 or active.rebuild()[0] is not None:
+                # once more against a freshly computed P
+                if rebuilt or active.rebuild()[0] is not None:
                     raise InfeasibleSubproblem(
                         "no feasible point for QP constraints")
                 rebuilt = True
-                y = hess.apply(normal)
-                ny = active.normals @ y
                 continue
             if not math.isfinite(t * z_max):
                 raise InfeasibleSubproblem("non-finite step")
@@ -707,17 +639,14 @@ def solve_qp(hessian, g: np.ndarray,
             u_plus += t
             active.step_multipliers(t, r, r_b)
             if t2 <= t1:
-                if not active.try_add(row_id, normal, row_rhs, u_plus, y, ny,
-                                      r, z_dot, var):
+                if not active.try_add(row_id, normal, row_rhs, u_plus, xi,
+                                      z_dot, var):
                     raise InfeasibleSubproblem("degenerate active set")
                 mark(row_id, var, True)
                 return
             ties = np.flatnonzero(ratios == t1)
             dropped, dropped_var = active.drop(int(ties[np.argmin(ids[ties])]))
             mark(dropped, dropped_var, False)
-            if dropped_var is not None:
-                y = hess.apply(normal)
-            ny = active.normals @ y
 
     d = active.batch_init_equalities(a_eq, b_eq, g)
     if active.n_eq < n_eq:  # rows left out as dependent must hold too
@@ -725,7 +654,6 @@ def solve_qp(hessian, g: np.ndarray,
         left = np.delete(np.arange(n_eq), kept)
         # on the free columns a left-out row is c'(kept rows): net of
         # c'(their gaps), the rounding that d carries in every row cancels
-        free = hess.free
         c = np.linalg.lstsq(a_eq[kept][:, free].T, a_eq[left][:, free].T,
                             rcond=None)[0]
         if np.max(np.abs(gap[left] - c.T @ gap[kept])) > tol:
@@ -738,8 +666,7 @@ def solve_qp(hessian, g: np.ndarray,
     # the rest is re-solved, until every multiplier is nonnegative; the
     # main loop then adds what is still violated. A single violated bound
     # takes the main loop's ordinary step, which costs less than a re-solve.
-    start = np.flatnonzero(((d < lo_vec - tol) | (d > hi_vec + tol))
-                           & hess.free)
+    start = np.flatnonzero(((d < lo_vec - tol) | (d > hi_vec + tol)) & free)
     if start.size > 1:
         side = np.where(d[start] < lo_vec[start], 1.0, -1.0)
         ids = np.where(side > 0.0, n_in + start, n_in + n + start)
@@ -811,7 +738,8 @@ def solve_qp(hessian, g: np.ndarray,
     lam[bound_ids] = bound_mult
     if pinned.size:
         # stationarity row j of a pinned variable is its multiplier
-        mu = (hess.times(d) + g + a_eq.T @ lam_eq + a_in.T @ lam[:n_in])[pinned]
+        mu = (_times(hessian, d) + g + a_eq.T @ lam_eq
+              + a_in.T @ lam[:n_in])[pinned]
         lam[n_in + pinned] = np.maximum(mu, 0.0)
         lam[n_in + n + pinned] = np.maximum(-mu, 0.0)
     return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:],

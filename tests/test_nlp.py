@@ -488,6 +488,10 @@ class TestOptions:
         report = solve_placement(scene_k1, SolveSettings(mode="squared"))
         assert report.diagnostics["degenerate_retries"] == 0
 
+    # the quasi-Newton matrix of start 2 reaches the edge of definiteness
+    # (the FOUND line on DampedBfgs.update in CHANGES.md), where the QP's
+    # algebra may overflow before the reset takes over
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_hessian_reset_on_a_placement_solve(self, caplog):
         # the retry with a fresh Hessian fires on real placement programs:
         # one of this solve's later starts needs it (once with one BLAS

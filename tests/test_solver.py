@@ -34,9 +34,15 @@ def dense(h):
 
 
 def inverse(h, v):
-    """H^-1 v by the QP's Woodbury form of a compact H with every variable
-    free."""
-    return solver._FreeHessian(h.compact(), np.ones(h.b0.size, bool)).apply(v)
+    """H^-1 v for a compact H, a vector or each column of a block: the QP's
+    primal direction z for the row v in an active set with every variable
+    free and no members."""
+    n = h.b0.size
+    active = solver._ActiveSet(h.compact(), np.ones(n, bool), np.zeros(n), 0)
+    active.rebuild()
+    if v.ndim == 2:
+        return np.column_stack([active.directions(col)[1] for col in v.T])
+    return active.directions(v)[1]
 
 
 class TestQp:
@@ -207,17 +213,17 @@ class TestQp:
     def test_each_step_projects_its_row_once(self, monkeypatch):
         # the unconstrained optimum (1, 1, 1, 1) violates three orthogonal
         # rows (two general rows and an upper bound); each enters with one
-        # step and none is dropped, so H^-1 is applied to g and then once
+        # step and none is dropped, so P solves once for g and then once
         # per row: the step's projection also serves the row's addition
         h = np.diag([1.0, 2.0, 3.0, 4.0])
         calls = []
-        real_apply = solver._FreeHessian.apply
+        real_solve = solver._ActiveSet.solve
 
-        def apply(self, v):
-            calls.append(v.shape)
-            return real_apply(self, v)
+        def solve_with_p(self, b):
+            calls.append(b.shape)
+            return real_solve(self, b)
 
-        monkeypatch.setattr(solver._FreeHessian, "apply", apply)
+        monkeypatch.setattr(solver._ActiveSet, "solve", solve_with_p)
         a_in = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         g = -h @ np.ones(4)
         upper = np.array([np.inf, np.inf, 0.5, np.inf])
@@ -231,9 +237,11 @@ class TestQp:
 
 
 class TestResidentFactor:
-    """The active set's S = N_E K_F N_E', S^-1 and B_E = K_F N_E' against
-    dense references after every fix, free, add, drop and rebuild, where K_F
-    is the inverse of B over the free variables, padded with zeros."""
+    """The active set's P = T^-1, with T = blockdiag(diag(sign), 0)
+    + G' diag(h) G and G = [U, N_E'], against dense references after every
+    fix, free, add, drop and rebuild; its trailing block against S^-1 with
+    S = N_E K_F N_E', where K_F is the inverse of B over the free variables,
+    padded with zeros."""
 
     def random_hessian(self, rng, n, pairs):
         """A compact H with the given number of pairs, and B as a matrix."""
@@ -243,45 +251,50 @@ class TestResidentFactor:
         b0, u, sign = h.compact()
         return h, np.diag(b0) + u @ np.diag(sign) @ u.T
 
-    def new_set(self, rng, n, compact):
-        """An empty active set over a compact H with n // 2 pairs (more
-        than the free variables once most are fixed), or over the
-        eigenvalue compact form of a dense H; and B."""
-        if compact:
-            h, dense_b = self.random_hessian(rng, n, n // 2)
+    def new_set(self, rng, n, pairs):
+        """An empty active set over a compact H with the given number of
+        pairs (more than the free variables once most are fixed), or, for
+        None, over the eigenvalue compact form of a dense H; and B."""
+        if pairs is not None:
+            h, dense_b = self.random_hessian(rng, n, pairs)
             hessian = h.compact()
         else:
             root = rng.normal(size=(n, n))
             dense_b = root @ root.T / n + np.eye(n)
             hessian = dense(dense_b)
-        hess = solver._FreeHessian(hessian, np.ones(n, bool))
-        return solver._ActiveSet(hess, np.zeros(n), n), dense_b
+        active = solver._ActiveSet(hessian, np.ones(n, bool), np.zeros(n), n)
+        active.rebuild()
+        return active, dense_b
 
     def check(self, active, dense_b, rng):
         n = dense_b.shape[0]
-        free = active.hess.free
+        free = active.free
+        b0, u, sign = active.hessian
+        m, normals = active.m, active.normals
+        g = np.hstack([u, normals.T])
+        assert np.array_equal(active.columns, g)
+        t = g.T @ (np.where(free, 1.0 / b0, 0.0)[:, None] * g)
+        t[:m, :m] += np.diag(sign)
+        t_inv = np.linalg.inv(t)
+        # P drifts through its rank-one updates (4.5e-10 relative with n
+        # pairs), and the refined solves bring the directions back to 1e-13
+        assert active.inverse.flags.f_contiguous
+        assert np.linalg.norm(active.inverse - t_inv) <= \
+            1e-8 * np.linalg.norm(t_inv)
         k = np.zeros((n, n))
         k[np.ix_(free, free)] = np.linalg.inv(dense_b[np.ix_(free, free)])
-        normals = active.normals
         s = normals @ k @ normals.T
-        assert np.linalg.norm(active.gram - s) <= \
-            1e-11 * max(1.0, np.linalg.norm(s))
-        assert np.linalg.norm(active.k_nt - k @ normals.T) <= \
-            1e-11 * max(1.0, np.linalg.norm(k @ normals.T))
         if active.q:
-            assert active.gram.flags.f_contiguous
-            assert np.linalg.norm(active.gram_inverse @ s - np.eye(active.q)) \
-                <= 1e-10
+            assert np.linalg.norm(active.inverse[m:, m:] @ s
+                                  - np.eye(active.q)) <= 1e-10
         normal = rng.normal(size=n)
-        y = active.hess.apply(normal)
-        assert np.linalg.norm(y - k @ normal) <= 1e-12 * np.linalg.norm(y)
-        z, r, r_b = active.directions(normal, y, normals @ y)
+        _, z, r, r_b = active.directions(normal)
         want_r = np.linalg.solve(s, normals @ k @ normal) if active.q \
             else np.zeros(0)
         want_z = k @ (normal - normals.T @ want_r)
         assert np.linalg.norm(r - want_r) <= \
             1e-10 * max(1.0, np.linalg.norm(want_r))
-        assert np.linalg.norm(z - want_z) <= 1e-10 * np.linalg.norm(y)
+        assert np.linalg.norm(z - want_z) <= 1e-10 * np.linalg.norm(k @ normal)
         # bound members: row j of B z = normal - N'r - side_j r_b,j e_j
         var, side, _, _ = active.bounds
         want_rb = side * (normal - normals.T @ want_r - dense_b @ want_z)[var]
@@ -291,29 +304,31 @@ class TestResidentFactor:
     RHS = 0.5  # right-hand side of the rows ``add`` makes members
 
     def add(self, active, rng, row_id, var=None, side=1.0):
-        n = active.hess.free.size
+        n = active.free.size
         if var is None:
             normal = rng.normal(size=n)
         else:
             normal = np.zeros(n)
             normal[var] = side
-        y = active.hess.apply(normal)
-        ny = active.normals @ y
-        r = active.gram_inverse @ ny
-        assert active.try_add(row_id, normal, self.RHS, 1.0, y, ny, r,
-                              float(normal @ y - ny @ r), var)
+        self.add_row(active, row_id, normal, self.RHS, 1.0, var)
+
+    @staticmethod
+    def add_row(active, row_id, normal, rhs, multiplier, var=None):
+        xi, z, _, _ = active.directions(normal)
+        assert active.try_add(row_id, normal, rhs, multiplier, xi,
+                              float(normal @ z), var)
 
     def rebuild(self, active, dense_b, probe):
-        """Rebuild from the members: the factors as ``check`` wants them
-        after an update, and the re-solve for a random g against the dense
-        KKT system, with each bound member's variable at side * RHS.
-        ``probe`` draws apart from the sequence's own generator."""
+        """Rebuild from the members: P as ``check`` wants it after an
+        update, and the re-solve for a random g against the dense KKT
+        system, with each bound member's variable at side * RHS. ``probe``
+        draws apart from the sequence's own generator."""
         n = dense_b.shape[0]
         g = probe.normal(size=n)
         dependent, d = active.rebuild(g)
         assert dependent is None
         self.check(active, dense_b, probe)
-        free = active.hess.free
+        free = active.free
         var, side, _, bound_mult = active.bounds
         x = np.zeros(n)
         x[var] = side * self.RHS
@@ -336,54 +351,68 @@ class TestResidentFactor:
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("blocked", [True, False])
     def test_factor_matches_dense_reference(self, compact, blocked):
+        # a compact H runs each sequence with n // 2 and with n pairs
         rng = np.random.default_rng(17)
         probe = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(8, 30))
             m = int(rng.integers(1, 4))
-            active, dense_b = self.new_set(rng, n, compact)
-            a_eq = rng.normal(size=(m, n))
-            if blocked:
-                active.batch_init_equalities(a_eq, rng.normal(size=m),
-                                             np.zeros(n))
-            else:
-                for i in range(m):
-                    y = active.hess.apply(a_eq[i])
-                    ny = active.normals @ y
-                    r = active.gram_inverse @ ny
-                    assert active.try_add(i, a_eq[i], 0.0, 0.0, y, ny, r,
-                                          float(a_eq[i] @ y - ny @ r))
-                active.n_eq = m
-            self.check(active, dense_b, rng)
-            self.rebuild(active, dense_b, probe)
-            row_id = 0
-            # fix variables until 3 + m stay free, fewer than the pairs
-            for var in rng.permutation(n)[:n - m - 3]:
-                self.add(active, rng, row_id, int(var), rng.choice([-1.0, 1.0]))
-                row_id += 1
-                self.check(active, dense_b, rng)
-            self.add(active, rng, row_id)
+            for pairs in (n // 2, n) if compact else (None,):
+                self.sequence(rng, probe, n, m, pairs, blocked)
+
+    def sequence(self, rng, probe, n, m, pairs, blocked):
+        active, dense_b = self.new_set(rng, n, pairs)
+        a_eq = rng.normal(size=(m, n))
+        if blocked:
+            active.batch_init_equalities(a_eq, rng.normal(size=m), np.zeros(n))
+        else:
+            for i in range(m):
+                self.add_row(active, i, a_eq[i], 0.0, 0.0)
+            active.n_eq = m
+        self.check(active, dense_b, rng)
+        self.rebuild(active, dense_b, probe)
+        row_id = 0
+        # fix variables until 3 + m stay free, fewer than the pairs
+        for var in rng.permutation(n)[:n - m - 3]:
+            self.add(active, rng, row_id, int(var), rng.choice([-1.0, 1.0]))
             row_id += 1
             self.check(active, dense_b, rng)
-            self.rebuild(active, dense_b, probe)
-            # drop a general member, the first, a middle and the last bound
-            # member, each followed by an addition
-            for position in (0, 1, (active.q - m + active.nb) // 2,
-                             active.q - m + active.nb - 1):
-                _, ids = active.inequality_members()
-                kept = np.delete(ids, position)
-                active.drop(position)
-                assert np.array_equal(active.inequality_members()[1], kept)
-                self.check(active, dense_b, rng)
-                free = np.flatnonzero(active.hess.free)
-                self.add(active, rng, row_id, int(rng.choice(free)))
-                row_id += 1
-                self.check(active, dense_b, rng)
-            self.rebuild(active, dense_b, probe)
-            while active.q + active.nb > m:
-                active.drop(int(rng.integers(0, active.q - m + active.nb)))
-                self.check(active, dense_b, rng)
-            assert not (~active.hess.free).any()
+        self.add(active, rng, row_id)
+        row_id += 1
+        self.check(active, dense_b, rng)
+        self.rebuild(active, dense_b, probe)
+        # drop a general member, the first, a middle and the last bound
+        # member, each followed by an addition
+        for position in (0, 1, (active.q - m + active.nb) // 2,
+                         active.q - m + active.nb - 1):
+            _, ids = active.inequality_members()
+            kept = np.delete(ids, position)
+            active.drop(position)
+            assert np.array_equal(active.inequality_members()[1], kept)
+            self.check(active, dense_b, rng)
+            free = np.flatnonzero(active.free)
+            self.add(active, rng, row_id, int(rng.choice(free)))
+            row_id += 1
+            self.check(active, dense_b, rng)
+        self.rebuild(active, dense_b, probe)
+        while active.q + active.nb > m:
+            active.drop(int(rng.integers(0, active.q - m + active.nb)))
+            self.check(active, dense_b, rng)
+        assert active.free.all()
+
+    def test_spoiled_inverse_is_formed_afresh(self):
+        # a P that no longer inverts T (negated here) makes the refinement
+        # step longer than the solution: the solve forms P afresh and the
+        # directions match the dense references
+        rng = np.random.default_rng(31)
+        probe = np.random.default_rng(1)
+        active, dense_b = self.new_set(rng, 12, 6)
+        for row_id in range(3):
+            self.add(active, rng, row_id)
+        self.add(active, rng, 3, var=5)
+        active.inverse[:] *= -1.0
+        active.directions(rng.normal(size=12))
+        self.check(active, dense_b, probe)
 
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("n_x", [2, 6])
@@ -400,7 +429,7 @@ class TestResidentFactor:
         for _ in range(5):
             m = 4
             n = n_x + 2 * m
-            active, dense_b = self.new_set(rng, n, compact)
+            active, dense_b = self.new_set(rng, n, n // 2 if compact else None)
             rows = np.zeros((m, n))
             rows[:, :n_x] = rng.normal(size=(m, n_x))
             rows[m - 1, :n_x] = rows[0, :n_x] - rows[1, :n_x]
@@ -408,20 +437,15 @@ class TestResidentFactor:
             rows[np.arange(m), split[:m]] = 1.0
             rows[np.arange(m), split[m:]] = -1.0
             for i, normal in enumerate(rows):
-                y = active.hess.apply(normal)
-                ny = active.normals @ y
-                r = active.gram_inverse @ ny
-                assert active.try_add(i, normal, 0.0, 1.0, y, ny, r,
-                                      float(normal @ y - ny @ r))
+                self.add_row(active, i, normal, 0.0, 1.0)
             active.fix_bounds(split, np.ones(split.size), split,
                               np.zeros(split.size))
-            state = [a.copy() for a in (active.normals, active.k_nt,
-                                        active.gram, active.gram_inverse,
+            state = [a.copy() for a in (active.inverse, active.columns,
                                         active.multipliers, active.ids,
                                         active.rhs)]
             dependent, d = active.rebuild(np.zeros(n))
             assert d is None
-            free = active.hess.free
+            free = active.free
             k = np.linalg.inv(dense_b[np.ix_(free, free)])
             s = rows[:, free] @ k @ rows[:, free].T
             rank = np.linalg.matrix_rank(s)
@@ -430,9 +454,8 @@ class TestResidentFactor:
             keep = np.delete(np.arange(m), dependent)
             assert np.linalg.matrix_rank(s[np.ix_(keep, keep)]) == keep.size
             for before, after in zip(state, (
-                    active.normals, active.k_nt, active.gram,
-                    active.gram_inverse, active.multipliers, active.ids,
-                    active.rhs)):
+                    active.inverse, active.columns, active.multipliers,
+                    active.ids, active.rhs)):
                 assert np.array_equal(before, after)
             active.release_bounds(np.arange(active.nb))
             assert active.rebuild()[0] is None
@@ -475,6 +498,15 @@ class TestResidentFactor:
         assert np.allclose(res.step, [0.5, 0.5, 0.5, 1.0], atol=1e-12)
         k = 3
         assert res.iterations == 2 * k + 1
+
+    def test_last_member_leaves_an_empty_inverse(self):
+        # H = I without pairs (m = 0): -2x + y <= 2 enters first and leaves
+        # when x >= 1 enters, so P goes from 1 x 1 to empty and back
+        res = solve_qp(DampedBfgs(np.ones(2)).compact(), np.array([7.0, 0.0]),
+                       a_in=np.array([[-1.0, 0.0], [-2.0, 1.0]]),
+                       b_in=np.array([-1.0, 2.0]))
+        assert np.allclose(res.step, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(res.in_multipliers, [8.0, 0.0], atol=1e-12)
 
     def test_unconstrained_qp_counts_one_iteration(self):
         # no step, only the most-violated check that finds nothing
@@ -529,27 +561,27 @@ class TestQpGuards:
     @pytest.mark.parametrize("spoil", [-1.0, np.nan])
     def test_recheck_projects_the_entering_row_afresh(self, monkeypatch,
                                                       spoil):
-        # K_F n for the entering row comes out spoiled once, as a K_F whose
-        # M^-1 grew through rank-one updates spoils it (to 1e217 on the
-        # K=3 abs scene 506). Negated, it fakes a proof of infeasibility,
-        # and the check against rebuilt factors must project the row afresh
-        # and solve the QP; not finite, it proves nothing and the QP must
-        # say so instead of claiming infeasibility.
+        # the entering row's directions come out spoiled once, as rank-one
+        # updates of an ill-conditioned P can spoil them. Negated, they
+        # fake a proof of infeasibility, and the check against a rebuilt P
+        # must project the row afresh and solve the QP; not finite, they
+        # prove nothing and the QP must say so instead of claiming
+        # infeasibility.
         h = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
         g = np.array([1.0, -2.0, 0.5])
         a_eq, b_eq = np.array([[1.0, 1.0, 1.0]]), np.array([1.0])
         a_in, b_in = np.array([[-1.0, 1.0, 0.0]]), np.array([1.0])
-        real_apply = solver._FreeHessian.apply
+        real_directions = solver._ActiveSet.directions
         spoiled = []
 
-        def apply(self, v):
-            out = real_apply(self, v)
-            if not spoiled and np.array_equal(v, -a_in[0]):
-                spoiled.append(v)
-                return spoil * out
+        def directions(self, normal):
+            out = real_directions(self, normal)
+            if not spoiled and np.array_equal(normal, -a_in[0]):
+                spoiled.append(normal)
+                return tuple(spoil * x for x in out)
             return out
 
-        monkeypatch.setattr(solver._FreeHessian, "apply", apply)
+        monkeypatch.setattr(solver._ActiveSet, "directions", directions)
         if np.isnan(spoil):
             with pytest.raises(InfeasibleSubproblem, match="non-finite step"):
                 solve_qp(dense(h), g, a_eq, b_eq, a_in, b_in)
@@ -672,6 +704,31 @@ class TestPlacementQp:
                    res.upper_multipliers.min()) >= 0.0
         assert np.max(np.abs(res.in_multipliers * (a_in @ d - b_in))) < 1e-8
         assert np.max(np.abs(res.lower_multipliers * (d - lo))) < 1e-8
+
+    def test_every_qp_of_a_solve_is_stationary(self, monkeypatch):
+        # every QP of a K=30 squared solve, with the Hessians that BFGS
+        # built on the way: stationary against the dense compact B
+        from cellplace.nlp import SolveSettings, solve_placement
+        from cellplace.scene import synthesize_scene
+        residuals = []
+        real_qp = solver.solve_qp
+
+        def spy(hessian, g, a_eq, b_eq, a_in, b_in, lower, upper):
+            res = real_qp(hessian, g, a_eq, b_eq, a_in, b_in, lower, upper)
+            b0, u, sign = hessian
+            bd = (np.diag(b0) + u @ np.diag(sign) @ u.T) @ res.step
+            grad = (bd + g + a_eq.T @ res.eq_multipliers
+                    + a_in.T @ res.in_multipliers - res.lower_multipliers
+                    + res.upper_multipliers)
+            residuals.append(np.max(np.abs(grad))
+                             / (np.max(np.abs(g)) + np.max(np.abs(bd))))
+            return res
+
+        monkeypatch.setattr(solver, "solve_qp", spy)
+        solve_placement(synthesize_scene(count=30, seed=300), SolveSettings(
+            mode="squared", multistart=8, seed=0, early_stop_objective=1e-12))
+        assert len(residuals) == 5
+        assert max(residuals) <= 1e-7
 
 
 class TestSolve:
