@@ -24,17 +24,25 @@ Inequality rows (convention g <= 0): one per point, configuration and axis,
 deepest 2pi-representative (kinematics.limit_margins). The opposite limit
 needs no row of its own: it lies the whole axis range away.
 
-Everything kinematic depends on z only through x. One private method runs
-the batched backward transform (kinematics.backward7_batch) on a stack of
-placements and retries a degenerate one once at x + 1e-9. kinematic_values
-caches the KinematicValues record at x that every evaluator reads, and
-kinematic_jacobians the central differences of 12 probes run in one call.
-The single-slot caches are not thread safe; the problem is immutable.
+Everything kinematic depends on z only through x, and one backward transform
+yields all eight configurations. So the kinematics live in one
+SceneKinematics object per scene, which the programs of that scene share
+(the free program and its polish; the pinned programs of one enumeration).
+Its backward method is the one call into kinematics.backward7_batch, which
+retries a degenerate placement once at x + 1e-9. It memoizes, per placement,
+the (K, 8, 7) joint rows and the central differences of 12 probes over all
+eight configurations, for the last KINEMATIC_MEMO_SIZE placements. Each
+program slices its admissible columns from these tables; slicing commutes
+with the elementwise kernel and differences, so the bits do not depend on
+the sharing. kinematic_values keeps the program's own KinematicValues record
+at the last x, because the margins depend on the program's limits. Neither
+cache is thread safe; the problem is immutable.
 """
 from __future__ import annotations
 
 import logging
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -54,6 +62,11 @@ FD_STEP = 1e-6
 # with the axis ranges shrunk by this margin (rad), warm-started
 POLISH_MARGIN = 1e-5
 PINNED_MAX_ITERATIONS = 300  # SQP iterations per pinned-assignment solve
+# placements a SceneKinematics memoizes, least recently used first out; a K=30
+# record holds 13 KB of joint rows and 80 KB of Jacobians
+KINEMATIC_MEMO_SIZE = 32
+# the six axis columns of a backward7_batch row; column 3 is the excursion v
+_AXES = [0, 1, 2, 4, 5, 6]
 
 
 @dataclass
@@ -79,15 +92,102 @@ class KinematicValues(NamedTuple):
     margins: np.ndarray  # (K, C, 6) their signed limit margins
 
 
-def build_problem(scene: "scene_mod.Scene", options: BuildOptions | None = None
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class SceneKinematics:
+    """The backward transform of one scene's targets, memoized per placement.
+
+    rows(x) and jacobians(x) return read-only (K, 8, ...) tables over all
+    eight configurations; the memo keeps the last KINEMATIC_MEMO_SIZE
+    placements. degenerate_retries counts the placements retried past a
+    degenerate target.
+    """
+
+    def __init__(self, scene):
+        self.robot = scene.robot
+        self.targets = scene.target_frames()
+        self.degenerate_retries = 0
+        # x.tobytes() -> [rows or None, (dtheta, dv) or None]
+        self._memo: OrderedDict[bytes, list] = OrderedDict()
+
+    def backward(self, xs: np.ndarray) -> np.ndarray:
+        """Joint rows (P, K, 8, 7) at placements xs (P, 6), laid out as
+        backward7_batch's. A degenerate placement is retried once at
+        x + 1e-9; DegenerateTarget is raised if it still fails."""
+        q, degenerate = backward7_batch(
+            self.robot, frames_from_poses(xs)[:, None] @ self.targets)
+        for i in np.flatnonzero(degenerate.any(axis=1)):
+            self.degenerate_retries += 1
+            logger.warning("degenerate target at x=%s; retrying with 1e-9 shift",
+                           xs[i])
+            q[i], still = backward7_batch(
+                self.robot, frames_from_poses(xs[i] + 1e-9) @ self.targets)
+            if still.any():
+                raise DegenerateTarget(f"degenerate target at x={xs[i]}")
+        return q
+
+    def fd_jacobians(self, x: np.ndarray, fd_step: float | None = None):
+        """Central-difference d(joints)/dx (K,8,6,6) and dv/dx (K,8,6).
+
+        The step is relative, FD_STEP unless given. Angle differences are
+        wrapped into (-pi, pi] before dividing so that a canonical-wrap jump
+        between the two probes does not pollute the derivative.
+        """
+        step = FD_STEP if fd_step is None else fd_step
+        h = step * np.maximum(1.0, np.abs(x))
+        # probes x + h_j e_j (rows 0..5) and x - h_j e_j (rows 6..11)
+        probes = np.tile(x, (12, 1))
+        probes[np.arange(6), np.arange(6)] += h
+        probes[6 + np.arange(6), np.arange(6)] -= h
+        q = self.backward(probes)
+        diff = wrap_angle(q[:6, ..., _AXES] - q[6:, ..., _AXES])
+        dtheta = np.moveaxis(diff, 0, -1) / (2.0 * h)
+        dv = np.moveaxis(q[:6, ..., 3] - q[6:, ..., 3], 0, -1) / (2.0 * h)
+        return dtheta, dv
+
+    def _record(self, x: np.ndarray) -> list:
+        key = x.tobytes()
+        record = self._memo.get(key)
+        if record is None:
+            record = self._memo[key] = [None, None]
+            if len(self._memo) > KINEMATIC_MEMO_SIZE:
+                self._memo.popitem(last=False)
+        else:
+            self._memo.move_to_end(key)
+        return record
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The (K, 8, 7) joint rows at x, memoized."""
+        record = self._record(x)
+        if record[0] is None:
+            record[0] = _read_only(self.backward(x[None])[0])
+        return record[0]
+
+    def jacobians(self, x: np.ndarray):
+        """fd_jacobians(x) at the default step, memoized."""
+        record = self._record(x)
+        if record[1] is None:
+            record[1] = tuple(map(_read_only, self.fd_jacobians(x)))
+        return record[1]
+
+
+def build_problem(scene: "scene_mod.Scene", options: BuildOptions | None = None,
+                  kinematics: SceneKinematics | None = None
                   ) -> "PlacementProblem":
-    return PlacementProblem(scene, options or BuildOptions())
+    return PlacementProblem(scene, options or BuildOptions(), kinematics)
 
 
 class PlacementProblem:
-    """Variable layout, evaluators and derivatives for one scene."""
+    """Variable layout, evaluators and derivatives for one scene.
 
-    def __init__(self, scene, options: BuildOptions):
+    kinematics is the scene's shared SceneKinematics; a fresh one when None.
+    """
+
+    def __init__(self, scene, options: BuildOptions,
+                 kinematics: SceneKinematics | None = None):
         if scene.K < 1:
             raise InvalidScene("scene has no process points")
         lo, hi = scene.bounds.lower, scene.bounds.upper
@@ -99,7 +199,7 @@ class PlacementProblem:
         self.scene = scene
         self.robot = scene.robot
         self.mode = options.mode
-        self.targets = scene.target_frames()
+        self.kinematics = kinematics or SceneKinematics(scene)
         self.K = scene.K
         self.n_segments, self.seg_of = scene.segment_map()
         if options.pinned is None:
@@ -135,68 +235,40 @@ class PlacementProblem:
             self.limits_hi = self.limits_hi - options.limit_margin
         self.x0 = scene.initial.as_array() if scene.initial is not None else \
             0.5 * (lo + hi)
-        self.degenerate_retries = 0
         self._values_at: bytes | None = None
         self._values: KinematicValues | None = None
-        self._jac_cache: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # kinematic evaluation and cache
     # ------------------------------------------------------------------
 
-    def _kinematics(self, xs: np.ndarray):
-        """Admissible joints (P,K,C,6) and excursions (P,K,C) at placements
-        xs (P, 6). A degenerate placement is retried once at x + 1e-9 (counted
-        in degenerate_retries); DegenerateTarget is raised if it still fails."""
-        q, degenerate = backward7_batch(
-            self.robot, frames_from_poses(xs)[:, None] @ self.targets)
-        for i in np.flatnonzero(degenerate.any(axis=1)):
-            self.degenerate_retries += 1
-            logger.warning("degenerate target at x=%s; retrying with 1e-9 shift",
-                           xs[i])
-            q[i], still = backward7_batch(
-                self.robot, frames_from_poses(xs[i] + 1e-9) @ self.targets)
-            if still.any():
-                raise DegenerateTarget(f"degenerate target at x={xs[i]}")
-        q = q[:, self._admissible[0], self._admissible[1]]
-        return q[..., [0, 1, 2, 4, 5, 6]], q[..., 3]
+    @property
+    def degenerate_retries(self) -> int:
+        """Degenerate-target retries of the shared kinematics."""
+        return self.kinematics.degenerate_retries
 
     def kinematic_values(self, x: np.ndarray) -> KinematicValues:
         """The record every evaluator reads at x, cached for the last x."""
         x = np.asarray(x, float)
-        if x.tobytes() != self._values_at:
-            joints, v = self._kinematics(x[None])
-            self._values = KinematicValues(joints[0], v[0], *limit_margins(
-                joints[0], self.limits_lo, self.limits_hi))
-            self._values_at = x.tobytes()
+        key = x.tobytes()
+        if key != self._values_at:
+            rows = self.kinematics.rows(x)[self._admissible]
+            joints = rows[..., _AXES]
+            self._values = KinematicValues(joints, rows[..., 3], *limit_margins(
+                joints, self.limits_lo, self.limits_hi))
+            self._values_at = key
         return self._values
 
     def fd_kinematic_jacobians(self, x: np.ndarray, fd_step: float | None = None):
-        """Central-difference d(joints)/dx (K,C,6,6) and dv/dx (K,C,6).
-
-        The step is relative, FD_STEP unless given. Angle differences are
-        wrapped into (-pi, pi] before dividing so that a canonical-wrap jump
-        between the two probes does not pollute the derivative.
-        """
-        x = np.asarray(x, float)
-        step = FD_STEP if fd_step is None else fd_step
-        h = step * np.maximum(1.0, np.abs(x))
-        # probes x + h_j e_j (rows 0..5) and x - h_j e_j (rows 6..11)
-        probes = np.tile(x, (12, 1))
-        probes[np.arange(6), np.arange(6)] += h
-        probes[6 + np.arange(6), np.arange(6)] -= h
-        joints, v = self._kinematics(probes)
-        diff = wrap_angle(joints[:6] - joints[6:])
-        dtheta = np.moveaxis(diff, 0, -1) / (2.0 * h)
-        dv = np.moveaxis(v[:6] - v[6:], 0, -1) / (2.0 * h)
-        return dtheta, dv
+        """SceneKinematics.fd_jacobians over the admissible (k, c), uncached:
+        d(joints)/dx (K,C,6,6) and dv/dx (K,C,6)."""
+        dtheta, dv = self.kinematics.fd_jacobians(np.asarray(x, float), fd_step)
+        return dtheta[self._admissible], dv[self._admissible]
 
     def kinematic_jacobians(self, x: np.ndarray):
-        key = np.asarray(x, float).tobytes()
-        if self._jac_cache is None or self._jac_cache[0] != key:
-            dtheta, dv = self.fd_kinematic_jacobians(x)
-            self._jac_cache = (key, dtheta, dv)
-        return self._jac_cache[1], self._jac_cache[2]
+        """fd_kinematic_jacobians at the default step, from the shared memo."""
+        dtheta, dv = self.kinematics.jacobians(np.asarray(x, float))
+        return dtheta[self._admissible], dv[self._admissible]
 
     # ------------------------------------------------------------------
     # variable block views
@@ -446,19 +518,20 @@ def solve_placement(scene, settings: SolveSettings | None = None
                     ) -> "scene_mod.SolutionReport":
     """build -> multistart solve -> extract (-> polish), the whole pipeline.
 
-    The report's diagnostics describe the multistart result, count the SQP
-    iterations of the polish re-solve (0 when none ran) and the kinematic
-    evaluations retried past a degenerate target, polish included; elapsed_s
-    covers the whole call.
+    The polish shares the program's SceneKinematics, so the placements the
+    solve reached are not transformed again. The report's diagnostics
+    describe the multistart result, count the SQP iterations of the polish
+    re-solve (0 when none ran) and the placements retried past a degenerate
+    target, polish included; elapsed_s covers the whole call.
     """
     started = time.perf_counter()
     settings = settings or SolveSettings(**scene.solve_options)
     problem = build_problem(scene, BuildOptions(mode=settings.mode))
     result = _multistart(problem, settings)
     report = problem.extract_solution(result.z, result)
-    polish_iterations = polish_retries = 0
+    polish_iterations = 0
     if report.verdict != "feasible" and report.objective <= 1e-6:
-        polished, polish_retries = _polish(scene, settings, result)
+        polished = _polish(scene, settings, result, problem.kinematics)
         polish_iterations = polished.iterations
         # report against the true limits: snap slacks, then extract
         candidate = problem.extract_solution(
@@ -466,28 +539,27 @@ def solve_placement(scene, settings: SolveSettings | None = None
         if candidate.verdict == "feasible":
             report = candidate
     report.diagnostics["polish_iterations"] = polish_iterations
-    report.diagnostics["degenerate_retries"] = (problem.degenerate_retries
-                                                + polish_retries)
+    report.diagnostics["degenerate_retries"] = problem.degenerate_retries
     report.elapsed_s = time.perf_counter() - started
     return report
 
 
-def _polish(scene, settings, result) -> tuple[solver.SolverResult, int]:
+def _polish(scene, settings, result,
+            kinematics: SceneKinematics | None = None) -> solver.SolverResult:
     """Push a near-feasible iterate strictly inside the axis ranges.
 
     Re-solves from the found point with the limit rows tightened by a small
     margin; a zero objective there implies real margins of at least that
-    size, so the strict oracle accepts. Returns the re-solve's result and
-    its degenerate-target retries.
+    size, so the strict oracle accepts.
     """
     tightened = build_problem(scene, BuildOptions(
-        mode=settings.mode, limit_margin=POLISH_MARGIN))
+        mode=settings.mode, limit_margin=POLISH_MARGIN), kinematics)
     z0 = tightened.repair_slacks(result.z.copy())
     polished = solver.solve(tightened.as_nlp_spec(), replace(
         settings, max_iterations=100), z0)
     logger.debug("polish: %s objective %.3e", polished.status,
                  polished.objective)
-    return polished, tightened.degenerate_retries
+    return polished
 
 
 def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0,
@@ -495,14 +567,21 @@ def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0
     """Callable solving the problem with one fixed configuration per segment.
 
     Handed to the enumeration oracle; returns (optimal value, solver result).
+    The callable keeps one SceneKinematics for the scene it was last called
+    with, so the pinned programs of one enumeration share their backward
+    transforms; nothing outlives the callable.
     """
     options = solver.SolverOptions(
         max_iterations=PINNED_MAX_ITERATIONS, multistart=multistart, seed=seed,
         early_stop_objective=early_stop_objective)
+    shared = None  # (scene, its SceneKinematics)
 
     def solve_pinned(scene, assignment):
-        problem = build_problem(scene, BuildOptions(mode=mode,
-                                                    pinned=tuple(assignment)))
+        nonlocal shared
+        if shared is None or shared[0] is not scene:
+            shared = (scene, SceneKinematics(scene))
+        problem = build_problem(scene, BuildOptions(
+            mode=mode, pinned=tuple(assignment)), shared[1])
         result = _multistart(problem, options)
         return result.objective, result
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -11,8 +12,8 @@ from cellplace import nlp, solver
 from cellplace.errors import InvalidScene
 from cellplace.geometry import Pose, pose_from_frame, rot_x, wrap_angle
 from cellplace.kinematics import limit_margins
-from cellplace.nlp import (BuildOptions, SolveSettings, build_problem,
-                           make_pinned_solver, solve_placement)
+from cellplace.nlp import (POLISH_MARGIN, BuildOptions, SolveSettings,
+                           build_problem, make_pinned_solver, solve_placement)
 from cellplace.oracle import (OUT_OF_WORKSPACE, check_placement,
                               minimin_enumerate, verify_solution)
 from cellplace.scene import (PlacementBounds, ProcessPoint, Scene, load_report,
@@ -127,7 +128,9 @@ class TestConstraints:
         theta[0, 0, 1] = DEG(50)
         # a fresh problem, so that no cached record hides the edited table
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
-        p._kinematics = lambda xs: (theta[None], values.v[None])
+        rows = np.concatenate([theta[..., :3], values.v[..., None],
+                               theta[..., 3:]], axis=-1)
+        p.kinematics.backward = lambda xs: rows[None]
         row = (0 * 8 + 0) * 6 + 1
         z[p.off_m:p.off_m + 8] = 0.0
         _, ineq = p.eval_constraints(z)
@@ -206,11 +209,11 @@ class TestJacobians:
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
 
         def seam(xs):
-            joints = np.zeros((len(xs), p.K, p.C, 6))
-            joints[:, 0, 0, 0] = wrap_angle(np.pi - 1e-7 + xs[:, 0])
-            return joints, np.zeros((len(xs), p.K, p.C))
+            rows = np.zeros((len(xs), p.K, 8, 7))
+            rows[:, 0, 0, 0] = wrap_angle(np.pi - 1e-7 + xs[:, 0])
+            return rows
 
-        p._kinematics = seam
+        p.kinematics.backward = seam
         dtheta, _ = p.fd_kinematic_jacobians(np.zeros(6))
         assert dtheta[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-6)
         assert np.count_nonzero(dtheta) == 1
@@ -442,6 +445,99 @@ class TestLemmaEquivalenceSmall:
             assert np.array_equal(j_pin[:, :6],
                                   j_free[:, :6].reshape(2, 8, 6, 6)[
                                       [0, 1], [2, 5]].reshape(12, 6))
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Spy on the kernel behind every SceneKinematics; returns [calls]."""
+    calls, real = [0], nlp.backward7_batch
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(nlp, "backward7_batch", spy)
+    return calls
+
+
+class TestSceneKinematics:
+    def test_shared_slices_equal_the_free_program_bit_for_bit(self, scene_k2):
+        # pinned programs and a tightened one share one object; the free
+        # program has its own, so the shared memo is checked against an
+        # independent transform of the same placements
+        free = build_problem(scene_k2, BuildOptions(mode="squared"))
+        shared = nlp.SceneKinematics(scene_k2)
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(scene_k2.bounds.lower, scene_k2.bounds.upper,
+                         size=(20, 6))
+        for pinned in itertools.product(range(8), repeat=2):
+            p = build_problem(scene_k2, BuildOptions(pinned=pinned), shared)
+            cols = (np.arange(scene_k2.K)[:, None], p.configs_of_k)
+            for x in xs:
+                for mine, full in zip(p.kinematic_values(x),
+                                      free.kinematic_values(x)):
+                    assert np.array_equal(mine, full[cols])
+                for mine, full in zip(p.kinematic_jacobians(x),
+                                      free.kinematic_jacobians(x)):
+                    assert np.array_equal(mine, full[cols])
+        tight = BuildOptions(limit_margin=POLISH_MARGIN)
+        p = build_problem(scene_k2, tight, shared)
+        own = build_problem(scene_k2, tight)
+        for x in xs:
+            assert all(np.array_equal(a, b) for a, b in zip(
+                p.kinematic_values(x), own.kinematic_values(x)))
+            assert all(np.array_equal(a, b) for a, b in zip(
+                p.kinematic_jacobians(x), free.kinematic_jacobians(x)))
+            assert np.array_equal(p.kinematic_values(x).joints,
+                                  free.kinematic_values(x).joints)
+
+    def test_enumeration_result_does_not_depend_on_sharing(self, monkeypatch):
+        scene = synthesize_scene(count=2, seed=402)
+        calls = _count_kernel_calls(monkeypatch)
+        shared = minimin_enumerate(scene, make_pinned_solver(
+            mode="squared", multistart=2, seed=0, early_stop_objective=1e-14))
+        shared_calls, calls[0] = calls[0], 0
+        options = solver.SolverOptions(
+            max_iterations=nlp.PINNED_MAX_ITERATIONS, multistart=2, seed=0,
+            early_stop_objective=1e-14)
+
+        def solve_alone(sc, assignment):
+            problem = build_problem(sc, BuildOptions(pinned=tuple(assignment)),
+                                    nlp.SceneKinematics(sc))
+            result = nlp._multistart(problem, options)
+            return result.objective, result
+
+        alone = minimin_enumerate(scene, solve_alone)
+        assert shared[:2] == alone[:2]
+        assert np.array_equal(shared[2].z, alone[2].z)
+        assert shared[2].iterations == alone[2].iterations
+        assert shared[2].status == alone[2].status
+        assert 5 * shared_calls <= calls[0]
+
+    def test_no_state_survives_a_solver_closure(self, scene_k1, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        counts = []
+        for _ in range(2):
+            calls[0] = 0
+            minimin_enumerate(scene_k1, make_pinned_solver(
+                mode="squared", multistart=2, seed=0))
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
+
+    def test_memo_is_bounded_and_read_only(self, scene_k1, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        kin = nlp.SceneKinematics(scene_k1)
+        xs = scene_k1.initial.as_array() + np.linspace(
+            0.0, 1.0, nlp.KINEMATIC_MEMO_SIZE + 1)[:, None]
+        for x in xs:
+            kin.rows(x)
+        assert calls[0] == nlp.KINEMATIC_MEMO_SIZE + 1
+        kin.rows(xs[-1])
+        assert calls[0] == nlp.KINEMATIC_MEMO_SIZE + 1
+        kin.rows(xs[0])  # the least recently used placement was dropped
+        assert calls[0] == nlp.KINEMATIC_MEMO_SIZE + 2
+        for array in (kin.rows(xs[0]), *kin.jacobians(xs[0])):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestSegmentSemantics:
