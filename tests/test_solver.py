@@ -486,6 +486,69 @@ class TestResidentFactor:
                        res.upper_multipliers.min()) >= 0.0
             assert np.max(np.abs(res.lower_multipliers * (d - lower))) < 1e-8
 
+    def test_blocked_start_frees_one_half_of_each_split(self, monkeypatch):
+        # the abs-mode split: row i is v+_i - v-_i - c_i'x = b_i with its
+        # own columns v+_i, v-_i >= lower, more rows than x columns, and a
+        # start that violates both halves of every pair. Fixing them all
+        # leaves the rows dependent through x; a dependent row keeps one
+        # half fixed and frees the other.
+        fixed, freed = [], []
+        real_rebuild = solver._ActiveSet.rebuild
+        real_fix = solver._ActiveSet.fix_bounds
+        real_release = solver._ActiveSet.release_bounds
+        last = [None]
+
+        def rebuild(self, g=None):
+            last[0], d = real_rebuild(self, g)
+            return last[0], d
+
+        def fix_bounds(self, var, side, ids, rhs):
+            fixed.append(var.copy())
+            real_fix(self, var, side, ids, rhs)
+
+        def release_bounds(self, positions):
+            gone = real_release(self, positions)
+            if last[0] is not None:
+                freed.append(gone[1])
+            return gone
+
+        monkeypatch.setattr(solver._ActiveSet, "rebuild", rebuild)
+        monkeypatch.setattr(solver._ActiveSet, "fix_bounds", fix_bounds)
+        monkeypatch.setattr(solver._ActiveSet, "release_bounds",
+                            release_bounds)
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            n_x, p = 3, 8
+            n = n_x + 2 * p
+            plus, minus = np.arange(n_x, n_x + p), np.arange(n_x + p, n)
+            h, dense_b = self.random_hessian(rng, n, int(rng.integers(0, 6)))
+            a_eq = np.zeros((p, n))
+            a_eq[:, :n_x] = -rng.normal(size=(p, n_x))
+            a_eq[np.arange(p), plus] = 1.0
+            a_eq[np.arange(p), minus] = -1.0
+            # the start, the minimizer over the rows, is d0
+            d0 = np.concatenate([rng.normal(size=n_x),
+                                 -rng.uniform(5.0, 10.0, 2 * p)])
+            g, b_eq = -dense_b @ d0, a_eq @ d0
+            lower = np.full(n, -np.inf)
+            lower[n_x:] = -rng.uniform(0.0, 0.1, 2 * p)
+            fixed.clear()
+            freed.clear()
+            res = solve_qp(h.compact(), g, a_eq, b_eq, lower=lower)
+            assert set(plus) | set(minus) <= set(fixed[0])
+            assert freed
+            out = set(np.concatenate(freed).tolist())
+            assert not any(i in out and j in out for i, j in zip(plus, minus))
+            d = res.step
+            assert np.max(np.abs(a_eq @ d - b_eq)) < 1e-9
+            assert np.all(d >= lower - 1e-9)
+            grad = (dense_b @ d + g + a_eq.T @ res.eq_multipliers
+                    - res.lower_multipliers + res.upper_multipliers)
+            assert np.max(np.abs(grad)) < 1e-8 * np.max(np.abs(g))
+            assert res.lower_multipliers.min() >= 0.0
+            assert np.max(np.abs(res.lower_multipliers[n_x:]
+                                 * (d - lower)[n_x:])) < 1e-8
+
     def test_steps_without_drops_take_one_step_each(self):
         # three orthogonal violated rows enter with one step each and none
         # is dropped: one step per row plus the main loop's k + 1
@@ -704,6 +767,25 @@ class TestPlacementQp:
                    res.upper_multipliers.min()) >= 0.0
         assert np.max(np.abs(res.in_multipliers * (a_in @ d - b_in))) < 1e-8
         assert np.max(np.abs(res.lower_multipliers * (d - lo))) < 1e-8
+
+    def test_first_abs_qp_takes_few_steps(self):
+        # the first QP of K=16 abs scene 304, built as above: its start
+        # violates both halves of most v+- splits, and a blocked start that
+        # freed both halves of each dependent split took 411 steps
+        from cellplace.nlp import BuildOptions, build_problem
+        from cellplace.scene import synthesize_scene
+        problem = build_problem(synthesize_scene(count=16, seed=304),
+                                BuildOptions(mode="abs"))
+        spec = problem.as_nlp_spec()
+        z = problem.initial_point("scene")
+        c_eq, c_in = spec.constraints(z)
+        j_eq, j_in = spec.jacobians(z)
+        ws = c_in >= -solver.WORKING_SET_MARGIN
+        b0 = np.asarray(spec.scales, float) ** -2.0
+        res = solve_qp(DampedBfgs(b0).compact(), spec.gradient(z), j_eq,
+                       -c_eq, j_in[ws], -c_in[ws], spec.lower - z,
+                       spec.upper - z)
+        assert res.iterations <= 250
 
     def test_every_qp_of_a_solve_is_stationary(self, monkeypatch):
         # every QP of a K=30 squared solve, with the Hessians that BFGS
