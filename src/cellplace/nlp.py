@@ -9,20 +9,21 @@ solves. Below, (k, c) is point k's c-th admissible configuration.
 
 Decision vector layout:
 
-    z = [ x (6)                workpiece pose: x, y, z, A, B, C
-          w (K*C)              per-point configuration weights, row-major (k, c)
-          m (S*C)              per-segment axis-violation slacks, (s, c)
-          v+ (K*C), v- (K*C)   absolute-value split, only in "abs" mode ]
+    z = [ x (6)       workpiece pose: x, y, z, A, B, C
+          w (K*C)     per-point configuration weights, row-major (k, c)
+          m (S*C)     per-segment axis-violation slacks, (s, c)
+          t (K*C)     epigraph variables t >= |v|, only in "abs" mode ]
 
 The objective sums w[k,c] * (f[k,c] + m[seg(k),c]) where f is the squared
-virtual-axis excursion (mode "squared") or the split v+ + v- (mode "abs").
-Equality rows: one weight-simplex row per point, plus v+ - v- - v(x) = 0 per
-(k, c) in abs mode. With C = 1 there are no simplex rows: the weights' bounds
-fix each at 1, and the solver's QP takes such a variable as fixed.
+virtual-axis excursion v^2 (mode "squared") or t (mode "abs").
+Equality rows: one weight-simplex row per point. With C = 1 there are none:
+the weights' bounds fix each at 1, and the solver's QP takes such a variable
+as fixed.
 Inequality rows (convention g <= 0): one per point, configuration and axis,
 -margin - m <= 0, where margin is the signed limit margin of the axis angle's
 deepest 2pi-representative (kinematics.limit_margins). The opposite limit
-needs no row of its own: it lies the whole axis range away.
+needs no row of its own: it lies the whole axis range away. In abs mode two
+epigraph rows follow, v - t <= 0 for every (k, c), then -v - t <= 0.
 
 Everything kinematic depends on z only through x, and one backward transform
 yields all eight configurations. So the kinematics live in one
@@ -219,12 +220,10 @@ class PlacementProblem:
         self.abs_mode = self.mode == "abs"
         self.off_w = 6
         self.off_m = 6 + k * c
-        self.off_vp = self.off_m + s * c
-        self.off_vm = self.off_vp + k * c
-        self.n_vars = self.off_vp + (2 * k * c if self.abs_mode else 0)
-        self.n_simplex = k if c > 1 else 0
-        self.n_eq = self.n_simplex + (k * c if self.abs_mode else 0)
-        self.n_ineq = 6 * k * c
+        self.off_t = self.off_m + s * c
+        self.n_vars = self.off_t + (k * c if self.abs_mode else 0)
+        self.n_eq = k if c > 1 else 0  # the weight-simplex rows
+        self.n_ineq = (8 if self.abs_mode else 6) * k * c
         # slack column of every (k, c) and, repeated per axis, of every row
         m_cols = (self.off_m + c * self.seg_of[:, None] + np.arange(c)).ravel()
         self._row_m_cols = np.repeat(m_cols, 6)
@@ -281,18 +280,12 @@ class PlacementProblem:
         return z[self.off_w:self.off_m].reshape(self.K, self.C)
 
     def m_of(self, z):
-        return z[self.off_m:self.off_vp].reshape(self.n_segments, self.C)
-
-    def vplus_of(self, z):
-        return z[self.off_vp:self.off_vm]
-
-    def vminus_of(self, z):
-        return z[self.off_vm:]
+        return z[self.off_m:self.off_t].reshape(self.n_segments, self.C)
 
     def _f(self, z, v):
-        """Per-(k, c) excursion penalty: v^2, or the split v+ + v- in abs mode."""
+        """Per-(k, c) excursion penalty: v^2, or t >= |v| in abs mode."""
         if self.abs_mode:
-            return (self.vplus_of(z) + self.vminus_of(z)).reshape(self.K, self.C)
+            return z[self.off_t:].reshape(self.K, self.C)
         return v ** 2
 
     # ------------------------------------------------------------------
@@ -310,8 +303,7 @@ class PlacementProblem:
         w = self.w_of(z)
         grad = np.zeros(self.n_vars)
         if self.abs_mode:
-            grad[self.off_vp:self.off_vm] = w.ravel()
-            grad[self.off_vm:] = w.ravel()
+            grad[self.off_t:] = w.ravel()
         else:
             _, dv = self.kinematic_jacobians(x)
             grad[:6] = np.einsum("kc,kc,kcj->j", w, 2.0 * v, dv)
@@ -319,35 +311,38 @@ class PlacementProblem:
             (self._f(z, v) + self.m_of(z)[self.seg_of]).ravel()
         m_grad = np.zeros((self.n_segments, self.C))
         np.add.at(m_grad, self.seg_of, w)
-        grad[self.off_m:self.off_vp] = m_grad.ravel()
+        grad[self.off_m:self.off_t] = m_grad.ravel()
         return grad
 
     def eval_constraints(self, z):
         values = self.kinematic_values(self.x_of(z))
         ineq = (-values.margins - self.m_of(z)[self.seg_of][..., None]).ravel()
-        eq = [self.w_of(z).sum(axis=1)[:self.n_simplex] - 1.0]
+        eq = self.w_of(z).sum(axis=1)[:self.n_eq] - 1.0
         if self.abs_mode:
-            eq.append(self.vplus_of(z) - self.vminus_of(z) - values.v.ravel())
-        return np.concatenate(eq), ineq
+            v, t = values.v.ravel(), z[self.off_t:]
+            ineq = np.concatenate([ineq, v - t, -v - t])
+        return eq, ineq
 
     def eval_jacobians(self, z):
         x = self.x_of(z)
         dtheta, dv = self.kinematic_jacobians(x)
         kc = np.arange(self.K * self.C)
         j_eq = np.zeros((self.n_eq, self.n_vars))
-        if self.n_simplex:
+        if self.n_eq:
             j_eq[kc // self.C, self.off_w + kc] = 1.0
-        if self.abs_mode:
-            rows = self.n_simplex + kc
-            j_eq[rows, :6] = -dv.reshape(-1, 6)
-            j_eq[rows, self.off_vp + kc] = 1.0
-            j_eq[rows, self.off_vm + kc] = -1.0
         # -margin is lo - t on the lower-limit side and t - hi on the upper
         reps = self.kinematic_values(x).reps
         lower_side = (reps - self.limits_lo <= self.limits_hi - reps)[..., None]
         j_in = np.zeros((self.n_ineq, self.n_vars))
-        j_in[:, :6] = np.where(lower_side, -dtheta, dtheta).reshape(-1, 6)
-        j_in[np.arange(self.n_ineq), self._row_m_cols] = -1.0
+        n_limit = self._row_m_cols.size
+        j_in[:n_limit, :6] = np.where(lower_side, -dtheta,
+                                      dtheta).reshape(-1, 6)
+        j_in[np.arange(n_limit), self._row_m_cols] = -1.0
+        if self.abs_mode:
+            dv = dv.reshape(-1, 6)
+            j_in[n_limit:, :6] = np.concatenate([dv, -dv])
+            j_in[np.arange(n_limit, self.n_ineq),
+                 self.off_t + np.tile(kc, 2)] = -1.0
         return j_eq, j_in
 
     # ------------------------------------------------------------------
@@ -355,7 +350,7 @@ class PlacementProblem:
     # ------------------------------------------------------------------
 
     def variable_bounds(self):
-        """Placement box; slacks, v-splits and weights nonnegative, and with
+        """Placement box; slacks, t and weights nonnegative, and with
         C = 1 each weight fixed at 1. The simplex rows and w >= 0 already
         keep the weights of a wider table at most 1."""
         lower = np.zeros(self.n_vars)
@@ -372,8 +367,8 @@ class PlacementProblem:
 
         x comes from the scene (or uniformly from the bounds), weights start
         uniform, and repair_slacks sets each slack to the largest violation it
-        must absorb and the v-split to the correct sign, so every inequality
-        and every equality holds at the initial point.
+        must absorb and t to |v|, so every inequality and every equality
+        holds at the initial point.
         """
         if strategy not in ("scene", "random"):
             raise ValueError(f"unknown start strategy {strategy!r}")
@@ -389,21 +384,20 @@ class PlacementProblem:
         return self.repair_slacks(z)
 
     def repair_slacks(self, z: np.ndarray) -> np.ndarray:
-        """Snap m and the v-split to their closed-form optima for the given x.
+        """Snap m and t to their closed-form optima for the given x.
 
         For fixed x and weights, the optimal slack is exactly the worst
-        violation it must absorb, and the optimal split of v is its positive
-        and negative parts. The solver applies this after each accepted step
-        (guarded by the merit function), which removes second-order
-        feasibility dust in rows that are linear in the auxiliaries.
+        violation it must absorb, and the optimal t is |v|. The solver
+        applies this after each accepted step (guarded by the merit
+        function), which removes second-order feasibility dust in rows that
+        are linear in the auxiliaries.
         """
         values = self.kinematic_values(z[:6])
         m = np.zeros((self.n_segments, self.C))
         np.maximum.at(m, self.seg_of, limit_violation(values.margins).max(axis=2))
-        z[self.off_m:self.off_vp] = m.ravel()
+        z[self.off_m:self.off_t] = m.ravel()
         if self.abs_mode:
-            z[self.off_vp:self.off_vm] = np.maximum(values.v, 0.0).ravel()
-            z[self.off_vm:] = np.maximum(-values.v, 0.0).ravel()
+            z[self.off_t:] = np.abs(values.v).ravel()
         # renormalize the weights: partial steps leave (1 - alpha)-sized
         # simplex residues; scaling each row back keeps it in the box
         w = self.w_of(z)
@@ -421,7 +415,7 @@ class PlacementProblem:
         residual weight dust. Ties resolve to the smallest configuration.
         """
         v = self.kinematic_values(z[:6]).v
-        # abs mode: |v| is the optimal split value for the current x
+        # abs mode: |v| is the optimal t for the current x
         f = np.abs(v) if self.abs_mode else v ** 2
         best = np.argmin(f + self.m_of(z)[self.seg_of], axis=1)
         w = np.zeros((self.K, self.C))
@@ -433,12 +427,12 @@ class PlacementProblem:
         return self.snap_weights(self.repair_slacks(z))
 
     def variable_scales(self) -> np.ndarray:
-        """Typical magnitudes: placement spans for x, mm for v-splits."""
+        """Typical magnitudes: placement spans for x, mm for t."""
         scales = np.ones(self.n_vars)
         span = self.scene.bounds.upper - self.scene.bounds.lower
         scales[:6] = np.clip(span, 1.0, 1000.0)
         if self.abs_mode:
-            scales[self.off_vp:] = 100.0
+            scales[self.off_t:] = 100.0
         return scales
 
     def as_nlp_spec(self) -> solver.NlpSpec:

@@ -13,9 +13,7 @@ an active bound fixes its variable. The QP keeps one inverse, of a matrix of
 order m + q that couples the Hessian's columns with the q general active
 rows, and follows the active set by rank-one updates of it; one routine
 rebuilds it from the members, with one test for dependent rows. The bounds
-that the QP's starting point violates are fixed in one block; an equality
-row that this leaves dependent keeps its most violated bound and frees its
-others, so a v+/v- split keeps one half at its bound. Infeasible
+that the QP's starting point violates are fixed in one block. Infeasible
 subproblems are retried in an elastic form where a scalar relaxation
 variable scales the constraint right-hand sides, and a QP that fails in both
 forms is retried once with a reset Hessian. A start stops when the l1 merit
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemv, dger
 from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
 
 from .errors import EvaluatorFailure, InfeasibleSubproblem
@@ -664,21 +662,15 @@ def solve_qp(hessian, g: np.ndarray,
     # Blocked start: the bounds that the equality-feasible minimizer
     # violates become members at once, since most of them are active at
     # the solution (188 of 194 on the first QP of a K=30 squared scene, with
-    # 238 violated). In abs mode the start violates both halves of nearly
-    # every split v+ - v- = v(x), and fixing both leaves the row only its x
-    # columns, so the rows turn dependent. Each dependent row then keeps
-    # the bound its start violated most and frees its others: on the row,
-    # (v+ + dv+) - (v- + dv-) = v(x) + grad v dx, the half that the start
-    # pushed further below 0 is the one that sits at 0. Over the nine QPs of
-    # the five K=16 abs benchmark solves, 1169 of the 3406 fixed bounds are
-    # freed again. Bounds whose multiplier comes out negative leave
+    # 238 violated). If the fixed variables leave equality rows dependent,
+    # all of them are freed again, and the main loop enters the violated
+    # ones one at a time. Bounds whose multiplier comes out negative leave
     # together, and the rest is re-solved, until every multiplier is
     # nonnegative; the main loop then adds what is still violated. A single
     # violated bound takes the main loop's ordinary step, which costs less
     # than a re-solve.
     start = np.flatnonzero(((d < lo_vec - tol) | (d > hi_vec + tol)) & free)
     if start.size > 1:
-        excess = np.maximum(lo_vec - d, d - hi_vec)
         side = np.where(d[start] < lo_vec[start], 1.0, -1.0)
         ids = np.where(side > 0.0, n_in + start, n_in + n + start)
         active.fix_bounds(start, side, ids, rhs[ids])
@@ -687,21 +679,10 @@ def solve_qp(hessian, g: np.ndarray,
             iterations += 1
             dependent, d_new = active.rebuild(g)
             if dependent is not None:
-                # the fixed variables leave some members dependent: a row
-                # with two or more of them keeps the one the start violated
-                # most and frees the rest, a row with one frees it; if that
-                # frees nothing, all go, so each pass frees at least one
                 if not active.nb:
                     raise InfeasibleSubproblem("degenerate active set")
-                fixed = active.bounds[0]
-                in_row = active.normals[dependent][:, fixed] != 0.0
-                most = np.argmax(np.where(in_row, excess[fixed], -np.inf),
-                                 axis=1)
-                in_row[np.arange(most.size), most] &= in_row.sum(axis=1) < 2
-                out = np.flatnonzero(np.any(in_row, axis=0))
-                if not out.size:
-                    out = np.arange(active.nb)
-                mark(None, active.release_bounds(out)[1], False)
+                mark(None, active.release_bounds(np.arange(active.nb))[1],
+                     False)
                 continue
             d = d_new
             mult = active.bounds[3]
@@ -718,7 +699,11 @@ def solve_qp(hessian, g: np.ndarray,
         iterations += 1
         if iterations > limit:
             raise InfeasibleSubproblem("active-set iteration limit")
-        np.subtract(a_in @ d, b_in, out=resid[:n_in])
+        if n_in:
+            # on scipy's BLAS, as dger: a threaded numpy product here leaves
+            # numpy's OpenBLAS pool spinning, and the next dger stalls on it
+            np.subtract(dgemv(1.0, a_in.T, d, trans=1), b_in,
+                        out=resid[:n_in])
         np.subtract(lo_vec, d, out=resid[n_in:n_in + n])
         np.subtract(d, hi_vec, out=resid[n_in + n:])
         np.copyto(resid, -np.inf, where=member)

@@ -44,10 +44,12 @@ class TestLayout:
         assert p.n_eq == 1
         assert p.n_ineq == 48  # one row per (configuration, axis)
 
-    def test_abs_mode_adds_split_variables(self, scene_k1):
+    def test_abs_mode_adds_epigraph_variables(self, scene_k1):
+        # one t per configuration and two rows v - t <= 0, -v - t <= 0
         p = build_problem(scene_k1, BuildOptions(mode="abs"))
-        assert p.n_vars == 22 + 16
-        assert p.n_eq == 1 + 8
+        assert p.n_vars == 22 + 8
+        assert p.n_eq == 1  # the simplex row only
+        assert p.n_ineq == 48 + 16
 
     def test_shared_segment_shrinks_slack_block(self, scene_k3_one_segment):
         p = build_problem(scene_k3_one_segment, BuildOptions(mode="squared"))
@@ -102,13 +104,13 @@ class TestObjective:
         z[p.off_m:p.off_m + 8] = 0.0
         assert p.eval_objective(z) == pytest.approx(v[0, config] ** 2, rel=1e-12)
 
-    def test_abs_mode_uses_split_sum(self, scene_k1):
+    def test_abs_mode_uses_epigraph_variable(self, scene_k1):
         p = build_problem(scene_k1, BuildOptions(mode="abs"))
         z = np.zeros(p.n_vars)
         z[:6] = p.x0
         config = 2
         z[p.off_w + config] = 1.0
-        z[p.off_vp + config] = 10.0  # v+ = 10, v- = 0 -> contribution 10
+        z[p.off_t + config] = 10.0  # t = 10 -> contribution 10
         assert p.eval_objective(z) == pytest.approx(10.0, rel=1e-12)
 
 
@@ -149,14 +151,20 @@ class TestConstraints:
             z = p.initial_point("scene")
             eq, ineq = p.eval_constraints(z)
             assert ineq.max() <= 1e-12
-            assert np.max(np.abs(eq)) <= 1e-12  # abs split exact at start
+            assert np.max(np.abs(eq)) <= 1e-12  # simplex rows exact at start
 
     def test_abs_split_is_complementary_at_start(self, scene_k2):
+        # t = |v| puts one of the two epigraph rows v - t <= 0, -v - t <= 0
+        # of each (k, c) at 0 and the other at -2|v|
         p = build_problem(scene_k2, BuildOptions(mode="abs"))
         z = p.initial_point("scene")
-        vp, vm = p.vplus_of(z), p.vminus_of(z)
-        assert np.all(vp * vm == 0.0)
-        assert np.all(vp >= 0.0) and np.all(vm >= 0.0)
+        v = p.kinematic_values(z[:6]).v.ravel()
+        t = z[p.off_t:]
+        assert np.array_equal(t, np.abs(v))
+        _, ineq = p.eval_constraints(z)
+        above, below = ineq[-2 * v.size:].reshape(2, -1)
+        assert np.all(above <= 0.0) and np.all(below <= 0.0)
+        assert np.all(np.minimum(-above, -below) == 0.0)
 
 
 class TestJacobians:
@@ -425,8 +433,9 @@ class TestLemmaEquivalenceSmall:
 
     def test_pinned_abs_layout(self, scene_k2):
         p = build_problem(scene_k2, BuildOptions(mode="abs", pinned=(2, 5)))
-        assert p.n_vars == 6 + 2 + 2 + 4
-        assert p.n_eq == 2  # the v-split rows only
+        assert p.n_vars == 6 + 2 + 2 + 2
+        assert p.n_ineq == 12 + 4
+        assert p.n_eq == 0
 
     def test_pinned_rows_are_the_free_rows_of_its_configurations(self,
                                                                  scene_k2):
@@ -438,13 +447,19 @@ class TestLemmaEquivalenceSmall:
             z_pin = pinned.initial_point("scene")
             _, in_free = free.eval_constraints(z_free)
             _, in_pin = pinned.eval_constraints(z_pin)
-            rows = in_free.reshape(2, 8, 6)[[0, 1], [2, 5]]
-            assert np.array_equal(in_pin, rows.ravel())
             _, j_free = free.eval_jacobians(z_free)
             _, j_pin = pinned.eval_jacobians(z_pin)
-            assert np.array_equal(j_pin[:, :6],
-                                  j_free[:, :6].reshape(2, 8, 6, 6)[
-                                      [0, 1], [2, 5]].reshape(12, 6))
+            assert in_pin.size == (16 if mode == "abs" else 12)
+            # values and x columns: the limit rows (k, c, axis), then in
+            # abs mode the two epigraph blocks (k, c)
+            for f, p in ((in_free[:, None], in_pin[:, None]),
+                         (j_free[:, :6], j_pin[:, :6])):
+                cols = f.shape[1]
+                limit = f[:96].reshape(2, 8, 6, cols)[[0, 1], [2, 5]]
+                assert np.array_equal(p[:12], limit.reshape(12, cols))
+                if mode == "abs":
+                    epigraph = f[96:].reshape(2, 2, 8, cols)[:, [0, 1], [2, 5]]
+                    assert np.array_equal(p[12:], epigraph.reshape(4, cols))
 
 
 def _count_kernel_calls(monkeypatch) -> list:
@@ -591,12 +606,12 @@ class TestOptions:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_hessian_reset_on_a_placement_solve(self, caplog):
         # the retry with a fresh Hessian fires on real placement programs:
-        # start 1 of this solve needs it at iteration 6 (with one BLAS
+        # start 3 of this solve needs it at iteration 6 (with one BLAS
         # thread and with two), and start 0, which needs none, wins
-        scene = synthesize_scene(count=6, seed=505)
+        scene = synthesize_scene(count=10, seed=502)
         with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
             report = solve_placement(scene, SolveSettings(
-                mode="abs", multistart=4, seed=505))
+                mode="squared", multistart=4, seed=502))
         messages = [r.getMessage() for r in caplog.records]
         resets = [i for i, m in enumerate(messages)
                   if m.startswith("hessian reset")]
@@ -605,7 +620,21 @@ class TestOptions:
         assert resets and min(resets) > start_0
         assert report.verdict == "feasible"
         assert report.diagnostics["start_index"] == 0
-        assert report.diagnostics["iterations"] == 3
+        assert report.diagnostics["iterations"] == 1
+
+    def test_abs_solve_without_a_hessian_reset(self, caplog):
+        # with a v+/v- split and its equality rows, start 1's QP at
+        # iteration 6 and its elastic form raised "inconsistent equality
+        # rows", and the Hessian was reset; the epigraph program has no
+        # such rows
+        scene = synthesize_scene(count=6, seed=505)
+        with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
+            report = solve_placement(scene, SolveSettings(
+                mode="abs", multistart=4, seed=505))
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum(m.startswith("start ") for m in messages) == 4
+        assert not any(m.startswith("hessian reset") for m in messages)
+        assert report.verdict == "feasible"
 
 
 class TestDegenerateTarget:
