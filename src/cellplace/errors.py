@@ -41,7 +41,8 @@ class SynthesisFailed(CellplaceError):
 
 
 class InfeasibleSubproblem(CellplaceError):
-    """QP subproblem has no feasible point (before elastic relaxation)."""
+    """QP subproblem has no feasible point, or its algebra broke down; no
+    relaxed QP follows, the SQP retries once with a reset Hessian."""
 
 
 class EvaluatorFailure(CellplaceError):

@@ -13,11 +13,12 @@ an active bound fixes its variable. The QP keeps one inverse, of a matrix of
 order m + q that couples the Hessian's columns with the q general active
 rows, and follows the active set by rank-one updates of it; one routine
 rebuilds it from the members, with one test for dependent rows. The bounds
-that the QP's starting point violates are fixed in one block. Infeasible
-subproblems are retried in an elastic form where a scalar relaxation
-variable scales the constraint right-hand sides, and a QP that fails in both
-forms is retried once with a reset Hessian. A start stops when the l1 merit
-stops falling.
+that the QP's starting point violates are fixed in one block. A QP that
+fails, or a step that the line search rejects, is retried once with a reset
+Hessian; if the retry fails too, the start stops "stalled". The placement
+program's linearizations are feasible by construction (its slacks and |v|
+epigraph variables absorb any violation), so there a failed QP is a
+numerical breakdown. A start also stops when the l1 merit stops falling.
 
 All randomness (multistart sampling) flows through one seeded generator, so
 results are reproducible bit for bit for a fixed BLAS thread count.
@@ -815,29 +816,6 @@ def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):
     return max(stat, comp)
 
 
-def _elastic_qp(hessian, g, j_eq, c_eq, j_in, c_in, lo_step, hi_step):
-    """Relaxed QP: scale constraint right-hand sides by xi in [0, 1].
-
-    Variable vector (d, xi); xi = 0 is always feasible, the penalty pushes xi
-    toward 1 (the original subproblem). Its Hessian blockdiag(H, 2 rho) is
-    H's compact form with one more entry of b0 and a zero row of U.
-    """
-    n = g.shape[0]
-    b0, u, sign = hessian
-    rho = 1e4 * max(1.0, float(np.max(np.abs(g))))
-    g_aug = np.append(g, -2.0 * rho)  # from rho * (1 - xi)^2
-    a_eq = np.hstack([j_eq, c_eq[:, None]])
-    a_in = np.hstack([j_in, np.maximum(c_in, 0.0)[:, None]])
-    augmented = (np.append(b0, 2.0 * rho),
-                 np.vstack([u, np.zeros((1, u.shape[1]))]), sign)
-    result = solve_qp(augmented, g_aug, a_eq,
-                      np.zeros(c_eq.shape[0]), a_in, -np.minimum(c_in, 0.0),
-                      np.append(lo_step, 0.0), np.append(hi_step, 1.0))
-    return QpResult(result.step[:n], result.eq_multipliers,
-                    result.in_multipliers, result.lower_multipliers[:n],
-                    result.upper_multipliers[:n], result.iterations)
-
-
 def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
     """Run the SQP iteration from z0 (projected into the bounds first)."""
     ev = _Evaluator(spec)
@@ -892,27 +870,19 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
         c_ws, j_ws = c_in[ws], j_in[ws]
 
         accepted = False
-        fresh_hessian = False
-        while True:  # at most two passes: current Hessian, then a reset one
+        for fresh_hessian in (False, True):
+            if fresh_hessian:
+                # Accumulated quasi-Newton curvature can defeat the QP or
+                # poison its step long before the iterates are optimal;
+                # retry once from scratch.
+                logger.debug("hessian reset at iteration %d", iteration)
+                h.reset()
             try:
                 qp = solve_qp(h.compact(), g, j_eq, -c_eq, j_ws, -c_ws,
                               lo_step, hi_step)
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
-                logger.debug("elastic fallback at iteration %d", iteration)
-                try:
-                    qp = _elastic_qp(h.compact(), g, j_eq, c_eq, j_ws, c_ws,
-                                     lo_step, hi_step)
-                except (InfeasibleSubproblem, np.linalg.LinAlgError):
-                    if not fresh_hessian:
-                        # an ill-conditioned Hessian can defeat both QPs
-                        logger.debug("hessian reset at iteration %d",
-                                     iteration)
-                        h.reset()
-                        fresh_hessian = True
-                        continue
-                    status = "stalled"
-                    message = "QP subproblem failed even in elastic mode"
-                    break
+                failure = "QP subproblem failed"
+                continue
 
             d = qp.step
             lam_eq = qp.eq_multipliers
@@ -957,19 +927,15 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
                 if accepted:
                     break
                 alpha *= 0.5
-            if accepted or fresh_hessian:
+            if accepted:
                 break
-            # Accumulated quasi-Newton curvature can poison the step long
-            # before the iterates are optimal; retry once from scratch.
-            logger.debug("hessian reset at iteration %d", iteration)
-            h.reset()
-            fresh_hessian = True
+            failure = "line search failed"
 
         if status in ("converged", "stalled"):
             break
         if not accepted:
             status = "stalled"
-            message = "line search failed"
+            message = failure
             break
 
         g_new, j_eq_new, j_in_new = ev.derivatives(z_new)

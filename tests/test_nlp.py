@@ -153,6 +153,38 @@ class TestConstraints:
             assert ineq.max() <= 1e-12
             assert np.max(np.abs(eq)) <= 1e-12  # simplex rows exact at start
 
+    @pytest.mark.parametrize("mode", ["squared", "abs"])
+    def test_linearization_is_feasible_at_any_iterate(self, mode):
+        # the SQP's QP is never truly infeasible on a placement program: at
+        # any iterate z, the step d to z_hat (same x, uniform weights,
+        # closed-form m and t) keeps the bounds and meets every linearized
+        # row, so a QP that fails there fails numerically
+        rng = np.random.default_rng(20)
+        for seed, count in ((201, 2), (202, 3), (203, 4)):
+            scene = synthesize_scene(count=count, seed=seed)
+            n_segments = scene.segment_map()[0]
+            for pinned in (None, tuple(rng.integers(0, 8, n_segments))):
+                p = build_problem(scene, BuildOptions(mode=mode,
+                                                      pinned=pinned))
+                lower, upper = p.variable_bounds()
+                for _ in range(10):
+                    z = np.empty(p.n_vars)
+                    z[:6] = rng.uniform(scene.bounds.lower, scene.bounds.upper)
+                    z[p.off_w:p.off_m] = rng.uniform(0.0, 1.0, p.K * p.C)
+                    z[p.off_m:p.off_t] = rng.uniform(0.0, 2.0,
+                                                     n_segments * p.C)
+                    z[p.off_t:] = rng.uniform(0.0, 500.0, p.n_vars - p.off_t)
+                    z_hat = z.copy()
+                    z_hat[p.off_w:p.off_m] = 1.0 / p.C
+                    z_hat = p.repair_slacks(z_hat)
+                    d = z_hat - z
+                    assert np.all(d[:6] == 0.0)
+                    assert np.all(lower <= z_hat) and np.all(z_hat <= upper)
+                    c_eq, c_in = p.eval_constraints(z)
+                    j_eq, j_in = p.eval_jacobians(z)
+                    assert np.all(np.abs(j_eq @ d + c_eq) <= 1e-12)
+                    assert np.max(j_in @ d + c_in) <= 1e-12
+
     def test_abs_split_is_complementary_at_start(self, scene_k2):
         # t = |v| puts one of the two epigraph rows v - t <= 0, -v - t <= 0
         # of each (k, c) at 0 and the other at -2|v|
@@ -599,15 +631,11 @@ class TestOptions:
         report = solve_placement(scene_k1, SolveSettings(mode="squared"))
         assert report.diagnostics["degenerate_retries"] == 0
 
-    # a start whose QP fails in both forms has a quasi-Newton matrix at the
-    # edge of definiteness (the FOUND line on DampedBfgs.update in
-    # CHANGES.md), where the QP's algebra may overflow before the reset
-    # takes over
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_hessian_reset_on_a_placement_solve(self, caplog):
         # the retry with a fresh Hessian fires on real placement programs:
-        # start 3 of this solve needs it at iteration 6 (with one BLAS
-        # thread and with two), and start 0, which needs none, wins
+        # start 3's QP at iteration 6 fails with the accumulated quasi-Newton
+        # matrix and solves with the reset one (with one BLAS thread and
+        # with two), and start 0, which needs no reset, wins
         scene = synthesize_scene(count=10, seed=502)
         with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
             report = solve_placement(scene, SolveSettings(
@@ -624,9 +652,8 @@ class TestOptions:
 
     def test_abs_solve_without_a_hessian_reset(self, caplog):
         # with a v+/v- split and its equality rows, start 1's QP at
-        # iteration 6 and its elastic form raised "inconsistent equality
-        # rows", and the Hessian was reset; the epigraph program has no
-        # such rows
+        # iteration 6 raised "inconsistent equality rows", and the Hessian
+        # was reset; the epigraph program has no such rows
         scene = synthesize_scene(count=6, seed=505)
         with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
             report = solve_placement(scene, SolveSettings(

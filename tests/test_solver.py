@@ -658,12 +658,14 @@ class TestQpGuards:
         assert res.in_multipliers[0] == pytest.approx(kkt[4], abs=1e-12)
         assert res.in_multipliers[0] > 0.0
 
-    def test_elastic_qp_of_the_impossible_scene(self, robot):
-        # criterion 10's impossible scene: an elastic QP at its fifth SQP
-        # iterate raised "degenerate active set" although d = 0, xi = 0 is
-        # feasible. Built here from the scene and each of its first
-        # iterates, with the initial Hessian, the elastic QP must solve and
-        # keep the bounds to the QP's tolerance.
+    @pytest.mark.parametrize("mode", ["squared", "abs"])
+    def test_reset_qp_of_the_impossible_scene(self, robot, mode):
+        # criterion 10's impossible scene, whose QP at the fifth SQP iterate
+        # once raised "degenerate active set" although the placement
+        # program's linearizations are always feasible. Built from the scene
+        # and each of its first iterates, with the initial Hessian that a
+        # reset leaves, the QP must solve, keep the bounds and meet the rows
+        # to its tolerance, with nonnegative multipliers.
         from cellplace.geometry import Pose
         from cellplace.nlp import BuildOptions, build_problem
         from cellplace.scene import PlacementBounds, ProcessPoint, Scene
@@ -673,7 +675,7 @@ class TestQpGuards:
                     ProcessPoint("b", Pose(5_000.0, 0.0, 0.0))),
             bounds=PlacementBounds(np.array([-500.0, -500, -500, 0, 0, 0]),
                                    np.array([500.0, 500, 500, 0, 0, 0])))
-        problem = build_problem(scene, BuildOptions())
+        problem = build_problem(scene, BuildOptions(mode=mode))
         spec = problem.as_nlp_spec()
         z0 = problem.initial_point("scene")
         for iterations in range(1, 9):
@@ -682,12 +684,15 @@ class TestQpGuards:
             j_eq, j_in = spec.jacobians(z)
             ws = c_in >= -solver.WORKING_SET_MARGIN
             lo, hi = spec.lower - z, spec.upper - z
-            qp = solver._elastic_qp(DampedBfgs(spec.scales ** -2.0).compact(),
-                                    spec.gradient(z), j_eq, c_eq, j_in[ws],
-                                    c_in[ws], lo, hi)
-            slack = 1e-10 * max(1.0, np.max(np.abs(np.r_[lo, hi])))
+            qp = solve_qp(DampedBfgs(spec.scales ** -2.0).compact(),
+                          spec.gradient(z), j_eq, -c_eq, j_in[ws], -c_in[ws],
+                          lo, hi)
+            finite = np.abs(np.r_[c_eq, c_in[ws], lo, hi])
+            slack = 1e-10 * max(1.0, np.max(finite[np.isfinite(finite)]))
             assert np.all(qp.step >= lo - slack)
             assert np.all(qp.step <= hi + slack)
+            assert np.all(np.abs(j_eq @ qp.step + c_eq) <= slack)
+            assert np.all(j_in[ws] @ qp.step + c_in[ws] <= slack)
             assert np.all(qp.in_multipliers >= 0.0)
 
 
@@ -848,17 +853,37 @@ class TestSolve:
         assert res.objective == pytest.approx(0.0, abs=1e-8)
         assert np.allclose(res.z, [0.0, 1.0, 0.0], atol=1e-6)
 
-    def test_zero_step_on_an_infeasible_stationary_point(self):
-        # z^2 + 1 <= 0 has no solution and its linearization at z = 0 has
-        # a zero gradient, so even the elastic QP's step is zero
-        spec = NlpSpec(1, lambda z: 0.0, lambda z: np.zeros(1),
-                       lambda z: (np.zeros(0), np.array([z[0] ** 2 + 1.0])),
-                       lambda z: (np.zeros((0, 1)), np.array([[2.0 * z[0]]])))
-        res = solve(spec, SolverOptions(), np.array([0.0]))
+    @pytest.mark.parametrize("spec, z0", [
+        # z^2 + 1 <= 0 linearizes at z = 0 to the row 0 d + 1 <= 0
+        pytest.param(NlpSpec(1, lambda z: 0.0, lambda z: np.zeros(1),
+                             lambda z: (np.zeros(0),
+                                        np.array([z[0] ** 2 + 1.0])),
+                             lambda z: (np.zeros((0, 1)),
+                                        np.array([[2.0 * z[0]]]))),
+                     np.zeros(1), id="square_plus_one"),
+        # |z1| >= 1 linearizes at z1 = 0 to the same row; with only a lower
+        # bound on z0
+        pytest.param(NlpSpec(2, lambda z: z[0], lambda z: np.array([1.0, 0.0]),
+                             lambda z: (np.zeros(0),
+                                        np.array([1.0 - z[1] ** 2])),
+                             lambda z: (np.zeros((0, 2)),
+                                        np.array([[0.0, -2.0 * z[1]]])),
+                             lower=np.array([-0.5, -np.inf])),
+                     np.zeros(2), id="lower_bound_only"),
+    ])
+    def test_infeasible_qp_stalls_after_one_reset(self, caplog, spec, z0):
+        # a QP with no feasible point fails with the reset Hessian too, so
+        # the start stops where it is, at the first iteration
+        with caplog.at_level(logging.DEBUG, logger="cellplace.solver"):
+            res = solve(spec, SolverOptions(), z0)
         assert res.status == "stalled"
-        assert res.message == "zero step"
+        assert res.message == "QP subproblem failed"
         assert res.iterations == 1
         assert res.constraint_violation == 1.0
+        assert np.array_equal(res.z, z0)
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("hessian reset")] == \
+            ["hessian reset at iteration 1"]
 
     def test_evaluator_failure_carries_iterate(self):
         def bad_objective(z):
@@ -924,24 +949,6 @@ class TestSolve:
         res = solve(spec, SolverOptions(max_iterations=3), np.array([3.0]))
         assert min(trials) < -1.0
         assert math.isfinite(res.objective) and res.objective < 81.0
-
-    def test_elastic_step_keeps_lower_bound_without_upper(self):
-        # |z1| >= 1 linearizes to an infeasible row at z1 = 0, so the first
-        # step comes from the elastic QP; with no upper bounds given it must
-        # still keep z0 >= -0.5 in every point it tries
-        seen = []
-
-        def objective(z):
-            seen.append(z.copy())
-            return z[0]
-
-        spec = NlpSpec(2, objective, lambda z: np.array([1.0, 0.0]),
-                       lambda z: (np.zeros(0), np.array([1.0 - z[1] ** 2])),
-                       lambda z: (np.zeros((0, 2)),
-                                  np.array([[0.0, -2.0 * z[1]]])),
-                       lower=np.array([-0.5, -np.inf]))
-        solve(spec, SolverOptions(max_iterations=3), np.zeros(2))
-        assert min(z[0] for z in seen) >= -0.5 - 1e-9
 
     def test_line_search_failure_after_a_hessian_reset(self, caplog):
         # a gradient of the wrong sign makes every QP step an ascent
