@@ -22,6 +22,11 @@ numerical breakdown. A start also stops when the l1 merit stops falling.
 
 All randomness (multistart sampling) flows through one seeded generator, so
 results are reproducible bit for bit for a fixed BLAS thread count.
+
+The QP's scipy BLAS/LAPACK routines (dgemv, dger, dpotrf, dpotri, dpstrf)
+are the package's only use of scipy. ``_load_lapack`` imports them when the
+first ``_ActiveSet`` is built, so importing the package, and every command
+that solves no QP, leaves scipy unloaded.
 """
 from __future__ import annotations
 
@@ -31,12 +36,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dger
-from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
 
 from .errors import EvaluatorFailure, InfeasibleSubproblem
 
 logger = logging.getLogger(__name__)
+
+# scipy's BLAS/LAPACK wrappers, bound by _load_lapack
+dgemv = dger = dpotrf = dpotri = dpstrf = None
 
 # Inequality rows with values below -WORKING_SET_MARGIN are left out of an
 # iteration's QP (their multipliers are zero anyway). Feasibility and KKT
@@ -207,6 +213,14 @@ class DampedBfgs:
 # dual active-set QP
 # ---------------------------------------------------------------------------
 
+def _load_lapack():
+    """Bind the QP's scipy routines as module globals, on the first call."""
+    global dgemv, dger, dpotrf, dpotri, dpstrf
+    if dpstrf is None:
+        from scipy.linalg.blas import dgemv, dger
+        from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
+
+
 class _ActiveSet:
     """Active rows of the dual QP, with one inverse that follows them.
 
@@ -245,6 +259,7 @@ class _ActiveSet:
     """
 
     def __init__(self, hessian, free, at, capacity):
+        _load_lapack()
         b0, u, self._sign = hessian
         n, self.m = u.shape
         self.hessian = hessian

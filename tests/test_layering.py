@@ -1,5 +1,8 @@
 """Module dependency rules that keep the ground truth independent."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cellplace
@@ -54,3 +57,75 @@ def test_oracle_depends_on_kinematics_only():
 def test_solver_depends_on_errors_only():
     # the SQP is generic: it must never reach the placement program
     assert _package_imports("solver") <= {"errors"}
+
+
+def _scipy_imports(node) -> list[ast.stmt]:
+    """Import statements of scipy (or a scipy submodule) under node."""
+    return [stmt for stmt in ast.walk(node)
+            if isinstance(stmt, ast.Import) and any(
+                alias.name.split(".")[0] == "scipy" for alias in stmt.names)
+            or isinstance(stmt, ast.ImportFrom) and not stmt.level
+            and (stmt.module or "").split(".")[0] == "scipy"]
+
+
+def test_scipy_is_imported_inside_one_solver_function():
+    # importing the package must not load scipy: only the QP needs it, so
+    # solver.py imports it inside one function and no module does at import
+    functions = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        everywhere = _scipy_imports(tree)
+        inside = {}  # statement id -> name of the innermost function
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside.update((id(stmt), node.name)
+                              for stmt in _scipy_imports(node))
+        assert len(inside) == len(everywhere), \
+            f"{path.name} imports scipy at module level"
+        if inside:
+            functions[path.stem] = set(inside.values())
+    assert functions == {"solver": {"_load_lapack"}}
+
+
+_FRESH_RUN = """
+import io, sys
+import numpy as np
+from cellplace import solver
+from cellplace.cli import main
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy")
+
+assert not scipy_loaded(), scipy_loaded()
+for argv in (["check", SCENE, "--placement", "900,420,180,0,0,0"],
+             ["ik", "--pose", "525,0,890,180,-90,0"]):
+    out = io.StringIO()
+    assert main(argv, out=out) in (0, 1), argv
+    assert out.getvalue(), argv
+    assert not scipy_loaded(), (argv, scipy_loaded())
+
+b0 = np.array([4.0, 2.0])
+active = solver._ActiveSet(solver.DampedBfgs(b0).compact(), np.ones(2, bool),
+                           np.zeros(2), 0)
+active.rebuild()
+assert "scipy.linalg" in sys.modules
+v = np.array([1.0, -2.0])
+assert np.allclose(active.directions(v)[1], v / b0, atol=1e-15)
+print("ok")
+"""
+
+
+def test_scipy_loads_with_the_first_active_set():
+    # a fresh interpreter, so no earlier test has loaded scipy: the commands
+    # that run no QP leave it unloaded, and the QP's active set, built
+    # directly as the solver tests do, loads it on its own
+    root = PACKAGE.parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = f"SCENE = {str(root / 'scenes' / 'demo.json')!r}\n{_FRESH_RUN}"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
