@@ -21,12 +21,9 @@ epigraph variables absorb any violation), so there a failed QP is a
 numerical breakdown. A start also stops when the l1 merit stops falling.
 
 All randomness (multistart sampling) flows through one seeded generator, so
-results are reproducible bit for bit for a fixed BLAS thread count.
-
-The QP's scipy BLAS/LAPACK routines (dgemv, dger, dpotrf, dpotri, dpstrf)
-are the package's only use of scipy. ``_load_lapack`` imports them when the
-first ``_ActiveSet`` is built, so importing the package, and every command
-that solves no QP, leaves scipy unloaded.
+results are reproducible bit for bit for a fixed BLAS thread count: OpenBLAS
+splits large matrix products among its threads in ways that can move their
+last bits.
 """
 from __future__ import annotations
 
@@ -40,9 +37,6 @@ import numpy as np
 from .errors import EvaluatorFailure, InfeasibleSubproblem
 
 logger = logging.getLogger(__name__)
-
-# scipy's BLAS/LAPACK wrappers, bound by _load_lapack
-dgemv = dger = dpotrf = dpotri = dpstrf = None
 
 # Inequality rows with values below -WORKING_SET_MARGIN are left out of an
 # iteration's QP (their multipliers are zero anyway). Feasibility and KKT
@@ -213,12 +207,30 @@ class DampedBfgs:
 # dual active-set QP
 # ---------------------------------------------------------------------------
 
-def _load_lapack():
-    """Bind the QP's scipy routines as module globals, on the first call."""
-    global dgemv, dger, dpotrf, dpotri, dpstrf
-    if dpstrf is None:
-        from scipy.linalg.blas import dgemv, dger
-        from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
+def _rank_one(p, alpha, x):
+    """p += alpha x x' in place, for a Fortran-ordered p. The sum runs
+    through p' (C order), so that it and the C-ordered outer product share
+    one memory order."""
+    pt = p.T
+    pt += np.outer(alpha * x, x)
+
+
+def _pivoted_rank(s):
+    """Pivoted Cholesky of the symmetric s: its rows in pivot order, each
+    the largest remaining diagonal (ties to the first in the current
+    order), and the rank, the number of pivots before the first squared
+    pivot <= DEPENDENT_PIVOT."""
+    s = s.copy()
+    order = np.arange(s.shape[0])
+    for r in range(order.size):
+        rest = order[r:]
+        j = r + int(np.argmax(s[rest, rest]))
+        if not s[order[j], order[j]] > DEPENDENT_PIVOT:
+            return order, r
+        order[[r, j]] = order[[j, r]]
+        col = s[:, order[r]] / math.sqrt(s[order[r], order[r]])
+        s -= np.outer(col, col)
+    return order, order.size
 
 
 class _ActiveSet:
@@ -259,7 +271,6 @@ class _ActiveSet:
     """
 
     def __init__(self, hessian, free, at, capacity):
-        _load_lapack()
         b0, u, self._sign = hessian
         n, self.m = u.shape
         self.hessian = hessian
@@ -367,8 +378,7 @@ class _ActiveSet:
             return False
         if var is None and self.q == self._mult.size:
             return False
-        if k:
-            dger(1.0 / rho, xi, xi, a=self._p, overwrite_a=1)
+        _rank_one(self._p, 1.0 / rho, xi)
         if var is not None:
             self._h[var] = 0.0
             self._at[var] = normal[var] * row_rhs
@@ -406,8 +416,7 @@ class _ActiveSet:
             keep = np.delete(np.arange(k), i)
             col = self._p[keep, i]
             inv = np.asfortranarray(self._p[np.ix_(keep, keep)])
-            if keep.size:
-                dger(-1.0 / self._p[i, i], col, col, a=inv, overwrite_a=1)
+            _rank_one(inv, -1.0 / self._p[i, i], col)
             self._p = inv
             self.q = q - 1
             return row_id, None
@@ -418,11 +427,9 @@ class _ActiveSet:
         self.nb = nb - 1
         # T gains c g g' with g G's row j and c = 1/b0_j
         c = 1.0 / self.hessian[0][var]
-        if k:
-            gj = self._g[var, :k]
-            w = self.solve(gj)
-            dger(-c / (1.0 + c * float(gj @ w)), w, w, a=self._p,
-                 overwrite_a=1)
+        gj = self._g[var, :k]
+        w = self.solve(gj)
+        _rank_one(self._p, -c / (1.0 + c * float(gj @ w)), w)
         self._h[var] = c
         return row_id, var
 
@@ -433,11 +440,11 @@ class _ActiveSet:
 
         If a pivot fails, P stays and ``dependent`` holds the positions of
         the general members outside the rank of S, by a pivoted Cholesky
-        (LAPACK dpstrf) with the same test; more members than free
-        variables are dependent, though rounding may pass them. Else it is
-        None and, given the QP's g, d is the minimizer with the fixed
-        variables at their values and each general member n'd = rhs, with
-        the members' multipliers re-solved to match.
+        with the same test; more members than free variables are dependent,
+        though rounding may pass them. Else it is None and, given the QP's
+        g, d is the minimizer with the fixed variables at their values and
+        each general member n'd = rhs, with the members' multipliers
+        re-solved to match.
         """
         _, u, sign = self.hessian
         h, m, q = self._h, self.m, self.q
@@ -455,16 +462,19 @@ class _ActiveSet:
             s = 0.5 * (s + s.T)
             scale = np.maximum(1.0, np.einsum("ij,ij->i", normals, normals))
             n_free = np.count_nonzero(h)
-            chol, info = dpotrf(s, lower=0, clean=1)
-            if info or q > n_free \
-                    or np.any(np.diag(chol) ** 2 <= DEPENDENT_PIVOT * scale):
-                # on s / sqrt(scale scale'), dpstrf's absolute stop on the
+            try:
+                chol = np.linalg.cholesky(s)
+                independent = np.all(np.diag(chol) ** 2
+                                     > DEPENDENT_PIVOT * scale)
+            except np.linalg.LinAlgError:
+                independent = False
+            if q > n_free or not independent:
+                # on s / sqrt(scale scale'), the absolute stop on the
                 # squared pivots is the same relative test
-                _, piv, rank, _ = dpstrf(s / np.sqrt(np.outer(scale, scale)),
-                                         tol=DEPENDENT_PIVOT)
-                return np.sort(piv[min(rank, n_free):] - 1), None
-            s_inv, _ = dpotri(chol, lower=0)
-            s_inv = np.triu(s_inv) + np.triu(s_inv, 1).T
+                order, rank = _pivoted_rank(
+                    s / np.sqrt(np.outer(scale, scale)))
+                return np.sort(order[min(rank, n_free):]), None
+            s_inv = np.linalg.inv(s)
             ws = w @ s_inv
             self._p = np.asfortranarray(np.block([[mid_inv + ws @ w.T, -ws],
                                                   [-ws.T, s_inv]]))
@@ -715,11 +725,7 @@ def solve_qp(hessian, g: np.ndarray,
         iterations += 1
         if iterations > limit:
             raise InfeasibleSubproblem("active-set iteration limit")
-        if n_in:
-            # on scipy's BLAS, as dger: a threaded numpy product here leaves
-            # numpy's OpenBLAS pool spinning, and the next dger stalls on it
-            np.subtract(dgemv(1.0, a_in.T, d, trans=1), b_in,
-                        out=resid[:n_in])
+        np.subtract(a_in @ d, b_in, out=resid[:n_in])
         np.subtract(lo_vec, d, out=resid[n_in:n_in + n])
         np.subtract(d, hi_vec, out=resid[n_in + n:])
         np.copyto(resid, -np.inf, where=member)

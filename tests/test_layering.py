@@ -59,67 +59,41 @@ def test_solver_depends_on_errors_only():
     assert _package_imports("solver") <= {"errors"}
 
 
-def _scipy_imports(node) -> list[ast.stmt]:
-    """Import statements of scipy (or a scipy submodule) under node."""
-    return [stmt for stmt in ast.walk(node)
-            if isinstance(stmt, ast.Import) and any(
-                alias.name.split(".")[0] == "scipy" for alias in stmt.names)
-            or isinstance(stmt, ast.ImportFrom) and not stmt.level
-            and (stmt.module or "").split(".")[0] == "scipy"]
-
-
-def test_scipy_is_imported_inside_one_solver_function():
-    # importing the package must not load scipy: only the QP needs it, so
-    # solver.py imports it inside one function and no module does at import
-    functions = {}
+def test_no_module_imports_scipy():
+    # numpy is the package's one runtime dependency, so the process loads
+    # one BLAS and one thread pool
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        everywhere = _scipy_imports(tree)
-        inside = {}  # statement id -> name of the innermost function
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inside.update((id(stmt), node.name)
-                              for stmt in _scipy_imports(node))
-        assert len(inside) == len(everywhere), \
-            f"{path.name} imports scipy at module level"
-        if inside:
-            functions[path.stem] = set(inside.values())
-    assert functions == {"solver": {"_load_lapack"}}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Import):
+                names = [alias.name for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and not stmt.level:
+                names = [stmt.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), \
+                f"{path.name} imports scipy"
 
 
 _FRESH_RUN = """
 import io, sys
-import numpy as np
-from cellplace import solver
 from cellplace.cli import main
 
-def scipy_loaded():
-    return sorted(name for name in sys.modules
-                  if name.split(".")[0] == "scipy")
-
-assert not scipy_loaded(), scipy_loaded()
-for argv in (["check", SCENE, "--placement", "900,420,180,0,0,0"],
-             ["ik", "--pose", "525,0,890,180,-90,0"]):
+for argv in (["solve", SCENE, "--multistart", "1"],
+             ["check", SCENE, "--placement", "900,420,180,0,0,0"]):
     out = io.StringIO()
     assert main(argv, out=out) in (0, 1), argv
-    assert out.getvalue(), argv
-    assert not scipy_loaded(), (argv, scipy_loaded())
-
-b0 = np.array([4.0, 2.0])
-active = solver._ActiveSet(solver.DampedBfgs(b0).compact(), np.ones(2, bool),
-                           np.zeros(2), 0)
-active.rebuild()
-assert "scipy.linalg" in sys.modules
-v = np.array([1.0, -2.0])
-assert np.allclose(active.directions(v)[1], v / b0, atol=1e-15)
+    assert "verdict" in out.getvalue(), argv
+    loaded = sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy")
+    assert not loaded, (argv, loaded)
 print("ok")
 """
 
 
-def test_scipy_loads_with_the_first_active_set():
-    # a fresh interpreter, so no earlier test has loaded scipy: the commands
-    # that run no QP leave it unloaded, and the QP's active set, built
-    # directly as the solver tests do, loads it on its own
+def test_solve_and_check_leave_scipy_unloaded():
+    # a fresh interpreter, so no earlier test has loaded scipy: a solve,
+    # whose QP runs on numpy, and a check leave it out of sys.modules
     root = PACKAGE.parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

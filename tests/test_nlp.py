@@ -3,6 +3,9 @@ import itertools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -414,6 +417,35 @@ class TestDeterminism:
             first = solve_placement(scene, settings)
             again = solve_placement(scene, settings)
             assert _without_elapsed(again) == _without_elapsed(first)
+
+    def test_blas_thread_count_leaves_the_report_unchanged(self):
+        # one interpreter per thread count, since OpenBLAS reads it when it
+        # loads; K=30 squared 301 is a solve whose path the thread count
+        # used to change
+        code = ("import json\n"
+                "from cellplace.nlp import SolveSettings, solve_placement\n"
+                "from cellplace.scene import report_to_dict, synthesize_scene\n"
+                "raw = report_to_dict(solve_placement(\n"
+                "    synthesize_scene(count=30, seed=301),\n"
+                "    SolveSettings(multistart=8, seed=0,\n"
+                "                  early_stop_objective=1e-12)))\n"
+                "del raw['elapsed_s']\n"
+                "print(json.dumps(raw, sort_keys=True, allow_nan=False))\n")
+        src = os.path.dirname(os.path.dirname(nlp.__file__))
+        procs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")]))
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", code], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        for proc, (_, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+        one, two = (stdout for stdout, _ in outputs)
+        assert json.loads(one)["verdict"] == "feasible"
+        assert one == two
 
     def test_point_order_keeps_feasible_verdict(self):
         rng = np.random.default_rng(112)
