@@ -279,7 +279,10 @@ class _ActiveSet:
         self.q = self.n_eq = 0  # general members, equality rows first
         self._g = np.empty((n, self.m + capacity), order="F")
         self._g[:, :self.m] = u
-        self._p = None  # P, formed by the first rebuild
+        # P = T^-1 is the leading (m + q)-square block of one Fortran
+        # buffer, bordered and shrunk in place; formed by the first rebuild
+        self._pbuf = np.empty((self.m + capacity,) * 2, order="F")
+        self._p = None
         self._rhs = np.empty(capacity)
         self._mult = np.empty(capacity)
         self._ids = np.empty(capacity, dtype=np.intp)
@@ -300,7 +303,7 @@ class _ActiveSet:
 
     @property
     def inverse(self):
-        """P = T^-1, in Fortran order."""
+        """P = T^-1, a column-major view into the buffer."""
         return self._p
 
     @property
@@ -387,11 +390,10 @@ class _ActiveSet:
             self._bid[nb], self._bmult[nb] = row_id, multiplier
             self.nb = nb + 1
             return True
-        p = np.empty((k + 1, k + 1), order="F")
-        p[:k, :k] = self._p
+        p = self._pbuf
         p[k, :k] = p[:k, k] = -xi / rho
         p[k, k] = 1.0 / rho
-        self._p = p
+        self._p = p[:k + 1, :k + 1]
         q = self.q
         self._g[:, k] = normal
         self._rhs[q] = row_rhs
@@ -413,11 +415,13 @@ class _ActiveSet:
                 a[p:q - 1] = a[p + 1:q]
             i = self.m + p
             self._g[:, i:k - 1] = self._g[:, i + 1:k]
-            keep = np.delete(np.arange(k), i)
-            col = self._p[keep, i]
-            inv = np.asfortranarray(self._p[np.ix_(keep, keep)])
-            _rank_one(inv, -1.0 / self._p[i, i], col)
-            self._p = inv
+            p = self._pbuf
+            col = np.delete(p[:k, i], i)
+            alpha = -1.0 / p[i, i]
+            p[:k, i:k - 1] = p[:k, i + 1:k]
+            p[i:k - 1, :k - 1] = p[i + 1:k, :k - 1]
+            self._p = p[:k - 1, :k - 1]
+            _rank_one(self._p, alpha, col)
             self.q = q - 1
             return row_id, None
         b, nb = position - general, self.nb
@@ -476,10 +480,14 @@ class _ActiveSet:
                 return np.sort(order[min(rank, n_free):]), None
             s_inv = np.linalg.inv(s)
             ws = w @ s_inv
-            self._p = np.asfortranarray(np.block([[mid_inv + ws @ w.T, -ws],
-                                                  [-ws.T, s_inv]]))
+            self._p = self._pbuf[:m + q, :m + q]
+            self._p[:m, :m] = mid_inv + ws @ w.T
+            self._p[:m, m:] = -ws
+            self._p[m:, :m] = -ws.T
+            self._p[m:, m:] = s_inv
         else:
-            self._p = np.asfortranarray(mid_inv)
+            self._p = self._pbuf[:m, :m]
+            self._p[...] = mid_inv
         if g is None:
             return None, None
         # d = d0 + h (c - G xi) with d0 the fixed values: the members'
