@@ -224,9 +224,21 @@ class PlacementProblem:
         self.n_vars = self.off_t + (k * c if self.abs_mode else 0)
         self.n_eq = k if c > 1 else 0  # the weight-simplex rows
         self.n_ineq = (8 if self.abs_mode else 6) * k * c
-        # slack column of every (k, c) and, repeated per axis, of every row
-        m_cols = (self.off_m + c * self.seg_of[:, None] + np.arange(c)).ravel()
-        self._row_m_cols = np.repeat(m_cols, 6)
+        # the rows' entries past x, the same on every call: simplex row k
+        # has ones at point k's weights, with a zero block over x; a limit
+        # row has -1 at its (k, c)'s slack, repeated per axis, and an
+        # epigraph row -1 at its t
+        kc = np.arange(k * c)
+        self._j_eq = solver.Rows(
+            _read_only(np.zeros((self.n_eq, 6))),
+            _read_only((self.off_w + kc).reshape(k, c)[:self.n_eq]),
+            _read_only(np.ones((self.n_eq, c))), self.n_vars)
+        in_cols = np.repeat(
+            (self.off_m + c * self.seg_of[:, None] + np.arange(c)).ravel(), 6)
+        if self.abs_mode:
+            in_cols = np.concatenate([in_cols, self.off_t + np.tile(kc, 2)])
+        self._in_tail = (_read_only(in_cols[:, None]),
+                         _read_only(np.full((self.n_ineq, 1), -1.0)))
 
         self.limits_lo, self.limits_hi = self.robot.limits
         if options.limit_margin:
@@ -324,26 +336,19 @@ class PlacementProblem:
         return eq, ineq
 
     def eval_jacobians(self, z):
+        """(J_eq, J_in) as solver.Rows: a block over x, which only the limit
+        and epigraph rows fill, and the constant tails built with the
+        program."""
         x = self.x_of(z)
         dtheta, dv = self.kinematic_jacobians(x)
-        kc = np.arange(self.K * self.C)
-        j_eq = np.zeros((self.n_eq, self.n_vars))
-        if self.n_eq:
-            j_eq[kc // self.C, self.off_w + kc] = 1.0
         # -margin is lo - t on the lower-limit side and t - hi on the upper
         reps = self.kinematic_values(x).reps
         lower_side = (reps - self.limits_lo <= self.limits_hi - reps)[..., None]
-        j_in = np.zeros((self.n_ineq, self.n_vars))
-        n_limit = self._row_m_cols.size
-        j_in[:n_limit, :6] = np.where(lower_side, -dtheta,
-                                      dtheta).reshape(-1, 6)
-        j_in[np.arange(n_limit), self._row_m_cols] = -1.0
+        block = np.where(lower_side, -dtheta, dtheta).reshape(-1, 6)
         if self.abs_mode:
             dv = dv.reshape(-1, 6)
-            j_in[n_limit:, :6] = np.concatenate([dv, -dv])
-            j_in[np.arange(n_limit, self.n_ineq),
-                 self.off_t + np.tile(kc, 2)] = -1.0
-        return j_eq, j_in
+            block = np.concatenate([block, dv, -dv])
+        return self._j_eq, solver.Rows(block, *self._in_tail, self.n_vars)
 
     # ------------------------------------------------------------------
     # bounds, starts, solver adapter

@@ -142,6 +142,100 @@ class QpResult:
 
 
 # ---------------------------------------------------------------------------
+# constraint rows
+# ---------------------------------------------------------------------------
+
+class Rows:
+    """Constraint rows over n variables, each a dense block over the leading
+    p variables plus a sparse tail of t (column, value) pairs.
+
+    ``block`` is (r, p); ``cols`` and ``vals`` are (r, t). A row with fewer
+    than t tail entries is padded with value 0 (at any column), and tail
+    entries that share a column add up. A plain (r, n) array is the case
+    p = n with an empty tail (``Rows.of``). The products sum the tail in a
+    fixed order: by row in ``dot`` and by entry (row-major) in ``tdot``.
+    """
+
+    __slots__ = ("block", "cols", "vals", "n", "p", "t")
+
+    def __init__(self, block, cols=None, vals=None, n=None):
+        self.block = block
+        self.p = block.shape[1]
+        self.n = self.p if n is None else n
+        if cols is None:
+            cols, vals = np.empty((block.shape[0], 0), np.intp), \
+                np.empty((block.shape[0], 0))
+        self.cols, self.vals = cols, vals
+        # tail entries per row; 0 also when there are no rows
+        self.t = vals.shape[1] if vals.size else 0
+
+    @classmethod
+    def of(cls, a, n: int, p: int | None = None) -> "Rows":
+        """``a`` as Rows with a block of p columns (n when None): a Rows
+        whose block already has p columns as it is, anything else through
+        its dense (r, n) form, whose columns past p become a dense tail."""
+        p = n if p is None else p
+        if isinstance(a, Rows):
+            if a.p == p:
+                return a
+            a = a.dense()
+        a = np.asarray(a, float).reshape(-1, n)
+        if p == n or not a.shape[0]:
+            return cls(a[:, :p], n=n)
+        return cls(a[:, :p], np.tile(np.arange(p, n), (a.shape[0], 1)),
+                   a[:, p:], n)
+
+    @property
+    def shape(self):
+        return self.block.shape[0], self.n
+
+    def __getitem__(self, rows) -> "Rows":
+        """The rows an index or mask picks, as Rows."""
+        return Rows(self.block[rows], self.cols[rows], self.vals[rows], self.n)
+
+    def __neg__(self) -> "Rows":
+        return Rows(-self.block, self.cols, -self.vals, self.n)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x for an n-vector x."""
+        out = self.block @ x[:self.p]
+        if self.t:
+            out += np.einsum("ij,ij->i", self.vals, x[self.cols])
+        return out
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """A'y, an n-vector, for one value per row."""
+        if self.t:
+            out = np.bincount(self.cols.ravel(),
+                              (self.vals * y[:, None]).ravel(),
+                              minlength=self.n)
+        elif self.p == self.n:
+            return y @ self.block
+        else:
+            out = np.zeros(self.n)
+        out[:self.p] += y @ self.block
+        return out
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i as a dense n-vector."""
+        if self.t:
+            out = np.bincount(self.cols[i], self.vals[i], minlength=self.n)
+        else:
+            out = np.zeros(self.n)
+        out[:self.p] += self.block[i]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The rows as one (r, n) array."""
+        r = self.block.shape[0]
+        out = np.zeros((r, self.n))
+        out[:, :self.p] = self.block
+        for j in range(self.vals.shape[1]):
+            out[np.arange(r), self.cols[:, j]] += self.vals[:, j]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # quasi-Newton Hessian
 # ---------------------------------------------------------------------------
 
@@ -270,15 +364,20 @@ class _ActiveSet:
     its refinement step shows that P no longer inverts T.
     """
 
-    def __init__(self, hessian, free, at, capacity):
-        b0, u, self._sign = hessian
-        n, self.m = u.shape
+    def __init__(self, hessian, free, at, capacity, p=None, t=0):
+        b0, self._u, self._sign = hessian
+        n, self.m = self._u.shape
+        p = n if p is None else p
         self.hessian = hessian
         self._h = np.where(free, 1.0 / b0, 0.0)
         self._at = at  # fixed variables' values; bound members set theirs
-        self.q = self.n_eq = 0  # general members, equality rows first
-        self._g = np.empty((n, self.m + capacity), order="F")
-        self._g[:, :self.m] = u
+        # the general members' rows: a block over the first p variables
+        # and tails of t entries, at least one when p < n
+        self._blk = np.empty((capacity, p))
+        self._cols = np.zeros((capacity, max(t, int(p < n))), dtype=np.intp)
+        self._vals = np.zeros(self._cols.shape)
+        self.n_eq = 0  # general members, equality rows first
+        self._resize(0)
         # P = T^-1 is the leading (m + q)-square block of one Fortran
         # buffer, bordered and shrunk in place; formed by the first rebuild
         self._pbuf = np.empty((self.m + capacity,) * 2, order="F")
@@ -296,10 +395,17 @@ class _ActiveSet:
     def free(self):
         return self._h > 0.0
 
+    def _resize(self, q):
+        """Make the first q general members the set's; ``members`` views
+        their rows."""
+        self.q = q
+        self.members = Rows(self._blk[:q], self._cols[:q], self._vals[:q],
+                            self._h.size)
+
     @property
     def columns(self):
-        """G = [U, N_E']."""
-        return self._g[:, :self.m + self.q]
+        """G = [U, N_E'], formed as one dense array."""
+        return np.hstack([self._u, self.normals.T])
 
     @property
     def inverse(self):
@@ -308,7 +414,8 @@ class _ActiveSet:
 
     @property
     def normals(self):
-        return self._g[:, self.m:self.m + self.q].T
+        """N_E, formed as one dense array."""
+        return self.members.dense()
 
     @property
     def rhs(self):
@@ -332,10 +439,10 @@ class _ActiveSet:
         """T^-1 b by P, with one step of iterative refinement against T.
         A refinement step longer than the solution shows that P no longer
         inverts T; P is then formed afresh, once."""
-        g, m = self.columns, self.m
+        m = self.m
         for fresh in (False, True):
             x = self._p @ b
-            tx = g.T @ (self._h * (g @ x))
+            tx = self._gt(self._h * self._g(x))
             tx[:m] += self._sign * x[:m]
             dx = self._p @ (b - tx)
             if fresh or not float(dx @ dx) > float(x @ x):
@@ -343,14 +450,24 @@ class _ActiveSet:
             if self.rebuild()[0] is not None:
                 raise InfeasibleSubproblem("degenerate active set")
 
+    def _g(self, x):
+        """G x, an n-vector."""
+        out = self.members.tdot(x[self.m:])
+        if self.m:
+            out += self._u @ x[:self.m]
+        return out
+
+    def _gt(self, w):
+        """G'w for an n-vector w."""
+        return np.concatenate([w @ self._u, self.members.dot(w)])
+
     def _project(self, v, e=None):
         """xi = T^-1 (G' h v - [0; e]) and v - G xi."""
-        g = self.columns
-        b = g.T @ (self._h * v)
+        b = self._gt(self._h * v)
         if e is not None:
             b[self.m:] -= e
         xi = self.solve(b)
-        return xi, v - g @ xi
+        return xi, v - self._g(xi)
 
     def directions(self, normal):
         """xi (see the class), the primal direction z and the dual
@@ -372,10 +489,12 @@ class _ActiveSet:
         self._bmult[:self.nb] -= t * r_b
 
     def try_add(self, row_id, normal, row_rhs, multiplier, xi, rho,
-                var=None) -> bool:
+                var=None, tail=None) -> bool:
         """Add the row normal'd >= row_rhs given its xi and pivot rho = a'z
-        (``directions``); a bound on variable ``var`` fixes it. False if the
-        row depends on the members."""
+        (``directions``); a bound on variable ``var`` fixes it. A general
+        row keeps normal's block columns and its ``tail`` (columns, values),
+        which must hold its entries past the block (None: it has none).
+        False if the row depends on the members."""
         k = self.m + self.q
         if rho <= DEPENDENT_PIVOT * max(1.0, float(normal @ normal)):
             return False
@@ -395,11 +514,15 @@ class _ActiveSet:
         p[k, k] = 1.0 / rho
         self._p = p[:k + 1, :k + 1]
         q = self.q
-        self._g[:, k] = normal
+        self._blk[q] = normal[:self._blk.shape[1]]
+        if tail is not None:
+            t = tail[0].size
+            self._cols[q, :t], self._vals[q, :t] = tail
+            self._vals[q, t:] = 0.0
         self._rhs[q] = row_rhs
         self._mult[q] = multiplier
         self._ids[q] = row_id
-        self.q = q + 1
+        self._resize(q + 1)
         return True
 
     def drop(self, position):
@@ -411,10 +534,10 @@ class _ActiveSet:
         if position < general:
             p = self.n_eq + position
             row_id = int(self._ids[p])
-            for a in (self._rhs, self._mult, self._ids):
+            for a in (self._rhs, self._mult, self._ids, self._blk,
+                      self._cols, self._vals):
                 a[p:q - 1] = a[p + 1:q]
             i = self.m + p
-            self._g[:, i:k - 1] = self._g[:, i + 1:k]
             p = self._pbuf
             col = np.delete(p[:k, i], i)
             alpha = -1.0 / p[i, i]
@@ -422,7 +545,7 @@ class _ActiveSet:
             p[i:k - 1, :k - 1] = p[i + 1:k, :k - 1]
             self._p = p[:k - 1, :k - 1]
             _rank_one(self._p, alpha, col)
-            self.q = q - 1
+            self._resize(q - 1)
             return row_id, None
         b, nb = position - general, self.nb
         var, row_id = int(self._var[b]), int(self._bid[b])
@@ -431,7 +554,9 @@ class _ActiveSet:
         self.nb = nb - 1
         # T gains c g g' with g G's row j and c = 1/b0_j
         c = 1.0 / self.hessian[0][var]
-        gj = self._g[var, :k]
+        unit = np.zeros(self._h.size)
+        unit[var] = 1.0
+        gj = self._gt(unit)
         w = self.solve(gj)
         _rank_one(self._p, -c / (1.0 + c * float(gj @ w)), w)
         self._h[var] = c
@@ -495,7 +620,7 @@ class _ActiveSet:
         # gives a bound member's
         d = np.where(h > 0.0, 0.0, self._at)
         xi, v = self._project(-(g + _times(self.hessian, d)),
-                              self.rhs - self.normals @ d)
+                              self.rhs - self.members.dot(d))
         d += h * v
         self._mult[:q] = -xi[m:]
         var, side, _, _ = self.bounds
@@ -538,14 +663,19 @@ class _ActiveSet:
         the rebuild finds dependent are left out (``ids`` names the rows
         kept; the caller checks the others) and the rest rebuilt once more;
         raises InfeasibleSubproblem if that is refused too."""
+        a_eq = Rows.of(a_eq, self._h.size, self._blk.shape[1])
         keep = np.arange(a_eq.shape[0])
-        m = self.m
+        t = a_eq.vals.shape[1]
         while True:
             k = keep.size
-            self._g[:, m:m + k] = a_eq[keep].T
+            self._blk[:k] = a_eq.block[keep]
+            self._cols[:k, :t] = a_eq.cols[keep]
+            self._vals[:k, :t] = a_eq.vals[keep]
+            self._vals[:k, t:] = 0.0
             self._rhs[:k] = b_eq[keep]
             self._ids[:k] = keep
-            self.q = self.n_eq = k
+            self.n_eq = k
+            self._resize(k)
             dependent, d = self.rebuild(g)
             if dependent is None:
                 return d
@@ -555,8 +685,10 @@ class _ActiveSet:
 
 
 def solve_qp(hessian, g: np.ndarray,
-             a_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None,
-             a_in: np.ndarray | None = None, b_in: np.ndarray | None = None,
+             a_eq: Rows | np.ndarray | None = None,
+             b_eq: np.ndarray | None = None,
+             a_in: Rows | np.ndarray | None = None,
+             b_in: np.ndarray | None = None,
              lower: np.ndarray | None = None, upper: np.ndarray | None = None
              ) -> QpResult:
     """Minimize 0.5 d'Hd + g'd s.t. A_eq d = b_eq, A_in d <= b_in, lower <= d <= upper.
@@ -586,10 +718,13 @@ def solve_qp(hessian, g: np.ndarray,
     in the blocking test goes to the lowest id (Bland's rule).
     """
     n = g.shape[0]
-    a_eq = np.empty((0, n)) if a_eq is None else np.atleast_2d(a_eq)
+    # both row sets take the narrowest block given, n for plain arrays
+    p = min((a.p for a in (a_eq, a_in) if isinstance(a, Rows)), default=n)
+    a_eq = Rows.of(np.empty((0, n)) if a_eq is None else a_eq, n, p)
     b_eq = np.empty(0) if b_eq is None else np.atleast_1d(b_eq)
-    a_in = np.empty((0, n)) if a_in is None else np.atleast_2d(a_in)
+    a_in = Rows.of(np.empty((0, n)) if a_in is None else a_in, n, p)
     b_in = np.empty(0) if b_in is None else np.atleast_1d(b_in)
+    rows_in = -a_in  # the rows n_i'd >= rhs_i
 
     n_eq, n_in = a_eq.shape[0], a_in.shape[0]
     lo_vec = np.full(n, -np.inf) if lower is None else np.asarray(lower, float)
@@ -605,7 +740,8 @@ def solve_qp(hessian, g: np.ndarray,
     # room for every equality row, which the install loads before it
     # leaves out the dependent ones
     active = _ActiveSet(hessian, free, np.where(free, 0.0, lo_vec),
-                        max(n_eq, min(n, n_eq + n_in)))
+                        max(n_eq, min(n, n_eq + n_in)), p,
+                        max(a_eq.t, a_in.t))
 
     b_all = np.abs(np.concatenate([b_eq, rhs]))
     tol = 1e-10 * max(1.0, float(np.max(b_all[np.isfinite(b_all)], initial=0.0)))
@@ -621,7 +757,7 @@ def solve_qp(hessian, g: np.ndarray,
         else:
             member[n_in + var] = member[n_in + n + var] = value
 
-    def step_to(row_id, normal, row_rhs, var):
+    def step_to(row_id, normal, row_rhs, var, tail):
         nonlocal d, iterations, degenerate
         dependent = DEPENDENT_PIVOT * max(1.0, float(normal @ normal))
         u_plus = 0.0  # multiplier of the incoming constraint, built up stepwise
@@ -636,7 +772,7 @@ def solve_qp(hessian, g: np.ndarray,
                 if u_plus > 0.0:
                     xi, z, _, _ = active.directions(normal)
                     if not active.try_add(row_id, normal, row_rhs, u_plus, xi,
-                                          float(normal @ z), var):
+                                          float(normal @ z), var, tail):
                         raise InfeasibleSubproblem("degenerate active set")
                 mark(row_id, var, u_plus > 0.0)
                 return
@@ -674,7 +810,7 @@ def solve_qp(hessian, g: np.ndarray,
             active.step_multipliers(t, r, r_b)
             if t2 <= t1:
                 if not active.try_add(row_id, normal, row_rhs, u_plus, xi,
-                                      z_dot, var):
+                                      z_dot, var, tail):
                     raise InfeasibleSubproblem("degenerate active set")
                 mark(row_id, var, True)
                 return
@@ -684,12 +820,12 @@ def solve_qp(hessian, g: np.ndarray,
 
     d = active.batch_init_equalities(a_eq, b_eq, g)
     if active.n_eq < n_eq:  # rows left out as dependent must hold too
-        kept, gap = active.ids, a_eq @ d - b_eq
+        kept, gap = active.ids, a_eq.dot(d) - b_eq
         left = np.delete(np.arange(n_eq), kept)
         # on the free columns a left-out row is c'(kept rows): net of
         # c'(their gaps), the rounding that d carries in every row cancels
-        c = np.linalg.lstsq(a_eq[kept][:, free].T, a_eq[left][:, free].T,
-                            rcond=None)[0]
+        dense = a_eq.dense()[:, free]
+        c = np.linalg.lstsq(dense[kept].T, dense[left].T, rcond=None)[0]
         if np.max(np.abs(gap[left] - c.T @ gap[kept])) > tol:
             raise InfeasibleSubproblem("inconsistent equality rows")
 
@@ -733,7 +869,7 @@ def solve_qp(hessian, g: np.ndarray,
         iterations += 1
         if iterations > limit:
             raise InfeasibleSubproblem("active-set iteration limit")
-        np.subtract(a_in @ d, b_in, out=resid[:n_in])
+        np.subtract(a_in.dot(d), b_in, out=resid[:n_in])
         np.subtract(lo_vec, d, out=resid[n_in:n_in + n])
         np.subtract(d, hi_vec, out=resid[n_in + n:])
         np.copyto(resid, -np.inf, where=member)
@@ -741,7 +877,7 @@ def solve_qp(hessian, g: np.ndarray,
         if not resid[i] > tol:
             # the members must hold as equalities: once per QP, re-solve if
             # they drifted by more than DRIFT_FACTOR * tol
-            drift = active.normals @ d - active.rhs
+            drift = active.members.dot(d) - active.rhs
             if settled or not np.max(np.abs(drift), initial=0.0) > \
                     DRIFT_FACTOR * tol:
                 break
@@ -751,14 +887,15 @@ def solve_qp(hessian, g: np.ndarray,
                 d = d_new
                 active.clip_multipliers()
             continue
-        var = None
+        var = tail = None
         if i < n_in:
-            normal = -a_in[i]
+            normal = rows_in.row(i)
+            tail = rows_in.cols[i], rows_in.vals[i]
         else:
             var = (i - n_in) % n
             normal = np.zeros(n)
             normal[var] = 1.0 if i < n_in + n else -1.0
-        step_to(i, normal, float(rhs[i]), var)
+        step_to(i, normal, float(rhs[i]), var, tail)
 
     ids, mult, k = active.ids, active.multipliers, active.n_eq
     lam_eq = np.zeros(n_eq)  # of A_eq d - b_eq = 0; 0 for rows left out
@@ -769,8 +906,8 @@ def solve_qp(hessian, g: np.ndarray,
     lam[bound_ids] = bound_mult
     if pinned.size:
         # stationarity row j of a pinned variable is its multiplier
-        mu = (_times(hessian, d) + g + a_eq.T @ lam_eq
-              + a_in.T @ lam[:n_in])[pinned]
+        mu = (_times(hessian, d) + g + a_eq.tdot(lam_eq)
+              + a_in.tdot(lam[:n_in]))[pinned]
         lam[n_in + pinned] = np.maximum(mu, 0.0)
         lam[n_in + n + pinned] = np.maximum(-mu, 0.0)
     return QpResult(d, lam_eq, lam[:n_in], lam[n_in:n_in + n], lam[n_in + n:],
@@ -826,15 +963,19 @@ class _Evaluator:
         return f, np.asarray(c_eq, float), np.asarray(c_in, float)
 
     def derivatives(self, z):
+        """The gradient and both Jacobians, as Rows."""
+        n = self.spec.n
         g = np.asarray(self._call(self.spec.gradient, z, "gradient"), float)
-        j_eq, j_in = self._call(self.spec.jacobians, z, "jacobians")
-        j_eq, j_in = np.asarray(j_eq, float), np.asarray(j_in, float)
-        _require_finite(z, "gradient or jacobians", g, j_eq, j_in)
+        j_eq, j_in = (
+            j if isinstance(j, Rows) else Rows.of(j, n)
+            for j in self._call(self.spec.jacobians, z, "jacobians"))
+        _require_finite(z, "gradient or jacobians", g, j_eq.block, j_eq.vals,
+                        j_in.block, j_in.vals)
         return g, j_eq, j_in
 
 
 def _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in):
-    return g + j_eq.T @ lam_eq + j_in.T @ lam_in
+    return g + j_eq.tdot(lam_eq) + j_in.tdot(lam_in)
 
 
 def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):

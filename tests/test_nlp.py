@@ -64,7 +64,7 @@ class TestLayout:
     def test_every_point_gets_one_simplex_row(self, scene_k2):
         p = build_problem(scene_k2, BuildOptions(mode="squared"))
         z = p.initial_point("scene")
-        j_eq, _ = p.eval_jacobians(z)
+        j_eq = p.eval_jacobians(z)[0].dense()
         for k in range(2):
             row = j_eq[k]
             assert np.count_nonzero(row) == 8
@@ -184,7 +184,7 @@ class TestConstraints:
                     assert np.all(d[:6] == 0.0)
                     assert np.all(lower <= z_hat) and np.all(z_hat <= upper)
                     c_eq, c_in = p.eval_constraints(z)
-                    j_eq, j_in = p.eval_jacobians(z)
+                    j_eq, j_in = (j.dense() for j in p.eval_jacobians(z))
                     assert np.all(np.abs(j_eq @ d + c_eq) <= 1e-12)
                     assert np.max(j_in @ d + c_in) <= 1e-12
 
@@ -224,7 +224,7 @@ class TestJacobians:
     def test_constraint_jacobian_x_block_matches_fd(self, scene_k1):
         p = build_problem(scene_k1, BuildOptions(mode="squared"))
         z = p.initial_point("scene")
-        _, j_in = p.eval_jacobians(z)
+        j_in = p.eval_jacobians(z)[1].dense()
         h = 1e-5
         rng = np.random.default_rng(9)
         rows = rng.integers(0, p.n_ineq, size=20)
@@ -242,7 +242,7 @@ class TestJacobians:
     def test_simplex_rows_have_no_x_dependence(self, scene_k2):
         p = build_problem(scene_k2, BuildOptions(mode="squared"))
         z = p.initial_point("scene")
-        j_eq, _ = p.eval_jacobians(z)
+        j_eq = p.eval_jacobians(z)[0].dense()
         assert np.all(j_eq[:2, :6] == 0.0)
 
     def test_fd_jacobian_across_the_pi_seam(self, scene_k1):
@@ -492,7 +492,7 @@ class TestLemmaEquivalenceSmall:
         eq, ineq = p.eval_constraints(z)
         assert ineq.max() <= 1e-12
         assert eq.shape == (0,)
-        assert p.eval_jacobians(z)[0].shape == (0, p.n_vars)
+        assert p.eval_jacobians(z)[0].dense().shape == (0, p.n_vars)
         assert list(p.chosen_configurations(z)) == [2, 5]
 
     def test_pinned_abs_layout(self, scene_k2):
@@ -511,8 +511,8 @@ class TestLemmaEquivalenceSmall:
             z_pin = pinned.initial_point("scene")
             _, in_free = free.eval_constraints(z_free)
             _, in_pin = pinned.eval_constraints(z_pin)
-            _, j_free = free.eval_jacobians(z_free)
-            _, j_pin = pinned.eval_jacobians(z_pin)
+            j_free = free.eval_jacobians(z_free)[1].dense()
+            j_pin = pinned.eval_jacobians(z_pin)[1].dense()
             assert in_pin.size == (16 if mode == "abs" else 12)
             # values and x columns: the limit rows (k, c, axis), then in
             # abs mode the two epigraph blocks (k, c)

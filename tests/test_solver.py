@@ -688,6 +688,7 @@ class TestQpGuards:
             qp = solve_qp(DampedBfgs(spec.scales ** -2.0).compact(),
                           spec.gradient(z), j_eq, -c_eq, j_in[ws], -c_in[ws],
                           lo, hi)
+            j_eq, j_in = j_eq.dense(), j_in.dense()
             finite = np.abs(np.r_[c_eq, c_in[ws], lo, hi])
             slack = 1e-10 * max(1.0, np.max(finite[np.isfinite(finite)]))
             assert np.all(qp.step >= lo - slack)
@@ -756,6 +757,7 @@ class TestPlacementQp:
         b0 = np.asarray(spec.scales, float) ** -2.0
         res = solve_qp(DampedBfgs(b0).compact(), g, j_eq, -c_eq, a_in, b_in,
                        lo, hi)
+        j_eq, a_in = j_eq.dense(), a_in.dense()
         d = res.step
         w = np.random.default_rng(0).normal(size=d.size)
         assert np.linalg.norm(d) == pytest.approx(norm, rel=1e-9)
@@ -803,8 +805,8 @@ class TestPlacementQp:
             res = real_qp(hessian, g, a_eq, b_eq, a_in, b_in, lower, upper)
             b0, u, sign = hessian
             bd = (np.diag(b0) + u @ np.diag(sign) @ u.T) @ res.step
-            grad = (bd + g + a_eq.T @ res.eq_multipliers
-                    + a_in.T @ res.in_multipliers - res.lower_multipliers
+            grad = (bd + g + a_eq.dense().T @ res.eq_multipliers
+                    + a_in.dense().T @ res.in_multipliers - res.lower_multipliers
                     + res.upper_multipliers)
             residuals.append(np.max(np.abs(grad))
                              / (np.max(np.abs(g)) + np.max(np.abs(bd))))
