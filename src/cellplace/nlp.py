@@ -24,6 +24,12 @@ Inequality rows (convention g <= 0): one per point, configuration and axis,
 deepest 2pi-representative (kinematics.limit_margins). The opposite limit
 needs no row of its own: it lies the whole axis range away. In abs mode two
 epigraph rows follow, v - t <= 0 for every (k, c), then -v - t <= 0.
+x enters every row through the kinematics, and nothing else enters any row
+nonlinearly, so eval_jacobians returns solver.Rows: a (rows x 6) block of
+x-derivatives (zero for the simplex rows), and a tail built once per
+program, read-only and the same on every call: each limit or epigraph row's
+-1 in its slack or t column, and each simplex row's ones over its point's
+weights.
 
 Everything kinematic depends on z only through x, and one backward transform
 yields all eight configurations. So the kinematics live in one

@@ -12,7 +12,12 @@ formed or factored as an n x n matrix. As in qpOASES (Ferreau et al., 2014),
 an active bound fixes its variable. The QP keeps one inverse, of a matrix of
 order m + q that couples the Hessian's columns with the q general active
 rows, and follows the active set by rank-one updates of it; one routine
-rebuilds it from the members, with one test for dependent rows. The bounds
+rebuilds it from the members, with one test for dependent rows. Every
+constraint row, from the Jacobians through the QP's members, has one shape
+(``Rows``): a dense block over the leading p variables plus a short sparse
+tail. A placement program's rows are a 6-column block over the placement
+and a tail fixed per program (its slack, |v| epigraph and simplex entries),
+so no (rows x n) array is formed; a plain array is the case p = n. The bounds
 that the QP's starting point violates are fixed in one block. A QP that
 fails, or a step that the line search rejects, is retried once with a reset
 Hessian; if the retry fails too, the start stops "stalled". The placement
@@ -70,7 +75,10 @@ class NlpSpec:
     """Problem description handed to the solver.
 
     Constraint convention: equalities c_eq(z) = 0, inequalities c_in(z) <= 0.
-    Jacobians have one row per constraint, so (0, n) when there are none.
+    ``jacobians`` returns (J_eq, J_in), one row per constraint, each either
+    a plain (rows, n) array ((0, n) when there are none) or ``Rows``: a
+    dense block over the leading p variables, which changes with z, plus a
+    tail whose columns and values are the same on every call.
     """
 
     n: int
@@ -156,7 +164,7 @@ class Rows:
     fixed order: by row in ``dot`` and by entry (row-major) in ``tdot``.
     """
 
-    __slots__ = ("block", "cols", "vals", "n", "p", "t")
+    __slots__ = ("block", "cols", "vals", "n", "p", "t", "_cf", "_vf")
 
     def __init__(self, block, cols=None, vals=None, n=None):
         self.block = block
@@ -168,6 +176,7 @@ class Rows:
         self.cols, self.vals = cols, vals
         # tail entries per row; 0 also when there are no rows
         self.t = vals.shape[1] if vals.size else 0
+        self._cf, self._vf = cols.ravel(), vals.ravel()
 
     @classmethod
     def of(cls, a, n: int, p: int | None = None) -> "Rows":
@@ -199,20 +208,23 @@ class Rows:
     def dot(self, x: np.ndarray) -> np.ndarray:
         """A x for an n-vector x."""
         out = self.block @ x[:self.p]
-        if self.t:
-            out += np.einsum("ij,ij->i", self.vals, x[self.cols])
+        if self.t == 1:
+            out += self._vf * x[self._cf]
+        elif self.t:
+            out += np.add.reduce(self.vals * x[self.cols], axis=1)
         return out
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
         """A'y, an n-vector, for one value per row."""
         if self.t:
-            out = np.bincount(self.cols.ravel(),
-                              (self.vals * y[:, None]).ravel(),
-                              minlength=self.n)
+            out = np.bincount(self._cf, self._vf * y if self.t == 1 else
+                              (self.vals * y[:, None]).ravel(), self.n)
         elif self.p == self.n:
             return y @ self.block
         else:
             out = np.zeros(self.n)
+            if not y.size:
+                return out
         out[:self.p] += y @ self.block
         return out
 
@@ -337,11 +349,14 @@ class _ActiveSet:
     members E, the ``n_eq`` equality rows first (installed by
     ``batch_init_equalities``, never dropped), are the last q columns of
 
-        G = [U, N_E']   (one n x (m + capacity) Fortran buffer)
+        G = [U, N_E']
 
-    after the m columns of the compact H = diag(b0) + U diag(sign) U'. With
-    h = 1/b0 on the free variables and 0 on the fixed ones, the set keeps
-    only P = T^-1, where
+    after the m columns of the compact H = diag(b0) + U diag(sign) U'. G is
+    never formed: U keeps its n-long columns, and N_E is ``members``, rows
+    of the QP's shape kept in a (capacity x p) block and (capacity x t) tail
+    buffers, so G x and G'w are U's products plus a p-column product, a
+    gather and a bincount. With h = 1/b0 on the free variables and 0 on the
+    fixed ones, the set keeps only P = T^-1, where
 
         T = blockdiag(diag(sign), 0) + G' diag(h) G   ((m + q)-square).
 
@@ -358,10 +373,12 @@ class _ActiveSet:
     pivot ``try_add`` tests; the addition then borders P by -xi/rho and
     1/rho. Freeing j is a Sherman-Morrison update with G's row j, and
     dropping a general member deletes its row and column of P by the Schur
-    formula. Solves with P take one step of iterative refinement against T,
-    applied through G, which restores the digits the updates lose.
-    ``rebuild`` forms P afresh from the members, and a solve calls it when
-    its refinement step shows that P no longer inverts T.
+    formula. P is the leading block of one preallocated Fortran buffer, so
+    each of these updates runs in place. Solves with P take one step of
+    iterative refinement against T, applied through G, which restores the
+    digits the updates lose. ``rebuild`` forms P afresh from the members
+    (expanded to dense rows once), and a solve calls it when its refinement
+    step shows that P no longer inverts T.
     """
 
     def __init__(self, hessian, free, at, capacity, p=None, t=0):
@@ -459,7 +476,9 @@ class _ActiveSet:
 
     def _gt(self, w):
         """G'w for an n-vector w."""
-        return np.concatenate([w @ self._u, self.members.dot(w)])
+        if self.m:
+            return np.concatenate([w @ self._u, self.members.dot(w)])
+        return self.members.dot(w)
 
     def _project(self, v, e=None):
         """xi = T^-1 (G' h v - [0; e]) and v - G xi."""
@@ -701,7 +720,8 @@ def solve_qp(hessian, g: np.ndarray,
     Every inequality is one row n_i'd >= rhs_i with an integer id i: the
     general rows -A_in d >= -b_in take ids [0, n_in), the lower bounds
     d >= lower [n_in, n_in + n) and the upper bounds -d >= -upper
-    [n_in + n, n_in + 2n). An active bound fixes its variable, and a
+    [n_in + n, n_in + 2n). A_eq and A_in are ``Rows`` or plain arrays; both
+    take the narrowest block given. An active bound fixes its variable, and a
     variable whose bounds coincide is fixed from the start. The other
     members are the columns of G = [U, N_E'] next to U, and the QP keeps one
     inverse P of T = blockdiag(diag(sign), 0) + G' diag(h) G, with h = 1/b0
@@ -777,7 +797,7 @@ def solve_qp(hessian, g: np.ndarray,
                 mark(row_id, var, u_plus > 0.0)
                 return
             xi, z, r, r_b = active.directions(normal)
-            z_max = float(np.max(np.abs(z), initial=0.0))
+            z_max = float(np.abs(z).max(initial=0.0))
             if not math.isfinite(z_max):
                 # z overflowed as P grew through rank-one updates: no proof
                 # of infeasibility
@@ -791,7 +811,7 @@ def solve_qp(hessian, g: np.ndarray,
             rates = np.concatenate([r[active.n_eq:], r_b])
             ratios = np.full(rates.size + 1, math.inf)
             np.divide(mult, rates, out=ratios[:-1], where=rates > 1e-12)
-            t1 = float(np.min(ratios))
+            t1 = float(ratios.min())
             t2 = slack / z_dot if z_dot > dependent else math.inf
             t = min(t1, t2)
             if not math.isfinite(t):
@@ -878,7 +898,7 @@ def solve_qp(hessian, g: np.ndarray,
             # the members must hold as equalities: once per QP, re-solve if
             # they drifted by more than DRIFT_FACTOR * tol
             drift = active.members.dot(d) - active.rhs
-            if settled or not np.max(np.abs(drift), initial=0.0) > \
+            if settled or not np.abs(drift).max(initial=0.0) > \
                     DRIFT_FACTOR * tol:
                 break
             settled = True
@@ -919,20 +939,20 @@ def solve_qp(hessian, g: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _merit(f, c_eq, c_in, mu):
-    return f + mu * (np.sum(np.abs(c_eq)) + np.sum(np.maximum(c_in, 0.0)))
+    return f + mu * (np.abs(c_eq).sum() + np.maximum(c_in, 0.0).sum())
 
 
 def _violation(c_eq, c_in):
     v = 0.0
     if c_eq.size:
-        v = float(np.max(np.abs(c_eq)))
+        v = float(np.abs(c_eq).max())
     if c_in.size:
-        v = max(v, float(np.max(np.maximum(c_in, 0.0))))
+        v = max(v, float(np.maximum(c_in, 0.0).max()))
     return v
 
 
 def _require_finite(z, what, *arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         logger.error("non-finite %s at iterate %s", what, z)
         raise EvaluatorFailure(f"non-finite {what}", iterate=z)
 
@@ -981,8 +1001,8 @@ def _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in):
 def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):
     # Projected-gradient stationarity absorbs the bound multipliers.
     projected = np.clip(z - grad_l, lower, upper)
-    stat = float(np.max(np.abs(projected - z))) if z.size else 0.0
-    comp = float(np.max(np.abs(lam_in * c_in))) if c_in.size else 0.0
+    stat = float(np.abs(projected - z).max()) if z.size else 0.0
+    comp = float(np.abs(lam_in * c_in).max()) if c_in.size else 0.0
     return max(stat, comp)
 
 

@@ -1076,6 +1076,94 @@ def dense_damped_bfgs(b0, pairs):
     return h
 
 
+class TestRows:
+    """solver.Rows against its dense form, and the QP on either form."""
+
+    @staticmethod
+    def random_rows(rng, r, n, p, t):
+        """Rows with a random (r, p) block and t tail entries per row past
+        the block, about a third of them padding (value 0 at any column);
+        with p = n every tail entry pads."""
+        cols = rng.integers(min(p, n - 1), n, size=(r, t))
+        vals = rng.normal(size=(r, t))
+        pad = (rng.random((r, t)) < 1.0 / 3.0) | (p == n)
+        vals[pad] = 0.0
+        cols[pad] = rng.integers(0, n, size=int(pad.sum()))
+        return solver.Rows(rng.normal(size=(r, p)), cols, vals, n)
+
+    @pytest.mark.parametrize("p, t", [(6, 1), (6, 3), (10, 0), (10, 2)],
+                             ids=["block-6-tail-1", "block-6-tail-3",
+                                  "dense", "dense-with-padding"])
+    def test_products_and_subsets_match_the_dense_form(self, p, t):
+        # n = 10: p = n is a plain array's shape; its tail can only pad
+        rng = np.random.default_rng(11)
+        for r in (0, 1, 7, 40):
+            rows = self.random_rows(rng, r, 10, p, t)
+            a = rows.dense()
+            assert a.shape == rows.shape == (r, 10)
+            x, y = rng.normal(size=10), rng.normal(size=r)
+            # the rounding bound of each product's entries
+            np.testing.assert_allclose(rows.dot(x), a @ x, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(a) @ np.abs(x),
+                                                           initial=1.0))
+            np.testing.assert_allclose(rows.tdot(y), a.T @ y, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(a.T) @ np.abs(y),
+                                                           initial=1.0))
+            for pick in (rng.random(r) < 0.5, rng.permutation(r)[:r // 2]):
+                assert np.array_equal(rows[pick].dense(), a[pick])
+            for i in range(r):
+                assert np.array_equal(rows.row(i), a[i])
+            assert np.array_equal(solver.Rows.of(a, 10, p).dense(), a)
+            assert np.array_equal((-rows).dense(), -a)
+
+    def test_plain_arrays_are_the_full_block(self):
+        a = np.arange(12.0).reshape(3, 4)
+        rows = solver.Rows.of(a, 4)
+        assert np.shares_memory(rows.block, a) and rows.t == 0
+        assert solver.Rows.of(rows, 4) is rows
+
+    def test_qp_takes_the_same_path_on_either_form(self):
+        # placement-like QPs: rows over 6 leading columns plus one -1 in a
+        # slack column, simplex-like equality rows over other columns, and
+        # a compact H with pairs; the structured and the dense form end
+        # with the same active set and step
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n_x, n_w, n_s = 6, 6, 8
+            n = n_x + n_w + n_s
+            h = DampedBfgs(10.0 ** rng.uniform(-1, 1, size=n))
+            for s, y in TestCompactHessian().random_pairs(
+                    rng, n, int(rng.integers(0, 4))):
+                h.update(s, y)
+            r = int(rng.integers(5, 40))
+            a_in = solver.Rows(
+                rng.normal(size=(r, n_x)),
+                rng.integers(n_x + n_w, n, size=(r, 1)), -np.ones((r, 1)), n)
+            a_eq = solver.Rows(
+                np.zeros((2, n_x)), n_x + np.arange(n_w).reshape(2, 3),
+                np.ones((2, 3)), n)
+            lower = np.r_[np.full(n_x, -1.0), np.zeros(n_w + n_s)]
+            upper = np.r_[np.full(n_x, 1.0), np.full(n_w + n_s, np.inf)]
+            d0 = np.r_[rng.uniform(-0.5, 0.5, n_x), rng.uniform(0, 1, n_w),
+                       rng.uniform(0, 2, n_s)]
+            b_in = a_in.dot(d0) + rng.uniform(0.0, 0.5, r)
+            b_eq = a_eq.dot(d0)
+            g = 3.0 * rng.normal(size=n)
+            results = [solve_qp(h.compact(), g, eq, b_eq, ineq, b_in,
+                                lower, upper)
+                       for eq, ineq in ((a_eq, a_in),
+                                        (a_eq.dense(), a_in.dense()))]
+            for field in ("eq_multipliers", "in_multipliers",
+                          "lower_multipliers", "upper_multipliers"):
+                support = [np.flatnonzero(getattr(res, field))
+                           for res in results]
+                assert np.array_equal(*support)
+            structured, plain = (res.step for res in results)
+            assert np.linalg.norm(structured - plain) <= \
+                1e-10 * np.linalg.norm(plain)
+            assert results[0].iterations == results[1].iterations
+
+
 class TestCompactHessian:
     def random_pairs(self, rng, n, r):
         """Secant pairs of a random SPD curvature, some of them nonconvex."""
