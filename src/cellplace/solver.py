@@ -157,11 +157,12 @@ class Rows:
     """Constraint rows over n variables, each a dense block over the leading
     p variables plus a sparse tail of t (column, value) pairs.
 
-    ``block`` is (r, p); ``cols`` and ``vals`` are (r, t). A row with fewer
-    than t tail entries is padded with value 0 (at any column), and tail
-    entries that share a column add up. A plain (r, n) array is the case
-    p = n with an empty tail (``Rows.of``). The products sum the tail in a
-    fixed order: by row in ``dot`` and by entry (row-major) in ``tdot``.
+    ``block`` is (r, p); ``cols`` and ``vals`` are (r, t). Tail entries lie
+    past the block, and tail entries that share a column add up; a row with
+    fewer than t of them is padded with value 0 at any column. A plain
+    (r, n) array is the case p = n with an empty tail (``Rows.of``). The
+    products sum the tail in a fixed order: by row in ``dot`` and by entry
+    (row-major) in ``tdot``.
     """
 
     __slots__ = ("block", "cols", "vals", "n", "p", "t", "_cf", "_vf")
@@ -225,7 +226,7 @@ class Rows:
             out = np.zeros(self.n)
             if not y.size:
                 return out
-        out[:self.p] += y @ self.block
+        out[:self.p] = y @ self.block
         return out
 
     def row(self, i: int) -> np.ndarray:
@@ -234,7 +235,7 @@ class Rows:
             out = np.bincount(self.cols[i], self.vals[i], minlength=self.n)
         else:
             out = np.zeros(self.n)
-        out[:self.p] += self.block[i]
+        out[:self.p] = self.block[i]
         return out
 
     def dense(self) -> np.ndarray:
@@ -460,7 +461,8 @@ class _ActiveSet:
         for fresh in (False, True):
             x = self._p @ b
             tx = self._gt(self._h * self._g(x))
-            tx[:m] += self._sign * x[:m]
+            if m:
+                tx[:m] += self._sign * x[:m]
             dx = self._p @ (b - tx)
             if fresh or not float(dx @ dx) > float(x @ x):
                 return x + dx
