@@ -200,8 +200,12 @@ class Rows:
         return self.block.shape[0], self.n
 
     def __getitem__(self, rows) -> "Rows":
-        """The rows an index or mask picks, as Rows."""
-        return Rows(self.block[rows], self.cols[rows], self.vals[rows], self.n)
+        """The rows an index array or a boolean mask picks, as Rows."""
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        return Rows(self.block.take(rows, 0), self.cols.take(rows, 0),
+                    self.vals.take(rows, 0), self.n)
 
     def __neg__(self) -> "Rows":
         return Rows(-self.block, self.cols, -self.vals, self.n)
@@ -689,12 +693,13 @@ class _ActiveSet:
         t = a_eq.vals.shape[1]
         while True:
             k = keep.size
-            self._blk[:k] = a_eq.block[keep]
-            self._cols[:k, :t] = a_eq.cols[keep]
-            self._vals[:k, :t] = a_eq.vals[keep]
-            self._vals[:k, t:] = 0.0
-            self._rhs[:k] = b_eq[keep]
-            self._ids[:k] = keep
+            if k:
+                self._blk[:k] = a_eq.block[keep]
+                self._cols[:k, :t] = a_eq.cols[keep]
+                self._vals[:k, :t] = a_eq.vals[keep]
+                self._vals[:k, t:] = 0.0
+                self._rhs[:k] = b_eq[keep]
+                self._ids[:k] = keep
             self.n_eq = k
             self._resize(k)
             dependent, d = self.rebuild(g)
