@@ -394,10 +394,10 @@ class _ActiveSet:
         self._h = np.where(free, 1.0 / b0, 0.0)
         self._at = at  # fixed variables' values; bound members set theirs
         # the general members' rows: a block over the first p variables
-        # and tails of t entries, at least one when p < n
+        # and tails of t entries
         self._blk = np.empty((capacity, p))
-        self._cols = np.zeros((capacity, max(t, int(p < n))), dtype=np.intp)
-        self._vals = np.zeros(self._cols.shape)
+        self._cols = np.zeros((capacity, t), dtype=np.intp)
+        self._vals = np.zeros((capacity, t))
         self.n_eq = 0  # general members, equality rows first
         self._resize(0)
         # P = T^-1 is the leading (m + q)-square block of one Fortran
@@ -540,10 +540,11 @@ class _ActiveSet:
         self._p = p[:k + 1, :k + 1]
         q = self.q
         self._blk[q] = normal[:self._blk.shape[1]]
+        t = 0
         if tail is not None:
             t = tail[0].size
             self._cols[q, :t], self._vals[q, :t] = tail
-            self._vals[q, t:] = 0.0
+        self._vals[q, t:] = 0.0
         self._rhs[q] = row_rhs
         self._mult[q] = multiplier
         self._ids[q] = row_id
