@@ -603,17 +603,21 @@ class _ActiveSet:
         """
         _, u, sign = self.hessian
         h, m, q = self._h, self.m, self.q
-        mid = u.T @ (h[:, None] * u)
-        mid[np.diag_indices(m)] += sign
-        mid_inv = np.linalg.inv(mid) if m else mid
+        # H's columns take part only when there are any (m > 0)
+        if m:
+            mid = u.T @ (h[:, None] * u)
+            mid[np.diag_indices(m)] += sign
+            mid_inv = np.linalg.inv(mid)
         if q:
             normals = self.normals
             nh = normals * h
-            x = nh @ u
-            # M^-1 (U' h N_E'), refined once against M
-            w = mid_inv @ x.T
-            w += mid_inv @ (x.T - mid @ w)
-            s = nh @ normals.T - x @ w
+            s = nh @ normals.T
+            if m:
+                x = nh @ u
+                # M^-1 (U' h N_E'), refined once against M
+                w = mid_inv @ x.T
+                w += mid_inv @ (x.T - mid @ w)
+                s -= x @ w
             s = 0.5 * (s + s.T)
             scale = np.maximum(1.0, np.einsum("ij,ij->i", normals, normals))
             n_free = np.count_nonzero(h)
@@ -630,15 +634,17 @@ class _ActiveSet:
                     s / np.sqrt(np.outer(scale, scale)))
                 return np.sort(order[min(rank, n_free):]), None
             s_inv = np.linalg.inv(s)
-            ws = w @ s_inv
             self._p = self._pbuf[:m + q, :m + q]
-            self._p[:m, :m] = mid_inv + ws @ w.T
-            self._p[:m, m:] = -ws
-            self._p[m:, :m] = -ws.T
             self._p[m:, m:] = s_inv
+            if m:
+                ws = w @ s_inv
+                self._p[:m, :m] = mid_inv + ws @ w.T
+                self._p[:m, m:] = -ws
+                self._p[m:, :m] = -ws.T
         else:
             self._p = self._pbuf[:m, :m]
-            self._p[...] = mid_inv
+            if m:
+                self._p[...] = mid_inv
         if g is None:
             return None, None
         # d = d0 + h (c - G xi) with d0 the fixed values: the members'
