@@ -319,11 +319,11 @@ class DampedBfgs:
 # ---------------------------------------------------------------------------
 
 def _rank_one(p, alpha, x):
-    """p += alpha x x' in place, for a Fortran-ordered p. The sum runs
+    """p += alpha x x' in place, for a column-major p. The sum runs
     through p' (C order), so that it and the C-ordered outer product share
     one memory order."""
     pt = p.T
-    pt += np.outer(alpha * x, x)
+    pt += (alpha * x)[:, None] * x
 
 
 def _pivoted_rank(s):
