@@ -806,8 +806,8 @@ class TestPlacementQp:
             b0, u, sign = hessian
             bd = (np.diag(b0) + u @ np.diag(sign) @ u.T) @ res.step
             grad = (bd + g + a_eq.dense().T @ res.eq_multipliers
-                    + a_in.dense().T @ res.in_multipliers - res.lower_multipliers
-                    + res.upper_multipliers)
+                    + a_in.dense().T @ res.in_multipliers
+                    - res.lower_multipliers + res.upper_multipliers)
             residuals.append(np.max(np.abs(grad))
                              / (np.max(np.abs(g)) + np.max(np.abs(bd))))
             return res
@@ -1102,13 +1102,13 @@ class TestRows:
             a = rows.dense()
             assert a.shape == rows.shape == (r, 10)
             x, y = rng.normal(size=10), rng.normal(size=r)
-            # the rounding bound of each product's entries
+            # relative to the magnitudes each product sums
+            bound = np.max(np.abs(a) @ np.abs(x), initial=1.0)
             np.testing.assert_allclose(rows.dot(x), a @ x, rtol=0.0,
-                                       atol=1e-12 * np.max(np.abs(a) @ np.abs(x),
-                                                           initial=1.0))
+                                       atol=1e-12 * bound)
+            bound = np.max(np.abs(y) @ np.abs(a), initial=1.0)
             np.testing.assert_allclose(rows.tdot(y), a.T @ y, rtol=0.0,
-                                       atol=1e-12 * np.max(np.abs(a.T) @ np.abs(y),
-                                                           initial=1.0))
+                                       atol=1e-12 * bound)
             for pick in (rng.random(r) < 0.5, rng.permutation(r)[:r // 2]):
                 assert np.array_equal(rows[pick].dense(), a[pick])
             for i in range(r):
