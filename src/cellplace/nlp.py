@@ -230,10 +230,8 @@ class PlacementProblem:
         self.n_vars = self.off_t + (k * c if self.abs_mode else 0)
         self.n_eq = k if c > 1 else 0  # the weight-simplex rows
         self.n_ineq = (8 if self.abs_mode else 6) * k * c
-        # the rows' entries past x, the same on every call: simplex row k
-        # has ones at point k's weights, with a zero block over x; a limit
-        # row has -1 at its (k, c)'s slack, repeated per axis, and an
-        # epigraph row -1 at its t
+        # the rows' constant parts (module docstring); a limit row's slack
+        # is its (k, c)'s, repeated per axis
         kc = np.arange(k * c)
         self._j_eq = solver.Rows(
             _read_only(np.zeros((self.n_eq, 6))),
