@@ -44,6 +44,11 @@ with the elementwise kernel and differences, so the bits do not depend on
 the sharing. kinematic_values keeps the program's own KinematicValues record
 at the last x, because the margins depend on the program's limits. Neither
 cache is thread safe; the problem is immutable.
+
+The pinned programs of one enumeration also share their QP subproblems, through
+one solver.QpMemo: a point whose rows stay outside the QP's working set never
+reaches the QP, so assignments that differ only in its configuration solve the
+very same QPs.
 """
 from __future__ import annotations
 
@@ -506,15 +511,15 @@ class SolveSettings(solver.SolverOptions):
     mode: str = "squared"
 
 
-def _multistart(problem: PlacementProblem, options: solver.SolverOptions
-                ) -> solver.SolverResult:
+def _multistart(problem: PlacementProblem, options: solver.SolverOptions,
+                memo: solver.QpMemo | None = None) -> solver.SolverResult:
     """Start 0 from the scene's placement, later ones from random ones."""
     def sampler(index, rng):
         if index == 0:
             return problem.initial_point("scene")
         return problem.initial_point("random", rng)
 
-    return solver.multistart(problem.as_nlp_spec(), options, sampler)
+    return solver.multistart(problem.as_nlp_spec(), options, sampler, memo)
 
 
 def solve_placement(scene, settings: SolveSettings | None = None
@@ -570,22 +575,24 @@ def make_pinned_solver(mode: str = "squared", multistart: int = 1, seed: int = 0
     """Callable solving the problem with one fixed configuration per segment.
 
     Handed to the enumeration oracle; returns (optimal value, solver result).
-    The callable keeps one SceneKinematics for the scene it was last called
-    with, so the pinned programs of one enumeration share their backward
-    transforms; nothing outlives the callable.
+    The callable keeps one SceneKinematics and one solver.QpMemo for the
+    scene it was last called with, so the pinned programs of one enumeration
+    share their backward transforms and their QP subproblems: assignments
+    that differ only in a point whose rows stay out of the QP's working set
+    solve the very same QPs. Nothing outlives the callable.
     """
     options = solver.SolverOptions(
         max_iterations=PINNED_MAX_ITERATIONS, multistart=multistart, seed=seed,
         early_stop_objective=early_stop_objective)
-    shared = None  # (scene, its SceneKinematics)
+    shared = None  # (scene, its SceneKinematics, its QpMemo)
 
     def solve_pinned(scene, assignment):
         nonlocal shared
         if shared is None or shared[0] is not scene:
-            shared = (scene, SceneKinematics(scene))
+            shared = (scene, SceneKinematics(scene), solver.QpMemo())
         problem = build_problem(scene, BuildOptions(
             mode=mode, pinned=tuple(assignment)), shared[1])
-        result = _multistart(problem, options)
+        result = _multistart(problem, options, shared[2])
         return result.objective, result
 
     return solve_pinned

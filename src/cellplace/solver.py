@@ -24,6 +24,10 @@ Hessian; if the retry fails too, the start stops "stalled". The placement
 program's linearizations are feasible by construction (its slacks and |v|
 epigraph variables absorb any violation), so there a failed QP is a
 numerical breakdown. A start also stops when the l1 merit stops falling.
+The evaluator answers a repeated request for its last point without calling
+the program again, and a caller may hand solve a QpMemo, which returns a QP
+subproblem's stored result when every input matches one it solved, byte for
+byte; both are exact because the callbacks and solve_qp are deterministic.
 
 All randomness (multistart sampling) flows through one seeded generator, so
 results are reproducible bit for bit for a fixed BLAS thread count: OpenBLAS
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,6 +73,9 @@ DRIFT_FACTOR = 1e3
 # benchmark scenes' pairs stay above 1.7e-9; at 1e-10 the floor already
 # skips pairs that an infeasible scene's starts need to stop.
 CURVATURE_FLOOR = 1e-11
+
+# solve_qp results a QpMemo keeps, least recently used first out
+QP_MEMO_SIZE = 64
 
 
 @dataclass
@@ -948,6 +956,55 @@ def solve_qp(hessian, g: np.ndarray,
                     iterations)
 
 
+def _exact_key(a):
+    """The exact bytes, shape and dtype of one QP input; None for none."""
+    if a is None:
+        return None
+    if isinstance(a, Rows):
+        return a.n, _exact_key(a.block), _exact_key(a.cols), _exact_key(a.vals)
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+class QpMemo:
+    """``solve_qp`` results keyed by the exact bytes of every input it reads.
+
+    solve_qp is a deterministic function of its inputs, so a hit returns
+    what a fresh solve would, bit for bit. The memo keeps the last
+    QP_MEMO_SIZE results, least recently used first out, with their arrays
+    read-only; a QP that raises is not kept. ``hits`` and ``misses`` count
+    the lookups.
+    """
+
+    def __init__(self):
+        self.hits = self.misses = 0
+        self._results: OrderedDict[tuple, QpResult] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def solve(self, hessian, g, a_eq=None, b_eq=None, a_in=None, b_in=None,
+              lower=None, upper=None) -> QpResult:
+        """solve_qp's result for these inputs, from the memo if it holds
+        them."""
+        key = tuple(map(_exact_key, (*hessian, g, a_eq, b_eq, a_in, b_in,
+                                     lower, upper)))
+        result = self._results.get(key)
+        if result is not None:
+            self.hits += 1
+            self._results.move_to_end(key)
+            return result
+        self.misses += 1
+        result = solve_qp(hessian, g, a_eq, b_eq, a_in, b_in, lower, upper)
+        for a in (result.step, result.eq_multipliers, result.in_multipliers,
+                  result.lower_multipliers, result.upper_multipliers):
+            a.flags.writeable = False
+        self._results[key] = result
+        if len(self._results) > QP_MEMO_SIZE:
+            self._results.popitem(last=False)
+        return result
+
+
 # ---------------------------------------------------------------------------
 # SQP driver
 # ---------------------------------------------------------------------------
@@ -977,11 +1034,16 @@ class _Evaluator:
     Non-finite derivatives fail too, wherever they are evaluated (the start
     and accepted points). ``solve`` checks the values at the start point
     itself; a non-finite value at a line-search trial point only fails the
-    merit test.
+    merit test. ``value`` and ``derivatives`` each keep their last point's
+    result, keyed by z.tobytes(), and return it when asked for the same
+    bytes again: the finalize check and the exit ask for the point just
+    accepted.
     """
 
     def __init__(self, spec: NlpSpec):
         self.spec = spec
+        # (z.tobytes(), result) of the last point each method evaluated
+        self._value = self._derivatives = (None, None)
 
     def _call(self, fn, z, what):
         try:
@@ -992,20 +1054,29 @@ class _Evaluator:
                                    iterate=z) from exc
 
     def value(self, z):
-        f = float(self._call(self.spec.objective, z, "objective"))
-        c_eq, c_in = self._call(self.spec.constraints, z, "constraints")
-        return f, np.asarray(c_eq, float), np.asarray(c_in, float)
+        """The objective and both constraint vectors."""
+        key = z.tobytes()
+        if self._value[0] != key:
+            f = float(self._call(self.spec.objective, z, "objective"))
+            c_eq, c_in = self._call(self.spec.constraints, z, "constraints")
+            self._value = key, (f, np.asarray(c_eq, float),
+                                np.asarray(c_in, float))
+        return self._value[1]
 
     def derivatives(self, z):
         """The gradient and both Jacobians, as Rows."""
-        n = self.spec.n
-        g = np.asarray(self._call(self.spec.gradient, z, "gradient"), float)
-        j_eq, j_in = (
-            j if isinstance(j, Rows) else Rows.of(j, n)
-            for j in self._call(self.spec.jacobians, z, "jacobians"))
-        _require_finite(z, "gradient or jacobians", g, j_eq.block, j_eq.vals,
-                        j_in.block, j_in.vals)
-        return g, j_eq, j_in
+        key = z.tobytes()
+        if self._derivatives[0] != key:
+            n = self.spec.n
+            g = np.asarray(self._call(self.spec.gradient, z, "gradient"),
+                           float)
+            j_eq, j_in = (
+                j if isinstance(j, Rows) else Rows.of(j, n)
+                for j in self._call(self.spec.jacobians, z, "jacobians"))
+            _require_finite(z, "gradient or jacobians", g, j_eq.block,
+                            j_eq.vals, j_in.block, j_in.vals)
+            self._derivatives = key, (g, j_eq, j_in)
+        return self._derivatives[1]
 
 
 def _lagrangian_gradient(g, j_eq, j_in, lam_eq, lam_in):
@@ -1020,8 +1091,12 @@ def _kkt_residual(z, grad_l, c_in, lam_in, lower, upper):
     return max(stat, comp)
 
 
-def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
-    """Run the SQP iteration from z0 (projected into the bounds first)."""
+def solve(spec: NlpSpec, options: SolverOptions, z0,
+          memo: QpMemo | None = None) -> SolverResult:
+    """Run the SQP iteration from z0 (projected into the bounds first).
+
+    With a memo, each QP subproblem is looked up in it before it is solved.
+    """
     ev = _Evaluator(spec)
     n = spec.n
     lower = np.full(n, -np.inf) if spec.lower is None else spec.lower
@@ -1082,8 +1157,8 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
                 logger.debug("hessian reset at iteration %d", iteration)
                 h.reset()
             try:
-                qp = solve_qp(h.compact(), g, j_eq, -c_eq, j_ws, -c_ws,
-                              lo_step, hi_step)
+                qp = (solve_qp if memo is None else memo.solve)(
+                    h.compact(), g, j_eq, -c_eq, j_ws, -c_ws, lo_step, hi_step)
             except (InfeasibleSubproblem, np.linalg.LinAlgError):
                 failure = "QP subproblem failed"
                 continue
@@ -1200,8 +1275,8 @@ def solve(spec: NlpSpec, options: SolverOptions, z0) -> SolverResult:
 
 
 def multistart(spec: NlpSpec, options: SolverOptions,
-               sampler: Callable[[int, np.random.Generator], np.ndarray]
-               ) -> SolverResult:
+               sampler: Callable[[int, np.random.Generator], np.ndarray],
+               memo: QpMemo | None = None) -> SolverResult:
     """Independent solves from sampled starts; best result wins.
 
     Selection is by value, never by completion order: converged results beat
@@ -1210,7 +1285,7 @@ def multistart(spec: NlpSpec, options: SolverOptions,
     once a converged result reaches that value (still deterministic because
     starts run in index order). A start whose callbacks raise is recorded as
     ``failed`` and never wins; the first failure is raised only when every
-    start failed.
+    start failed. Every start shares ``memo`` (see ``solve``).
     """
     rng = np.random.default_rng(options.seed)
     results: list[SolverResult] = []
@@ -1218,7 +1293,7 @@ def multistart(spec: NlpSpec, options: SolverOptions,
     for index in range(options.multistart):
         z0 = sampler(index, rng)
         try:
-            result = solve(spec, options, z0)
+            result = solve(spec, options, z0, memo)
         except EvaluatorFailure as exc:
             logger.warning("start %d failed: %s", index, exc)
             failures.append(exc)

@@ -422,9 +422,9 @@ class TestExtractSolution:
         seen, results = [], []
         real_multistart, real_solve = solver.multistart, solver.solve
 
-        def multistart(spec, options, sampler):
+        def multistart(spec, options, sampler, memo=None):
             seen.append(options)
-            results.append(real_multistart(spec, options, sampler))
+            results.append(real_multistart(spec, options, sampler, memo))
             return results[-1]
 
         def solve(spec, options, z0):
@@ -574,6 +574,19 @@ def _count_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _count_qp_calls(monkeypatch) -> list:
+    """Spy on solver.solve_qp, which a QpMemo calls on each miss; returns
+    [calls]."""
+    calls, real = [0], solver.solve_qp
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "solve_qp", spy)
+    return calls
+
+
 class TestSceneKinematics:
     def test_shared_slices_equal_the_free_program_bit_for_bit(self, scene_k2):
         # pinned programs and a tightened one share one object; the free
@@ -606,11 +619,24 @@ class TestSceneKinematics:
                                   free.kinematic_values(x).joints)
 
     def test_enumeration_result_does_not_depend_on_sharing(self, monkeypatch):
+        # the shared SceneKinematics and QpMemo against each program solved
+        # alone, with its own kinematics and no memo: every program's
+        # result is the same, for a fraction of the kernel and QP calls
         scene = synthesize_scene(count=2, seed=402)
         calls = _count_kernel_calls(monkeypatch)
-        shared = minimin_enumerate(scene, make_pinned_solver(
-            mode="squared", multistart=2, seed=0, early_stop_objective=1e-14))
+        qp_calls = _count_qp_calls(monkeypatch)
+        pinned = make_pinned_solver(
+            mode="squared", multistart=2, seed=0, early_stop_objective=1e-14)
+        results = {"shared": [], "alone": []}
+
+        def solve_shared(sc, assignment):
+            value, result = pinned(sc, assignment)
+            results["shared"].append((value, assignment, result))
+            return value, result
+
+        shared = minimin_enumerate(scene, solve_shared)
         shared_calls, calls[0] = calls[0], 0
+        shared_qp_calls, qp_calls[0] = qp_calls[0], 0
         options = solver.SolverOptions(
             max_iterations=nlp.PINNED_MAX_ITERATIONS, multistart=2, seed=0,
             early_stop_objective=1e-14)
@@ -619,24 +645,32 @@ class TestSceneKinematics:
             problem = build_problem(sc, BuildOptions(pinned=tuple(assignment)),
                                     nlp.SceneKinematics(sc))
             result = nlp._multistart(problem, options)
+            results["alone"].append((result.objective, assignment, result))
             return result.objective, result
 
         alone = minimin_enumerate(scene, solve_alone)
         assert shared[:2] == alone[:2]
-        assert np.array_equal(shared[2].z, alone[2].z)
-        assert shared[2].iterations == alone[2].iterations
-        assert shared[2].status == alone[2].status
+        assert len(results["shared"]) == len(results["alone"]) == 64
+        for (value, assignment, mine), (value_alone, assignment_alone, own) \
+                in zip(results["shared"], results["alone"]):
+            assert (value, assignment) == (value_alone, assignment_alone)
+            assert np.array_equal(mine.z, own.z)
+            assert mine.iterations == own.iterations
+            assert mine.status == own.status
         assert 5 * shared_calls <= calls[0]
+        assert 2 * shared_qp_calls <= qp_calls[0]
 
     def test_no_state_survives_a_solver_closure(self, scene_k1, monkeypatch):
         calls = _count_kernel_calls(monkeypatch)
+        qp_calls = _count_qp_calls(monkeypatch)
         counts = []
         for _ in range(2):
-            calls[0] = 0
+            calls[0] = qp_calls[0] = 0
             minimin_enumerate(scene_k1, make_pinned_solver(
                 mode="squared", multistart=2, seed=0))
-            counts.append(calls[0])
-        assert counts[0] == counts[1] > 0
+            counts.append((calls[0], qp_calls[0]))
+        assert counts[0] == counts[1]
+        assert min(counts[0]) > 0
 
     def test_memo_is_bounded_and_read_only(self, scene_k1, monkeypatch):
         calls = _count_kernel_calls(monkeypatch)

@@ -919,6 +919,35 @@ class TestSolve:
         assert np.array_equal(info.value.iterate, z0)
         assert len(objective_calls) == 1
 
+    @pytest.mark.parametrize("count, seed, pinned", [
+        (2, 402, (3, 5)), (30, 300, None)], ids=["pinned-k2", "squared-k30"])
+    def test_no_callback_runs_twice_in_a_row_at_one_point(self, count, seed,
+                                                          pinned):
+        # the finalize check and the exit ask again for the point just
+        # accepted; the evaluator answers from its last point
+        import dataclasses
+        from cellplace.nlp import BuildOptions, build_problem
+        from cellplace.scene import synthesize_scene
+        problem = build_problem(synthesize_scene(count=count, seed=seed),
+                                BuildOptions(pinned=pinned))
+        spec = problem.as_nlp_spec()
+        calls = {}
+
+        def recorded(name):
+            real = getattr(spec, name)
+
+            def callback(z):
+                seen = calls.setdefault(name, [])
+                assert not seen or seen[-1] != z.tobytes(), name
+                seen.append(z.tobytes())
+                return real(z)
+            return callback
+
+        names = ("objective", "constraints", "gradient", "jacobians")
+        spy = dataclasses.replace(spec, **{n: recorded(n) for n in names})
+        result = solve(spy, SolverOptions(), problem.initial_point("scene"))
+        assert result.iterations > 1 and set(calls) == set(names)
+
     def test_non_finite_start_value_raises(self):
         spec = NlpSpec(1, lambda z: 0.0, lambda z: np.zeros(1),
                        lambda z: (np.zeros(0), np.array([np.inf])),
@@ -1162,6 +1191,94 @@ class TestRows:
             assert np.linalg.norm(structured - plain) <= \
                 1e-10 * np.linalg.norm(plain)
             assert results[0].iterations == results[1].iterations
+
+
+class TestQpMemo:
+    """solver.QpMemo keys on the exact bytes of every QP input."""
+
+    @staticmethod
+    def placement_like_qp():
+        """(hessian, g, a_eq, b_eq, a_in, b_in, lower, upper) of a
+        placement-like QP with a compact H with pairs, tails on both row
+        sets, and finite values throughout, so that flipping the last bit of
+        any array's last entry leaves a valid QP (an even first tail column
+        keeps a flipped column in the tail range)."""
+        rng = np.random.default_rng(17)
+        n_x, n_w, n_s = 6, 6, 8
+        n = n_x + n_w + n_s
+        h = DampedBfgs(10.0 ** rng.uniform(-1, 1, size=n))
+        for s, y in TestCompactHessian().random_pairs(rng, n, 3):
+            h.update(s, y)
+        a_in = solver.Rows(rng.normal(size=(12, n_x)),
+                           rng.integers(n_x + n_w, n, size=(12, 1)),
+                           -np.ones((12, 1)), n)
+        a_eq = solver.Rows(np.zeros((2, n_x)),
+                           n_x + np.arange(n_w).reshape(2, 3),
+                           np.ones((2, 3)), n)
+        d0 = np.r_[rng.uniform(-0.5, 0.5, n_x), rng.uniform(0, 1, n_w),
+                   rng.uniform(0, 2, n_s)]
+        lower = np.r_[np.full(n_x, -1.0), np.zeros(n_w + n_s)]
+        upper = np.full(n, 10.0)
+        return (h.compact(), 3.0 * rng.normal(size=n), a_eq, a_eq.dot(d0),
+                a_in, a_in.dot(d0) + rng.uniform(0.0, 0.5, 12), lower, upper)
+
+    def test_a_flipped_last_bit_in_any_input_misses(self):
+        qp = self.placement_like_qp()
+        hessian, g, a_eq, b_eq, a_in, b_in, lower, upper = qp
+        inputs = {"b0": hessian[0], "U": hessian[1], "sign": hessian[2],
+                  "g": g, "b_eq": b_eq, "b_in": b_in, "lower": lower,
+                  "upper": upper}
+        for name, rows in (("eq", a_eq), ("in", a_in)):
+            for part in ("block", "cols", "vals"):
+                inputs[f"{name}.{part}"] = getattr(rows, part)
+        memo = solver.QpMemo()
+        memo.solve(*qp)
+        for name, a in inputs.items():
+            bits = a.view(f"u{a.itemsize}").reshape(-1)
+            bits[-1] ^= 1
+            misses = memo.misses
+            memo.solve(*qp)
+            assert memo.misses == misses + 1 and memo.hits == 0, name
+            bits[-1] ^= 1
+        memo.solve(*qp)
+        assert memo.hits == 1
+
+    def test_a_hit_is_read_only_and_equals_a_fresh_solve(self):
+        qp = self.placement_like_qp()
+        memo = solver.QpMemo()
+        first = memo.solve(*qp)
+        assert memo.solve(*qp) is first
+        assert (memo.hits, memo.misses) == (1, 1)
+        fresh = solve_qp(*qp)
+        assert first.iterations == fresh.iterations
+        for field in ("step", "eq_multipliers", "in_multipliers",
+                      "lower_multipliers", "upper_multipliers"):
+            kept = getattr(first, field)
+            assert not kept.flags.writeable, field
+            assert np.array_equal(kept, getattr(fresh, field)), field
+
+    def test_memo_is_bounded(self):
+        memo = solver.QpMemo()
+        hessian = dense(np.eye(2))
+        gs = [np.array([float(i), -1.0])
+              for i in range(solver.QP_MEMO_SIZE + 1)]
+        for g in gs:
+            memo.solve(hessian, g)
+            assert len(memo) <= solver.QP_MEMO_SIZE
+        assert memo.misses == solver.QP_MEMO_SIZE + 1
+        memo.solve(hessian, gs[-1])
+        assert memo.hits == 1
+        memo.solve(hessian, gs[0])  # the least recently used QP was dropped
+        assert memo.misses == solver.QP_MEMO_SIZE + 2
+
+    def test_a_raising_qp_is_not_kept(self):
+        memo = solver.QpMemo()
+        infeasible = (dense(np.eye(1)), np.zeros(1), None, None,
+                      np.array([[1.0], [-1.0]]), np.array([-2.0, 1.0]))
+        for _ in range(2):
+            with pytest.raises(InfeasibleSubproblem):
+                memo.solve(*infeasible)
+        assert (len(memo), memo.hits, memo.misses) == (0, 0, 2)
 
 
 class TestCompactHessian:
