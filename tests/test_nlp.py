@@ -424,7 +424,7 @@ class TestExtractSolution:
 
         def multistart(spec, options, sampler, memo=None):
             seen.append(options)
-            results.append(real_multistart(spec, options, sampler, memo))
+            results.append(real_multistart(spec, options, sampler))
             return results[-1]
 
         def solve(spec, options, z0):
